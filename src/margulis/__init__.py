@@ -60,8 +60,7 @@ from .torus import (
     intersection_count,
     inverse_partition,
     leaf_arc_measure,
-    load_partition,
-    partition_from_json,
+    parse_partition,
     partition_to_json,
     make_automorphism,
     make_partition,

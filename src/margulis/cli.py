@@ -17,8 +17,8 @@ from typing import Optional
 from . import measures, thermo
 from .counting import count_words
 from .fixtures import FIXTURES, get_fixture
-from .graphs import ShiftGraph, StructuralViolation, ball, load_graph, validate_graph
-from .report import emit, emit_csv
+from .graphs import ShiftGraph, StructuralViolation, ball, build_graph, load_graph, validate_graph
+from .report import dump_json, emit, emit_csv, write_text
 from .suite import SuiteConfig, run_suite
 
 USAGE_ERROR = 2
@@ -35,11 +35,7 @@ def split_states(text: str) -> list[str]:
 
 
 def _emit_json(payload: dict, out: Optional[str]) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
+    sys.stdout.write(write_text(dump_json(payload), out))
 
 
 def _load_graph_arg(args) -> ShiftGraph:
@@ -58,7 +54,6 @@ def _load_family_arg(args) -> measures.ConformalFamily:
             spec = json.load(fh)
         if "fixture" in spec:
             return get_fixture(spec["fixture"]).family()
-        from .graphs import build_graph
         graph = build_graph(spec["graph"])
         return measures.make_family(graph, float(spec["h"]),
                                     {str(k): float(v) for k, v in spec["psi"].items()})
@@ -199,18 +194,15 @@ def _cmd_torus_verify(args) -> int:
 def _cmd_torus_export(args) -> int:
     from . import torus
     p = torus.builtin_partition(args.map_name)
-    text = torus.partition_to_json(p)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
+    sys.stdout.write(write_text(torus.partition_to_json(p), args.out))
     return 0
 
 
 def _cmd_torus_validate(args) -> int:
     from . import torus
-    p = torus.load_partition(args.partition)
-    rep = torus.validate_partition(p.auto, p.rectangles, tol=1e-9)
+    with open(args.partition, "r", encoding="utf-8") as fh:
+        auto, rects = torus.parse_partition(fh.read())
+    rep = torus.validate_partition(auto, rects, tol=1e-9)
     _emit_json({
         "ok": rep.ok,
         "area": rep.area_total,
@@ -218,6 +210,8 @@ def _cmd_torus_validate(args) -> int:
         "max_s_fit_err": rep.max_s_fit_err,
         "edges": sorted([list(e) for e in rep.edges]),
     }, args.out)
+    for w in rep.witnesses:
+        sys.stderr.write(f"invalid Markov partition: {w}\n")
     return 0 if rep.ok else 1
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Iterator, Sequence
 
 from .graphs import ShiftGraph, StateId
 
@@ -25,10 +25,6 @@ class CountTable:
     origin: StateId
     target: StateId
     counts: list[int]
-
-    @property
-    def n_max(self) -> int:
-        return len(self.counts) - 1
 
 
 @dataclass
@@ -48,6 +44,21 @@ class WeightedSumTrace:
         return self.partial_sums[-1]
 
 
+def _frontiers(step: Callable[[StateId], Sequence[StateId]], start: StateId,
+               n_max: int) -> Iterator[dict[StateId, int]]:
+    """For n = 0..n_max, the number of n-edge walks from ``start`` along
+    ``step`` ending at each state (states with no walk are absent)."""
+    frontier: dict[StateId, int] = {start: 1}
+    yield frontier
+    for _ in range(n_max):
+        nxt: dict[StateId, int] = {}
+        for s, c in frontier.items():
+            for t in step(s):
+                nxt[t] = nxt.get(t, 0) + c
+        frontier = nxt
+        yield frontier
+
+
 def count_words(graph: ShiftGraph, a: StateId, b: StateId, n_max: int) -> CountTable:
     """Dynamic programming over the lazily explored out-neighborhood of ``a``.
 
@@ -58,16 +69,7 @@ def count_words(graph: ShiftGraph, a: StateId, b: StateId, n_max: int) -> CountT
         raise ValueError("n_max must be >= 0")
     graph.check_state(a)
     graph.check_state(b)
-    counts = [1 if a == b else 0]
-    frontier: dict[StateId, int] = {a: 1}
-    for _ in range(n_max):
-        nxt: dict[StateId, int] = {}
-        for s, c in frontier.items():
-            for t in graph.successors(s):
-                nxt[t] = nxt.get(t, 0) + c
-        frontier = nxt
-        counts.append(frontier.get(b, 0))
-    return CountTable(a, b, counts)
+    return CountTable(a, b, [f.get(b, 0) for f in _frontiers(graph.successors, a, n_max)])
 
 
 def count_periodic(graph: ShiftGraph, a: StateId, n_max: int) -> CountTable:
@@ -82,15 +84,7 @@ def count_words_to(graph: ShiftGraph, target: StateId, n_max: int) -> list[dict[
     constructions which need Z_n(R, a0) for all R in a ball.
     """
     graph.check_state(target)
-    tables: list[dict[StateId, int]] = [{target: 1}]
-    for _ in range(n_max):
-        cur = tables[-1]
-        nxt: dict[StateId, int] = {}
-        for s, c in cur.items():
-            for r in graph.predecessors(s):
-                nxt[r] = nxt.get(r, 0) + c
-        tables.append(nxt)
-    return tables
+    return list(_frontiers(graph.predecessors, target, n_max))
 
 
 def exp_weighted(count: int, n: int, h: float) -> float:
@@ -123,17 +117,14 @@ class NeumaierSum:
         return self._s + self._c
 
 
-def weighted_loop_sum(graph: ShiftGraph, a: StateId, h: float, n_max: int,
-                      counts: Optional[CountTable] = None) -> WeightedSumTrace:
+def weighted_loop_sum(graph: ShiftGraph, a: StateId, h: float, n_max: int) -> WeightedSumTrace:
     """Partial sums of the entropy-discounted loop series at ``a``."""
     if h <= 0:
         raise ValueError("h must be positive")
-    if counts is None:
-        counts = count_periodic(graph, a, n_max)
     acc = NeumaierSum()
     terms: list[float] = []
     partial: list[float] = []
-    for n, z in enumerate(counts.counts[: n_max + 1]):
+    for n, z in enumerate(count_periodic(graph, a, n_max).counts):
         t = exp_weighted(z, n, h)
         terms.append(t)
         partial.append(acc.add(t))

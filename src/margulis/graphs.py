@@ -19,6 +19,8 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 StateId = str
 
+_PATH_CAP = 256  # longest connecting path searched on generated graphs
+
 
 class StructuralViolation(Exception):
     """A structural hypothesis (degree bound, Markov property, ...) failed."""
@@ -31,14 +33,14 @@ class StructuralViolation(Exception):
 class ShiftGraph:
     """Immutable directed graph of a topological Markov shift.
 
-    ``kind`` is ``"finite"`` or ``"generated"``.  Generated graphs memoize the
-    neighborhoods they explore; memoization is guarded by a lock so concurrent
-    callers see bitwise-identical results.
+    Finite graphs carry their state list; generated graphs have none and are
+    explored through their successor/predecessor functions.  Explored
+    neighborhoods are memoized under a lock so concurrent callers see
+    bitwise-identical results.
     """
 
     def __init__(
         self,
-        kind: str,
         base: StateId,
         successors_fn: Callable[[StateId], Sequence[StateId]],
         predecessors_fn: Callable[[StateId], Sequence[StateId]],
@@ -47,7 +49,6 @@ class ShiftGraph:
         contains_fn: Optional[Callable[[StateId], bool]] = None,
         name: str = "",
     ):
-        self.kind = kind
         self.base = base
         self.name = name
         self.degree_bound = degree_bound
@@ -55,6 +56,7 @@ class ShiftGraph:
         self._pred_fn = predecessors_fn
         self._contains_fn = contains_fn
         self._states = tuple(states) if states is not None else None
+        self._state_set = frozenset(self._states or ())
         self._succ_memo: dict[StateId, tuple[StateId, ...]] = {}
         self._pred_memo: dict[StateId, tuple[StateId, ...]] = {}
         self._lock = threading.Lock()
@@ -103,12 +105,6 @@ class ShiftGraph:
 
     def has_edge(self, a: StateId, b: StateId) -> bool:
         return b in self.successors(a)
-
-    @property
-    def _state_set(self) -> frozenset[StateId]:
-        if not hasattr(self, "_state_set_cache"):
-            self._state_set_cache = frozenset(self._states or ())
-        return self._state_set_cache
 
     def __repr__(self) -> str:
         if self.is_finite:
@@ -184,27 +180,8 @@ def ball(graph: ShiftGraph, center: StateId, radius: int) -> frozenset[StateId]:
     if radius < 0:
         raise ValueError("radius must be >= 0")
     graph.check_state(center)
-    out = {center}
-    frontier = [center]
-    for _ in range(radius):
-        nxt = []
-        for s in frontier:
-            for t in graph.successors(s):
-                if t not in out:
-                    out.add(t)
-                    nxt.append(t)
-        frontier = nxt
-    inn = {center}
-    frontier = [center]
-    for _ in range(radius):
-        nxt = []
-        for s in frontier:
-            for t in graph.predecessors(s):
-                if t not in inn:
-                    inn.add(t)
-                    nxt.append(t)
-        frontier = nxt
-    return frozenset(out | inn)
+    return frozenset(_reachable(graph, center, radius, forward=True)
+                     | _reachable(graph, center, radius, forward=False))
 
 
 @dataclass
@@ -217,15 +194,16 @@ class GraphReport:
     ball_states: frozenset[StateId] = field(repr=False, default=frozenset())
 
 
-def validate_graph(graph: ShiftGraph, radius: int = 0, path_cap: int = 256) -> GraphReport:
+def validate_graph(graph: ShiftGraph, radius: int = 0) -> GraphReport:
     """Degree and transitivity check, exact on the explored region.
 
     Finite graphs are checked in full (``radius`` ignored).  On generated
-    graphs the degree check runs over ``ball(base, radius)``, and transitivity
-    means every ball state reaches and is reached from the base through the
-    lazily explored graph within ``path_cap`` edges (connecting paths may
-    legitimately leave the ball).  A declared degree bound that is violated
-    raises :class:`StructuralViolation` naming the offending state.
+    graphs the degree check runs over ``ball(base, radius)``.  Transitivity
+    means every region state reaches and is reached from the base; on
+    generated graphs the connecting paths may leave the ball and are searched
+    within ``_PATH_CAP`` edges.  The witness is the first region state that
+    fails.  A declared degree bound that is violated raises
+    :class:`StructuralViolation` naming the offending state.
     """
     if graph.is_finite:
         region = frozenset(graph.states)
@@ -241,17 +219,16 @@ def validate_graph(graph: ShiftGraph, radius: int = 0, path_cap: int = 256) -> G
         max_out = max(max_out, od)
         max_in = max(max_in, idg)
 
-    if graph.is_finite:
-        transitive, witness = _transitive_finite(graph)
-    else:
-        fwd = _reachable(graph, graph.base, path_cap, forward=True)
-        bwd = _reachable(graph, graph.base, path_cap, forward=False)
-        witness = next((s for s in sorted(region) if s not in fwd or s not in bwd), None)
-        transitive = witness is None
-    return GraphReport(max_out, max_in, transitive, len(region), witness, region)
+    cap = len(region) if graph.is_finite else _PATH_CAP
+    fwd = _reachable(graph, graph.base, cap, forward=True)
+    bwd = _reachable(graph, graph.base, cap, forward=False)
+    witness = next((s for s in sorted(region) if s not in fwd or s not in bwd), None)
+    return GraphReport(max_out, max_in, witness is None, len(region), witness, region)
 
 
 def _reachable(graph: ShiftGraph, start: StateId, cap: int, forward: bool) -> set[StateId]:
+    """States reached from (``forward``) or reaching ``start`` within ``cap``
+    edges, breadth-first; stops early once a level adds no new state."""
     step = graph.successors if forward else graph.predecessors
     seen = {start}
     frontier = [start]
@@ -266,16 +243,6 @@ def _reachable(graph: ShiftGraph, start: StateId, cap: int, forward: bool) -> se
             break
         frontier = nxt
     return seen
-
-
-def _transitive_finite(graph: ShiftGraph) -> tuple[bool, Optional[StateId]]:
-    states = sorted(graph.states)
-    for a in states:
-        seen = _reachable(graph, a, len(states), forward=True)
-        if len(seen) != len(states):
-            missing = next(s for s in states if s not in seen)
-            return False, missing
-    return True, None
 
 
 # ---------------------------------------------------------------------------
@@ -299,10 +266,12 @@ def build_finite_graph(states: Sequence[StateId], edges: Iterable[tuple[StateId,
             pred[b].append(a)
     if not states:
         raise ValueError("finite graph needs at least one state")
+    base = str(base) if base is not None else states[0]
+    if base not in state_set:
+        raise ValueError(f"base {base!r} is an unknown state")
     bound = max(max(len(v) for v in succ.values()), max(len(v) for v in pred.values()))
     return ShiftGraph(
-        "finite",
-        base=str(base) if base is not None else states[0],
+        base=base,
         successors_fn=lambda s: succ[s],
         predecessors_fn=lambda s: pred[s],
         states=states,
@@ -345,7 +314,7 @@ def _renewal_graph(max_len: int = 64) -> ShiftGraph:
         n, k = parse(s)
         return [f"l({n},{k - 1})"] if k > 1 else ["b"]
 
-    return ShiftGraph("generated", "b", succ, pred, degree_bound=max_len,
+    return ShiftGraph("b", succ, pred, degree_bound=max_len,
                       contains_fn=contains, name="renewal")
 
 
@@ -382,7 +351,7 @@ def _ladder_graph() -> ShiftGraph:
             out += [f"({n + 1},1)", f"({n + 1},2)"]
         return out
 
-    return ShiftGraph("generated", "(0,1)", succ, pred, degree_bound=4,
+    return ShiftGraph("(0,1)", succ, pred, degree_bound=4,
                       contains_fn=contains, name="ladder")
 
 

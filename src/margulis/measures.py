@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Sequence
 
+from .counting import _frontiers
 from .graphs import Cylinder, ShiftGraph, StateId, is_admissible
 
 
@@ -26,7 +27,6 @@ class ConformalFamily:
     graph: ShiftGraph
     h: float
     psi: Mapping[StateId, float]
-    tol: float = 1e-9
 
     def psi_of(self, s: StateId) -> float:
         v = self.psi[s]
@@ -39,8 +39,7 @@ class ConformalFamily:
         return self.psi[root]
 
 
-def make_family(graph: ShiftGraph, h: float, psi: Mapping[StateId, float],
-                tol: float = 1e-9) -> ConformalFamily:
+def make_family(graph: ShiftGraph, h: float, psi: Mapping[StateId, float]) -> ConformalFamily:
     """Freeze a conformal family; rejects nonpositive psi values.
 
     ``psi`` may be any Mapping, including a lazily evaluated one for graphs
@@ -54,14 +53,13 @@ def make_family(graph: ShiftGraph, h: float, psi: Mapping[StateId, float],
             if not v > 0:
                 raise ValueError(f"psi must be positive; psi({s!r}) = {v}")
         psi = dict(psi)
-    return ConformalFamily(graph, h, psi, tol)
+    return ConformalFamily(graph, h, psi)
 
 
 @dataclass
 class CylinderMeasureValue:
     value: float
     depth: int
-    error_bound: float = 0.0
 
 
 def cylinder_measure(family: ConformalFamily, root: StateId,
@@ -226,18 +224,14 @@ def global_leaf_measure(family: ConformalFamily, past: Sequence[StateId],
     arc_measure = math.fsum(cylinder_measure(family, c.root, c.future).value
                             for c in cyls)
 
+    def step(s: StateId) -> list[StateId]:
+        return [t for t in graph.successors(s) if t in family.psi]
+
     arc_values, mass_values, counts = [], [], []
     for m in range(n + 1):
         start = past[-1 - m]
         # mass of all m-step extensions = (L0^m psi)(start), by harmonicity
-        vec: dict[StateId, int] = {start: 1}
-        for _ in range(m):
-            nxt: dict[StateId, int] = {}
-            for s, w in vec.items():
-                for t in graph.successors(s):
-                    if t in family.psi:
-                        nxt[t] = nxt.get(t, 0) + w
-            vec = nxt
+        *_, vec = _frontiers(step, start, m)
         cnt = sum(vec.values())
         mass = math.fsum(w * family.psi_of(s) for s, w in sorted(vec.items()))
         # the fixed arc, pulled back m steps and re-expanded: the only

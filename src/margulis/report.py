@@ -41,13 +41,12 @@ class Report:
         return 0 if self.all_passed else 1
 
     def to_json(self) -> str:
-        payload = {
+        return dump_json({
             "suite": self.suite,
             "entries": [asdict(e) for e in self.entries],
             "environment": self.environment,
             "exit_code": self.exit_code,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        })
 
     def summary_lines(self) -> list[str]:
         out = []
@@ -57,13 +56,22 @@ class Report:
         return out
 
 
-def emit(report: Report, path: Optional[str]) -> str:
-    """Write the report as byte-stable JSON; returns the serialized text."""
-    text = report.to_json()
+def dump_json(payload) -> str:
+    """Byte-stable JSON text: sorted keys, two-space indent, final newline."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def write_text(text: str, path: Optional[str]) -> str:
+    """Write ``text`` to ``path`` when one is given; returns ``text``."""
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     return text
+
+
+def emit(report: Report, path: Optional[str]) -> str:
+    """Write the report as byte-stable JSON; returns the serialized text."""
+    return write_text(report.to_json(), path)
 
 
 def trace_csv(partial_sums: Sequence[float]) -> str:
@@ -74,5 +82,4 @@ def trace_csv(partial_sums: Sequence[float]) -> str:
 
 
 def emit_csv(partial_sums: Sequence[float], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(trace_csv(partial_sums))
+    write_text(trace_csv(partial_sums), path)

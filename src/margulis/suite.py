@@ -181,7 +181,7 @@ def _random_arc(p: torus.MarkovPartition, rng: np.random.Generator,
 
 
 def margulis_grid_deviation(family_u, p, family_s, p_inv, grid: int = 20,
-                            span: float = 0.3, tol: float = 1e-9) -> float:
+                            span: float = 0.3) -> float:
     """Max deviation of the measure-coordinate map from its best-fit linear map.
 
     Fits the affine (unwrapped) representative fp + alpha e_u + gamma e_s of
@@ -195,7 +195,7 @@ def margulis_grid_deviation(family_u, p, family_s, p_inv, grid: int = 20,
     for x in xs:
         for y in ys:
             mp = torus.margulis_coordinates(family_u, p, family_s, p_inv, fp,
-                                            float(x), float(y), tol=tol)
+                                            float(x), float(y), tol=1e-9)
             z_affine = fp + mp.alpha * p.auto.e_u + mp.gamma * p.auto.e_s
             pts.append((x, y))
             coords.append(z_affine)

@@ -36,6 +36,9 @@ RECURRENT = "Recurrent"
 TRANSIENT_EVIDENCE = "TransientEvidence"
 UNDECIDED = "Undecided"
 
+_POWER_TOL = 1e-14        # sup-norm step that ends the Perron power iteration
+_POWER_MAX_ITER = 200_000
+
 
 class NumericalFailure(RuntimeError):
     def __init__(self, message: str, residual: float = math.nan):
@@ -143,7 +146,7 @@ def _richardson_rho(ts: Sequence[float], start: int) -> float:
     return tail[len(tail) // 2]
 
 
-def fit_tail(terms: Sequence[float], total: float, window: int = 0) -> Optional[TailFit]:
+def fit_tail(terms: Sequence[float], total: float) -> Optional[TailFit]:
     """Fit the decay of the positive terms and extrapolate the series limit.
 
     Returns None when the terms are too few, not decaying, or not summable
@@ -152,8 +155,7 @@ def fit_tail(terms: Sequence[float], total: float, window: int = 0) -> Optional[
     ts = [t for t in terms if t > 0.0]
     if len(ts) < 8:
         return None
-    K = window or min(20, len(ts) // 2)
-    K = max(K, 6)
+    K = max(min(20, len(ts) // 2), 6)
     if K >= len(ts):
         K = len(ts) - 1
     J = len(ts) - 1  # last index in the nonzero subsequence
@@ -213,8 +215,7 @@ def classify_recurrence(graph: ShiftGraph, base: StateId, h: float, n_max: int,
     fit = fit_tail(trace.terms, trace.total)
     if fit is not None and fit.fit_rms < 0.05:
         return RecurrenceVerdict(TRANSIENT_EVIDENCE, trace, threshold, fit)
-    return RecurrenceVerdict(UNDECIDED, trace, threshold,
-                             fit if fit is not None else None)
+    return RecurrenceVerdict(UNDECIDED, trace, threshold, fit)
 
 
 # ---------------------------------------------------------------------------
@@ -289,30 +290,21 @@ def check_harmonic(graph: ShiftGraph, values: Mapping[StateId, float], h: float,
     return ResidualReport(worst, worst_state, checked, worst < tol)
 
 
-def harmonic_finite(graph: ShiftGraph, base: Optional[StateId] = None,
-                    tol: float = 1e-14, max_iter: int = 200_000) -> HarmonicFunction:
+def harmonic_finite(graph: ShiftGraph, base: Optional[StateId] = None) -> HarmonicFunction:
     """Perron eigenpair of a finite transitive graph by power iteration.
 
     Iterates with I + A (primitive whenever A is irreducible, so periodic
     graphs converge too), deterministic all-ones start, psi(base) = 1.
     """
-    states = list(graph.states)
     base = base if base is not None else graph.base
-    if base not in states:
+    idx, A = _adjacency(graph, graph.states)
+    if base not in idx:
         raise KeyError(f"unknown base {base!r}")
-    idx = {s: i for i, s in enumerate(states)}
-    n = len(states)
-    A = np.zeros((n, n))
-    for s in states:
-        for t in graph.successors(s):
-            A[idx[s], idx[t]] = 1.0
-    v = np.ones(n)
-    lam_shifted = 1.0
-    for it in range(max_iter):
+    v = np.ones(len(idx))
+    for it in range(_POWER_MAX_ITER):
         w = v + A @ v
-        lam_shifted = float(np.max(w))
-        w = w / lam_shifted
-        if float(np.max(np.abs(w - v))) < tol:
+        w = w / float(np.max(w))
+        if float(np.max(np.abs(w - v))) < _POWER_TOL:
             v = w
             break
         v = w
@@ -327,7 +319,7 @@ def harmonic_finite(graph: ShiftGraph, base: Optional[StateId] = None,
     if v[idx[base]] <= 0:
         raise NumericalFailure("eigenvector not positive at base", residual=math.inf)
     v = v / v[idx[base]]
-    values = {s: float(v[idx[s]]) for s in states}
+    values = {s: float(v[i]) for s, i in idx.items()}
     rep = check_harmonic(graph, values, h, tol=math.inf)
     return HarmonicFunction(values, h, rep.max_residual, "eigen",
                             meta={"base": base, "iterations": it + 1})
@@ -369,23 +361,30 @@ def harmonic_sarig(graph: ShiftGraph, a0: StateId, h: float, n_max: int,
                             meta={"a0": a0, "window": (m0 + 1, n_max), "radius": radius})
 
 
+def _adjacency(graph: ShiftGraph, states: Sequence[StateId]) -> tuple[dict[StateId, int], np.ndarray]:
+    """Row/column index of ``states`` and their dense 0/1 transition matrix;
+    edges leaving ``states`` are dropped."""
+    idx = {s: i for i, s in enumerate(states)}
+    A = np.zeros((len(states), len(states)))
+    for s in states:
+        for t in graph.successors(s):
+            if t in idx:
+                A[idx[s], idx[t]] = 1.0
+    return idx, A
+
+
 def _green_functions(graph: ShiftGraph, h: float, targets: Sequence[StateId],
-                     region: Sequence[StateId]) -> dict[StateId, np.ndarray]:
+                     region: Sequence[StateId]) -> tuple[dict[StateId, int], dict[StateId, np.ndarray]]:
     """G(R, w) = sum_i exp(-i h) Z_i(R, w) restricted to paths inside region.
 
     Computed exactly (all path lengths at once) as a resolvent solve
     (I - e^-h A) g = e_w on the region, with Dirichlet truncation at its
     boundary; valid when the truncated operator has spectral radius < e^h,
-    which holds on proper finite subgraphs of a transient chain.
+    which holds on proper finite subgraphs of a transient chain.  Returns the
+    region's row index and the Green's function column of each target.
     """
-    states = sorted(region)
-    idx = {s: i for i, s in enumerate(states)}
-    n = len(states)
-    A = np.zeros((n, n))
-    for s in states:
-        for t in graph.successors(s):
-            if t in idx:
-                A[idx[s], idx[t]] = 1.0
+    idx, A = _adjacency(graph, sorted(region))
+    n = len(idx)
     M = np.eye(n) - math.exp(-h) * A
     out: dict[StateId, np.ndarray] = {}
     for w in targets:
@@ -398,18 +397,17 @@ def _green_functions(graph: ShiftGraph, h: float, targets: Sequence[StateId],
         except np.linalg.LinAlgError as exc:
             raise NumericalFailure(f"resolvent solve failed: {exc}") from exc
         out[w] = g
-    out["__index__"] = idx  # type: ignore[assignment]
-    return out
+    return idx, out
 
 
 def harmonic_cyr(graph: ShiftGraph, a0: StateId, ray: Sequence[StateId], h: float,
-                 n_max_ray_index: Optional[int] = None, radius: int = 4,
-                 solve_radius: Optional[int] = None) -> HarmonicFunction:
+                 radius: int = 4) -> HarmonicFunction:
     """Harmonic function on a transient shift via Green's-function ratios.
 
     For each ray index k, psi_k(R) = G(R, w_k) / G(a0, w_k); the report keeps
     the successive sup-differences on the evaluation ball.  The ray must be an
-    admissible injective forward path.
+    admissible injective forward path; the solve region is the ball of
+    radius ``radius + len(ray) + 10`` around a0.
     """
     ray = [graph.check_state(s) for s in ray]
     if len(set(ray)) != len(ray):
@@ -418,15 +416,12 @@ def harmonic_cyr(graph: ShiftGraph, a0: StateId, ray: Sequence[StateId], h: floa
         if not graph.has_edge(a, b):
             raise ValueError(f"ray is not an admissible path at ({a!r}, {b!r})")
     graph.check_state(a0)
-    k_max = len(ray) - 1 if n_max_ray_index is None else min(n_max_ray_index, len(ray) - 1)
-    if k_max < 0:
+    if not ray:
         raise ValueError("empty ray")
-    if solve_radius is None:
-        solve_radius = radius + len(ray) + 10
-    region = ball(graph, a0, solve_radius)
+    k_max = len(ray) - 1
+    region = ball(graph, a0, radius + len(ray) + 10)
     eval_states = sorted(ball(graph, a0, radius + 1))
-    greens = _green_functions(graph, h, ray[: k_max + 1], region)
-    idx = greens.pop("__index__")  # type: ignore[arg-type]
+    idx, greens = _green_functions(graph, h, ray, region)
 
     diffs: list[float] = []
     prev: Optional[dict[StateId, float]] = None

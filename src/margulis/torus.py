@@ -21,14 +21,21 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .graphs import ShiftGraph, StateId, StructuralViolation, build_finite_graph
 from .measures import ConformalFamily, make_family
+from .report import dump_json
 
 Vec = np.ndarray
+
+_PAD = 1e-9               # slack of the lattice-strip enumeration
+_MAX_ARC_LEN = 64.0       # longest arc the coordinate solver brackets
+_RAY_SEED_LEN = 0.3       # length of the seed segment of a periodic ray
+_MAX_RAY_PERIOD = 12      # longest period searched for a ray's base point
+_FIBER_BOUNDARY_POINTS = 24
 
 
 # ---------------------------------------------------------------------------
@@ -87,9 +94,6 @@ class TorusAutomorphism:
 
     def to_xy(self, us: Vec) -> Vec:
         return self.basis @ np.asarray(us, dtype=float)
-
-    def apply(self, p: Vec) -> Vec:
-        return np.asarray(self.matrix, dtype=float) @ np.asarray(p, dtype=float)
 
 
 def make_automorphism(matrix: Sequence[Sequence[int]]) -> TorusAutomorphism:
@@ -215,12 +219,11 @@ class MarkovPartition:
     graph: ShiftGraph
     crossings: dict[tuple[StateId, StateId], Crossing]
     tol: float
-    by_id: dict[StateId, Rectangle] = field(default_factory=dict)
+    by_id: dict[StateId, Rectangle] = field(init=False)
     _caches: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        if not self.by_id:
-            self.by_id = {r.id: r for r in self.rectangles}
+        self.by_id = {r.id: r for r in self.rectangles}
 
     @property
     def h(self) -> float:
@@ -234,16 +237,17 @@ def _interval_overlap(a: tuple[float, float], b: tuple[float, float]) -> float:
     return min(a[1], b[1]) - max(a[0], b[0])
 
 
+def _xy_bounds(auto: TorusAutomorphism, U: tuple[float, float],
+               S: tuple[float, float]) -> tuple[Vec, Vec]:
+    """Componentwise xy bounds of the eigen-coordinate box U x S."""
+    arr = np.array([auto.to_xy(np.array([u, s])) for u in U for s in S])
+    return arr.min(axis=0), arr.max(axis=0)
+
+
 def _translates_near(auto: TorusAutomorphism, box_a, box_b) -> list[tuple[int, int]]:
     """Integer T with (box_b + T) possibly meeting box_a, via xy bounding boxes."""
-    def xy_bounds(box):
-        (ulo, uhi), (slo, shi) = box
-        corners = [auto.to_xy(np.array([u, s])) for u in (ulo, uhi) for s in (slo, shi)]
-        arr = np.array(corners)
-        return arr.min(axis=0), arr.max(axis=0)
-
-    lo_a, hi_a = xy_bounds(box_a)
-    lo_b, hi_b = xy_bounds(box_b)
+    lo_a, hi_a = _xy_bounds(auto, *box_a)
+    lo_b, hi_b = _xy_bounds(auto, *box_b)
     lo = lo_a - hi_b
     hi = hi_a - lo_b
     out = []
@@ -405,30 +409,26 @@ def builtin_partition(name: str) -> MarkovPartition:
 
 def partition_to_json(p: MarkovPartition) -> str:
     """Serialize a partition in the interchange format (eigenbasis corners)."""
-    payload = {
+    return dump_json({
         "matrix": [list(row) for row in p.auto.matrix],
         "rectangles": [
             {"id": r.id, "corner": [r.corner[0], r.corner[1]],
              "u_extent": r.u_extent, "s_extent": r.s_extent}
             for r in p.rectangles
         ],
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    })
 
 
-def partition_from_json(text: str, tol: float = 1e-9) -> MarkovPartition:
+def parse_partition(text: str) -> tuple[TorusAutomorphism, list[Rectangle]]:
+    """The automorphism and rectangles of the interchange format, unvalidated;
+    ``make_partition(*parse_partition(text))`` validates them."""
     spec = json.loads(text)
     auto = make_automorphism(spec["matrix"])
     rects = [Rectangle(str(r["id"]),
                        (float(r["corner"][0]), float(r["corner"][1])),
                        float(r["u_extent"]), float(r["s_extent"]))
              for r in spec["rectangles"]]
-    return make_partition(auto, rects, tol=tol)
-
-
-def load_partition(path: str, tol: float = 1e-9) -> MarkovPartition:
-    with open(path, "r", encoding="utf-8") as fh:
-        return partition_from_json(fh.read(), tol=tol)
+    return auto, rects
 
 
 def partition_family(p: MarkovPartition) -> ConformalFamily:
@@ -488,8 +488,8 @@ def _eigen_bbox(auto: TorusAutomorphism, x_range, y_range):
 
 
 def _lattice_in_strips(auto: TorusAutomorphism, U: tuple[float, float],
-                       S: tuple[float, float], pad: float = 1e-9):
-    """Integer vectors T with u(T) in U and s(T) in S (both padded by ``pad``).
+                       S: tuple[float, float]):
+    """Integer vectors T with u(T) in U and s(T) in S (both padded by ``_PAD``).
 
     The admissible region is a parallelogram in xy; iterate its integer
     x-range and solve the two strip conditions for the y-range.
@@ -497,21 +497,31 @@ def _lattice_in_strips(auto: TorusAutomorphism, U: tuple[float, float],
     Ei = auto.basis_inv
     e00, e01 = float(Ei[0, 0]), float(Ei[0, 1])
     e10, e11 = float(Ei[1, 0]), float(Ei[1, 1])
-    corners = [auto.to_xy(np.array([u, s])) for u in U for s in S]
-    arr = np.array(corners)
-    m_lo, m_hi = math.floor(arr[:, 0].min()), math.ceil(arr[:, 0].max())
-    for mm in range(m_lo, m_hi + 1):
+    xy_lo, xy_hi = _xy_bounds(auto, U, S)
+    for mm in range(math.floor(xy_lo[0]), math.ceil(xy_hi[0]) + 1):
         nu = _strip_range(e01, U[0] - e00 * mm, U[1] - e00 * mm)
         ns = _strip_range(e11, S[0] - e10 * mm, S[1] - e10 * mm)
         lo = max(nu[0], ns[0])
         hi = min(nu[1], ns[1])
         if hi < lo:
             continue
-        for nn in range(math.ceil(lo - pad), math.floor(hi + pad) + 1):
+        for nn in range(math.ceil(lo - _PAD), math.floor(hi + _PAD) + 1):
             uT = e00 * mm + e01 * nn
             sT = e10 * mm + e11 * nn
-            if U[0] - pad <= uT <= U[1] + pad and S[0] - pad <= sT <= S[1] + pad:
+            if U[0] - _PAD <= uT <= U[1] + _PAD and S[0] - _PAD <= sT <= S[1] + _PAD:
                 yield (mm, nn), uT, sT
+
+
+def _chart_of(p: MarkovPartition, r: Rectangle, u: float, s: float,
+              tol: float) -> Optional[tuple[float, float]]:
+    """Eigen coordinates of the point (u, s) in the first chart translate of
+    ``r`` that contains it within ``tol``; None if no translate does."""
+    for _T, (tu, ts) in _chart_translates(p, r):
+        uc, sc = u - tu, s - ts
+        if (-tol <= uc - r.corner[0] <= r.u_extent + tol
+                and -tol <= sc - r.corner[1] <= r.s_extent + tol):
+            return uc, sc
+    return None
 
 
 def memberships(p: MarkovPartition, xy: Vec, tol: float = 1e-12) -> list[tuple[StateId, float, float]]:
@@ -525,13 +535,9 @@ def memberships(p: MarkovPartition, xy: Vec, tol: float = 1e-12) -> list[tuple[S
     s = float(Ei[1, 0]) * q0 + float(Ei[1, 1]) * q1
     out = []
     for r in p.rectangles:
-        cu, cs = r.corner
-        for _T, (tu, ts) in _chart_translates(p, r):
-            u_rel = u - tu - cu
-            s_rel = s - ts - cs
-            if -tol <= u_rel <= r.u_extent + tol and -tol <= s_rel <= r.s_extent + tol:
-                out.append((r.id, u_rel, s_rel))
-                break
+        chart = _chart_of(p, r, u, s, tol)
+        if chart is not None:
+            out.append((r.id, chart[0] - r.corner[0], chart[1] - r.corner[1]))
     return out
 
 
@@ -663,10 +669,7 @@ class UnstableArc:
 
 def full_u_side_arc(p: MarkovPartition, rid: StateId, s_frac: float = 0.5) -> UnstableArc:
     """The full unstable side of a rectangle at relative stable height s_frac."""
-    r = p.rect(rid)
-    base_us = np.array([r.corner[0], r.corner[1] + s_frac * r.s_extent])
-    base = tuple((p.auto.to_xy(base_us) % 1.0).tolist())
-    return UnstableArc(base, 0.0, r.u_extent)
+    return cylinder_image_arc(p, rid, (), s_frac)
 
 
 def cylinder_image_arc(p: MarkovPartition, root: StateId, future: Sequence[StateId],
@@ -695,7 +698,7 @@ def _plaque_segments(p: MarkovPartition, arc: UnstableArc,
         cu, cs = r.corner
         U = (u_b + arc.t0 - cu - r.u_extent, u_b + arc.t1 - cu)
         S = (s_b - cs - r.s_extent, s_b - cs)
-        for _T, uT, sT in _lattice_in_strips(p.auto, U, S, pad=1e-9):
+        for _T, uT, sT in _lattice_in_strips(p.auto, U, S):
             s_rel = s_b - sT - cs
             if not (-tol <= s_rel < r.s_extent - tol):
                 continue
@@ -759,7 +762,8 @@ def leaf_arc_measure(family: ConformalFamily, p: MarkovPartition, arc: UnstableA
             acc["outer"] += weight * family.psi_of(rid)
             acc["boundary"] += 1
             return
-        for (a, b), cross in _succ_crossings(p, rid):
+        for b in p.graph.successors(rid):
+            cross = p.crossings[(rid, b)]
             child_w = p.rect(b).u_extent / lam_u
             c_lo, c_hi = cross.u_offset, cross.u_offset + child_w
             ov_lo, ov_hi = max(lo, c_lo), min(hi, c_hi)
@@ -771,10 +775,6 @@ def leaf_arc_measure(family: ConformalFamily, p: MarkovPartition, arc: UnstableA
     for rid, lo, hi, _ in segs:
         descend(rid, lo, hi, depth, 1.0)
     return ArcMeasure(acc["inner"], acc["outer"], depth, acc["boundary"], len(segs))
-
-
-def _succ_crossings(p: MarkovPartition, rid: StateId):
-    return [((rid, b), p.crossings[(rid, b)]) for b in p.graph.successors(rid)]
 
 
 def stable_holonomy(p: MarkovPartition, arc: UnstableArc, target_xy: Vec) -> UnstableArc:
@@ -821,19 +821,6 @@ def holonomy_invariance_check(family: ConformalFamily, p: MarkovPartition,
 # intersection counts, conformal scaling, coordinates
 # ---------------------------------------------------------------------------
 
-def _matrix_power(m: Sequence[Sequence[int]], k: int) -> list[list[int]]:
-    out = [[1, 0], [0, 1]]
-    base = [list(map(int, row)) for row in m]
-    for _ in range(k):
-        out = [
-            [out[0][0] * base[0][0] + out[0][1] * base[1][0],
-             out[0][0] * base[0][1] + out[0][1] * base[1][1]],
-            [out[1][0] * base[0][0] + out[1][1] * base[1][0],
-             out[1][0] * base[0][1] + out[1][1] * base[1][1]],
-        ]
-    return out
-
-
 def intersection_count(p: MarkovPartition, arc: UnstableArc, i: int,
                        anchor_xy: Vec, anchor_symbol: StateId) -> int:
     """|arc ∩ f^-i(stable plaque through the anchor)| by lattice enumeration.
@@ -849,46 +836,23 @@ def intersection_count(p: MarkovPartition, arc: UnstableArc, i: int,
         raise ValueError(f"anchor lies in {rid!r}, not {anchor_symbol!r}")
     r = p.rect(anchor_symbol)
     anchor_us = p.auto.to_eigen(np.asarray(anchor_xy, dtype=float) % 1.0)
-    # chart representative of the anchor
-    rep = None
-    for T, te in _chart_translates(p, r):
-        u_rel = anchor_us[0] - te[0] - r.corner[0]
-        s_rel = anchor_us[1] - te[1] - r.corner[1]
-        if -1e-12 <= u_rel <= r.u_extent + 1e-12 and -1e-12 <= s_rel <= r.s_extent + 1e-12:
-            rep = (anchor_us[0] - te[0], r.corner[1], r.corner[1] + r.s_extent)
-            break
-    if rep is None:
+    chart = _chart_of(p, r, float(anchor_us[0]), float(anchor_us[1]), 1e-12)
+    if chart is None:
         raise ValueError("anchor could not be charted")
-    u_a, s_lo, s_hi = rep
+    u_a = chart[0]
+    s_lo, s_hi = r.corner[1], r.corner[1] + r.s_extent
 
     base_us = p.auto.to_eigen(np.array(arc.base))
     u_b, s_b = float(base_us[0]), float(base_us[1])
-    lam_u, lam_s = p.auto.lam_u, p.auto.lam_s
-    Lu = lam_u ** i
-    Ls = lam_s ** i
-    # conditions on the lattice translate T:
+    Lu = p.auto.lam_u ** i
+    Ls = p.auto.lam_s ** i
+    # conditions on the lattice translate T, half-open so the count is exact:
     #   u(T) in [Lu*(u_b + t0) - u_a, Lu*(u_b + t1) - u_a)   (t in [t0, t1))
     #   s(T) in (Ls*s_b - s_hi, Ls*s_b - s_lo]
     U = (Lu * (u_b + arc.t0) - u_a, Lu * (u_b + arc.t1) - u_a)
     S = (Ls * s_b - s_hi, Ls * s_b - s_lo)
-    Ei = p.auto.basis_inv
-    corners = [p.auto.to_xy(np.array([u, s])) for u in U for s in S]
-    arr = np.array(corners)
-    m_lo, m_hi = math.floor(arr[:, 0].min()) - 1, math.ceil(arr[:, 0].max()) + 1
-    count = 0
-    for mm in range(m_lo, m_hi + 1):
-        # bound n by both strip conditions, then verify each candidate exactly:
-        # u(T) = Ei[0,0] m + Ei[0,1] n ; s(T) = Ei[1,0] m + Ei[1,1] n
-        nu = _strip_range(Ei[0, 1], U[0] - Ei[0, 0] * mm, U[1] - Ei[0, 0] * mm)
-        ns = _strip_range(Ei[1, 1], S[0] - Ei[1, 0] * mm, S[1] - Ei[1, 0] * mm)
-        lo = max(nu[0], ns[0])
-        hi = min(nu[1], ns[1])
-        for nn in range(math.ceil(lo - 1e-9), math.floor(hi + 1e-9) + 1):
-            uT = Ei[0, 0] * mm + Ei[0, 1] * nn
-            sT = Ei[1, 0] * mm + Ei[1, 1] * nn
-            if U[0] - 1e-9 <= uT < U[1] - 1e-9 and S[0] + 1e-9 < sT <= S[1] + 1e-9:
-                count += 1
-    return count
+    return sum(1 for _T, uT, sT in _lattice_in_strips(p.auto, U, S)
+               if U[0] - _PAD <= uT < U[1] - _PAD and S[0] + _PAD < sT <= S[1] + _PAD)
 
 
 def _strip_range(coef: float, lo: float, hi: float) -> tuple[float, float]:
@@ -912,7 +876,8 @@ def conformality_on_leaves(family: ConformalFamily, p: MarkovPartition,
     """measure(f^k(arc)) = e^{k h} measure(arc) within the truncation bounds."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    Ak = _matrix_power(p.auto.matrix, k)
+    # object dtype keeps the entries exact Python integers (int64 overflows at k >= 46)
+    Ak = np.linalg.matrix_power(np.array(p.auto.matrix, dtype=object), k)
     base_img = (np.array(Ak, dtype=float) @ np.array(arc.base)) % 1.0
     lam_k = p.auto.lam_u ** k
     img = UnstableArc(tuple(base_img.tolist()), arc.t0 * lam_k, arc.t1 * lam_k)
@@ -927,8 +892,7 @@ def conformality_on_leaves(family: ConformalFamily, p: MarkovPartition,
 
 def periodic_ray_divergence(family: ConformalFamily, p: MarkovPartition,
                             point_xy: Vec, direction: int, K: int,
-                            seed_len: float = 0.3, depth: int = 12,
-                            max_period: int = 12) -> list[float]:
+                            depth: int = 12) -> list[float]:
     """trace[k] = measure(f^k(seed ray segment)) = e^{k h} * trace[0].
 
     The base point must be periodic; conformality makes the growth exact on
@@ -938,22 +902,22 @@ def periodic_ray_divergence(family: ConformalFamily, p: MarkovPartition,
     A = np.array(p.auto.matrix, dtype=float)
     z = q.copy()
     period = 0
-    for t in range(1, max_period + 1):
+    for t in range(1, _MAX_RAY_PERIOD + 1):
         z = (A @ z) % 1.0
         d = np.abs(z - q)
         if np.max(np.minimum(d, 1.0 - d)) < 1e-9:
             period = t
             break
     if period == 0:
-        raise ValueError(f"point {point_xy} is not periodic up to period {max_period}")
+        raise ValueError(f"point {point_xy} is not periodic up to period {_MAX_RAY_PERIOD}")
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
-    t0, t1 = (0.0, seed_len) if direction == 1 else (-seed_len, 0.0)
+    t0, t1 = (0.0, _RAY_SEED_LEN) if direction == 1 else (-_RAY_SEED_LEN, 0.0)
     m0 = leaf_arc_measure(family, p, UnstableArc(tuple(q.tolist()), t0, t1), depth).value
     return [math.exp(k * family.h) * m0 for k in range(K + 1)]
 
 
-def _monotone_arc_solve(measure_fn, target: float, tol: float, max_len: float = 64.0) -> float:
+def _monotone_arc_solve(measure_fn, target: float, tol: float) -> float:
     """Solve measure([0, alpha]) = target by bracketing + bisection."""
     if target < 0:
         raise ValueError("coordinates must be >= 0")
@@ -962,9 +926,9 @@ def _monotone_arc_solve(measure_fn, target: float, tol: float, max_len: float = 
     hi = 1.0
     while measure_fn(hi) < target:
         hi *= 2.0
-        if hi > max_len:
+        if hi > _MAX_ARC_LEN:
             raise ValueError(
-                f"coordinate {target} exceeds the measurable leaf mass within length {max_len}"
+                f"coordinate {target} exceeds the measurable leaf mass within length {_MAX_ARC_LEN}"
             )
     lo = 0.0
     while hi - lo > tol:
@@ -1033,7 +997,7 @@ class FiberReport:
 
 
 def fiber_bound_check(p: MarkovPartition, samples: int, seed: int = 0,
-                      n: int = 6, boundary_points: int = 24) -> FiberReport:
+                      n: int = 6) -> FiberReport:
     """Max coding-fiber size over random and constructed boundary points.
 
     The bound is (degree_bound + 1)^2 - 1 for the partition's transition
@@ -1045,9 +1009,9 @@ def fiber_bound_check(p: MarkovPartition, samples: int, seed: int = 0,
     rng = np.random.default_rng(seed)
     pts = [rng.random(2) for _ in range(samples)]
     extra = []
-    for j in range(boundary_points):
+    for j in range(_FIBER_BOUNDARY_POINTS):
         r = p.rectangles[j % len(p.rectangles)]
-        frac = (j + 0.5) / boundary_points
+        frac = (j + 0.5) / _FIBER_BOUNDARY_POINTS
         side = 0.0 if (j // len(p.rectangles)) % 2 == 0 else r.s_extent
         us = np.array([r.corner[0] + frac * r.u_extent, r.corner[1] + side])
         extra.append(p.auto.to_xy(us) % 1.0)

@@ -123,3 +123,17 @@ def test_partition_validate_rejects_bad_file(tmp_path):
     }))
     r = run_cli("torus", "validate", "--partition", str(pfile))
     assert r.returncode != 0
+
+
+def test_partition_validate_reports_invalid_partition(tmp_path):
+    pfile = tmp_path / "cat.json"
+    assert run_cli("torus", "export", "--out", str(pfile)).returncode == 0
+    payload = json.loads(pfile.read_text())
+    payload["rectangles"][0]["u_extent"] *= 1.01
+    pfile.write_text(json.dumps(payload))
+    r = run_cli("torus", "validate", "--partition", str(pfile))
+    assert r.returncode == 1
+    check = json.loads(r.stdout)
+    assert check["ok"] is False
+    assert abs(check["area"] - 1.0) > 1e-4
+    assert "invalid Markov partition" in r.stderr

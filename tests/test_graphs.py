@@ -38,6 +38,8 @@ def test_duplicate_states_rejected():
 def test_edge_to_unknown_state_rejected():
     with pytest.raises(ValueError, match="unknown state"):
         build_finite_graph(["a"], [("a", "b")])
+    with pytest.raises(ValueError, match="unknown state"):
+        build_finite_graph(["a"], [("a", "a")], base="b")
 
 
 def test_unknown_generator_rejected():

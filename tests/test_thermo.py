@@ -228,6 +228,14 @@ def test_harmonic_cyr_ray_robustness_report():
     assert gap < 1e-3  # numerical comparison on this fixture
 
 
+def test_harmonic_cyr_state_named_like_an_internal_key():
+    # a path a -> "__index__" -> c is transient at every h > 0; with h = log 2
+    # the Green's functions into c are 2^-(distance), so psi doubles per step
+    g = build_finite_graph(["a", "__index__", "c"], [("a", "__index__"), ("__index__", "c")])
+    hc = harmonic_cyr(g, "a", ["a", "__index__", "c"], LOG2)
+    assert hc.values == pytest.approx({"a": 1.0, "__index__": 2.0, "c": 4.0})
+
+
 def test_harmonic_cyr_rejects_non_injective_ray():
     g = get_fixture("full-2").graph()
     with pytest.raises(ValueError, match="injective"):
