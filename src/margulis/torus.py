@@ -421,13 +421,29 @@ def partition_to_json(p: MarkovPartition) -> str:
 
 def parse_partition(text: str) -> tuple[TorusAutomorphism, list[Rectangle]]:
     """The automorphism and rectangles of the interchange format, unvalidated;
-    ``make_partition(*parse_partition(text))`` validates them."""
+    ``make_partition(*parse_partition(text))`` validates them.
+
+    Raises ValueError for a malformed file or one that lacks a key, and for a
+    matrix the partition machinery does not handle (lam_u > 1 > lam_s > 0).
+    """
     spec = json.loads(text)
-    auto = make_automorphism(spec["matrix"])
-    rects = [Rectangle(str(r["id"]),
-                       (float(r["corner"][0]), float(r["corner"][1])),
-                       float(r["u_extent"]), float(r["s_extent"]))
-             for r in spec["rectangles"]]
+    if not isinstance(spec, dict):
+        raise ValueError("partition file must hold a JSON object")
+    try:
+        auto = make_automorphism(spec["matrix"])
+        rects = [Rectangle(str(r["id"]),
+                           (float(r["corner"][0]), float(r["corner"][1])),
+                           float(r["u_extent"]), float(r["s_extent"]))
+                 for r in spec["rectangles"]]
+    except KeyError as exc:
+        raise ValueError(f'partition file lacks "{exc.args[0]}"') from None
+    except (TypeError, IndexError) as exc:
+        raise ValueError(f"malformed partition file: {exc}") from None
+    if not (auto.lam_u > 1.0 and 0.0 < auto.lam_s < 1.0):
+        raise ValueError(
+            f"partition matrix has eigenvalues lam_u = {auto.lam_u!r}, lam_s = {auto.lam_s!r}; "
+            "partitions require lam_u > 1 > lam_s > 0 (use the square of the map)"
+        )
     return auto, rects
 
 
@@ -917,23 +933,136 @@ def periodic_ray_divergence(family: ConformalFamily, p: MarkovPartition,
     return [math.exp(k * family.h) * m0 for k in range(K + 1)]
 
 
-def _monotone_arc_solve(measure_fn, target: float, tol: float) -> float:
-    """Solve measure([0, alpha]) = target by bracketing + bisection."""
+def _ordered_children(p: MarkovPartition, direction: int) -> dict:
+    """Per rectangle, its children (id, start, width) in the order an arc
+    growing in ``direction`` from its fixed end meets them.
+
+    Coordinates are the parent's u coordinates, mirrored (u -> u_extent - u)
+    for direction -1, so a descent reads both directions left to right.
+    """
+    cache = p._caches.setdefault("ordered_children", {})
+    if direction not in cache:
+        lam_u = p.auto.lam_u
+        out = {}
+        for r in p.rectangles:
+            kids = []
+            for b in p.graph.successors(r.id):
+                width = p.rect(b).u_extent / lam_u
+                start = p.crossings[(r.id, b)].u_offset
+                kids.append((b, start if direction > 0 else r.u_extent - start - width, width))
+            out[r.id] = sorted(kids, key=lambda k: k[1])
+        cache[direction] = out
+    return cache[direction]
+
+
+def _measure_crossing(family: ConformalFamily, p: MarkovPartition, base: tuple[float, float],
+                      direction: int, length: float, target: float,
+                      depth: int) -> Optional[float]:
+    """The arc length a <= ``length`` at which the ``value`` of
+    ``leaf_arc_measure`` for the arc of length a from ``base`` (along +e_u for
+    direction 1, -e_u for -1) first reaches ``target``; None if it stays below.
+
+    One descent of the plaques and the cylinder tree, applying the ``value``
+    rule: a whole cylinder counts its mass, an unresolved depth-0 cylinder half
+    of it.  A whole node whose mass keeps the running sum below the target is
+    skipped without descending.  Rounding and the measure's 1e-12/1e-15 slack
+    can move the answer by ~1e-15, so callers certify it with real measures.
+    """
+    arc = UnstableArc(base, 0.0, length) if direction > 0 else UnstableArc(base, -length, 0.0)
+    segs = _plaque_segments(p, arc)
+    children = _ordered_children(p, direction)
+    lam_u = p.auto.lam_u
+    wh = math.exp(-family.h)
+    total = 0.0
+
+    def node(rid: StateId, y0: float, d: int, weight: float, org: float,
+             scale: float) -> Optional[float]:
+        # the arc covers [y0, y] of this node, at arc length org + y * scale
+        nonlocal total
+        ext = p.rect(rid).u_extent
+        m = weight * family.psi_of(rid)
+        y0 = max(y0, 0.0)
+        if ext - y0 <= 1e-15:
+            return None
+        whole = ext - y0 >= ext - 1e-12   # not cut by the arc's fixed end
+        if whole and total + m < target:
+            total += m
+            return None
+        if d == 0:
+            if total + 0.5 * m >= target:
+                return org + y0 * scale
+            if whole:
+                return org + ext * scale
+            total += 0.5 * m
+            return None
+        for b, c_lo, c_w in children[rid]:
+            if c_lo + c_w - y0 <= 1e-15:
+                continue
+            a = node(b, (max(y0, c_lo) - c_lo) * lam_u, d - 1, weight * wh,
+                     org + c_lo * scale, scale / lam_u)
+            if a is not None:
+                return a
+        # the children stayed below the target; the node turns whole at its end
+        return org + ext * scale if whole else None
+
+    for rid, lo, hi, t_lo in (segs if direction > 0 else reversed(segs)):
+        ext = p.rect(rid).u_extent
+        if direction > 0:
+            a = node(rid, lo, depth, 1.0, t_lo - lo, 1.0)
+        else:
+            a = node(rid, ext - hi, depth, 1.0, lo - ext - t_lo, 1.0)
+        if a is not None:
+            return a if a <= length else None
+    return None
+
+
+def _arc_length_solve(family: ConformalFamily, p: MarkovPartition, base: tuple[float, float],
+                      direction: int, target: float, tol: float, depth: int) -> float:
+    """Midpoint of the dyadic cell [lo, hi], hi - lo <= tol, of the arc length
+    a with value(lo) < target <= value(hi), where value(a) is the
+    ``leaf_arc_measure(...).value`` of the arc of length a from ``base``.
+
+    The grid is that of bisecting [0, H], H the first power of two whose arc
+    reaches the target.  ``_measure_crossing`` picks the cell and two real
+    measures certify it; if they do not, the cell is found by galloping and
+    bisecting on the same grid.
+    """
     if target < 0:
         raise ValueError("coordinates must be >= 0")
     if target == 0:
         return 0.0
-    hi = 1.0
-    while measure_fn(hi) < target:
-        hi *= 2.0
-        if hi > _MAX_ARC_LEN:
-            raise ValueError(
-                f"coordinate {target} exceeds the measurable leaf mass within length {_MAX_ARC_LEN}"
-            )
-    lo = 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if measure_fn(mid) < target:
+
+    def value(a: float) -> float:
+        arc = UnstableArc(base, 0.0, a) if direction > 0 else UnstableArc(base, -a, 0.0)
+        return leaf_arc_measure(family, p, arc, depth).value
+
+    exceeds = f"coordinate {target} exceeds the measurable leaf mass within length {_MAX_ARC_LEN}"
+    length = 1.0
+    while (b := _measure_crossing(family, p, base, direction, length, target, depth)) is None:
+        length *= 2.0
+        if length > _MAX_ARC_LEN:
+            raise ValueError(exceeds)
+    w = length
+    while w > tol:
+        w *= 0.5
+    lo = max(math.floor(b / w), 0) * w
+    hi = lo + w
+    step = w
+    if lo > 0 and value(lo) >= target:       # gallop left; value(0) = 0 < target
+        lo, hi = max(lo - step, 0.0), lo
+        while lo > 0 and value(lo) >= target:
+            step *= 2
+            lo, hi = max(lo - step, 0.0), lo
+    elif value(hi) < target:                 # gallop right
+        lo, hi = hi, min(hi + step, _MAX_ARC_LEN)
+        while value(hi) < target:
+            if hi >= _MAX_ARC_LEN:
+                raise ValueError(exceeds)
+            step *= 2
+            lo, hi = hi, min(hi + step, _MAX_ARC_LEN)
+    while hi - lo > w:
+        mid = lo + math.floor((hi - lo) / (2 * w)) * w
+        if value(mid) < target:
             lo = mid
         else:
             hi = mid
@@ -955,26 +1084,28 @@ def margulis_coordinates(family_u: ConformalFamily, p: MarkovPartition,
 
     z = fixed + alpha e_u + gamma e_s where the arc from the stable axis to z
     along its unstable leaf has measure x (holonomy invariance makes this
-    independent of gamma, so alpha solves a single monotone equation), and
+    independent of gamma, so alpha solves a single equation), and
     symmetrically for y on the stable side via the inverse-map model.
-    Solved by bracketing and bisection on the monotone leaf measures.
+
+    Each equation is solved on the grid of bisecting [0, H] down to cells of
+    width <= tol, H the first power of two (>= 1) whose arc reaches the
+    target; the result is the midpoint of the cell [lo, hi] with
+    measure(lo) < target <= measure(hi), measure being the depth-``depth``
+    ``leaf_arc_measure(...).value``.  That measure is a staircase in the arc
+    length, constant while the arc ends inside one depth-``depth`` cylinder,
+    so one descent of the cylinder tree locates the step that crosses the
+    target and two real measures certify its cell (a gallop and bisection on
+    the same grid take over if they do not).  The certified inequality holds
+    for every family; where the measure is monotone in the arc length (a
+    harmonic psi) that cell is the only one, so the result is the one plain
+    bisection returns.
     """
     fp = np.asarray(fixed_xy, dtype=float) % 1.0
-
-    def mu_u(alpha: float) -> float:
-        return leaf_arc_measure(family_u, p, UnstableArc(tuple(fp.tolist()), 0.0, alpha),
-                                depth).value
-
-    alpha = _monotone_arc_solve(mu_u, x, tol)
+    base = tuple(fp.tolist())
+    alpha = _arc_length_solve(family_u, p, base, 1, x, tol, depth)
     # the stable axis of p is the unstable axis of the inverse model, up to sign
-    sgn = 1.0 if float(np.dot(p.auto.e_s, p_inv.auto.e_u)) >= 0 else -1.0
-
-    def mu_s(g: float) -> float:
-        arc_lo, arc_hi = (0.0, g * sgn) if g * sgn >= 0 else (g * sgn, 0.0)
-        return leaf_arc_measure(family_s, p_inv,
-                                UnstableArc(tuple(fp.tolist()), arc_lo, arc_hi), depth).value
-
-    gamma = _monotone_arc_solve(mu_s, y, tol)
+    sgn = 1 if float(np.dot(p.auto.e_s, p_inv.auto.e_u)) >= 0 else -1
+    gamma = _arc_length_solve(family_s, p_inv, base, sgn, y, tol, depth)
     z = (fp + alpha * p.auto.e_u + gamma * p.auto.e_s) % 1.0
     return MargulisPoint((float(z[0]), float(z[1])), alpha, gamma)
 

@@ -137,3 +137,33 @@ def test_partition_validate_reports_invalid_partition(tmp_path):
     assert check["ok"] is False
     assert abs(check["area"] - 1.0) > 1e-4
     assert "invalid Markov partition" in r.stderr
+
+
+def test_partition_validate_rejects_negative_eigenvalue(tmp_path):
+    pfile = tmp_path / "neg.json"
+    pfile.write_text(json.dumps({
+        "matrix": [[0, 1], [1, 1]],
+        "rectangles": [{"id": "Q", "corner": [0.0, 0.0],
+                        "u_extent": 1.0, "s_extent": 1.0}],
+    }))
+    r = run_cli("torus", "validate", "--partition", str(pfile))
+    assert r.returncode == 2
+    assert "lam_s = -0.618" in r.stderr and "lam_u = 1.618" in r.stderr
+
+
+def test_partition_validate_names_missing_key(tmp_path):
+    pfile = tmp_path / "nokey.json"
+    pfile.write_text(json.dumps({"matrix": [[2, 1], [1, 1]]}))
+    r = run_cli("torus", "validate", "--partition", str(pfile))
+    assert r.returncode == 2
+    assert 'partition file lacks "rectangles"' in r.stderr
+
+
+def test_partition_validate_malformed_file_exit_2(tmp_path):
+    pfile = tmp_path / "malformed.json"
+    for spec in ([1], {"matrix": 5, "rectangles": []},
+                 {"matrix": [[2, 1], [1, 1]], "rectangles": [5]}):
+        pfile.write_text(json.dumps(spec))
+        r = run_cli("torus", "validate", "--partition", str(pfile))
+        assert r.returncode == 2
+        assert "Traceback" not in r.stderr

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from margulis import torus
+from margulis.measures import make_family
 from margulis.thermo import gurevich_entropy, harmonic_finite
 from margulis.torus import (
     Rectangle,
@@ -312,6 +314,153 @@ def test_margulis_coordinates_range_error(cat, cat_family):
     fam_s = partition_family(p_inv)
     with pytest.raises(ValueError, match="exceeds"):
         margulis_coordinates(cat_family, cat, fam_s, p_inv, (0.0, 0.0), 1e9, 0.0)
+
+
+def _bisection(measure_fn, target, tol):
+    """Reference solver: bracket by doubling from 1, then bisect [0, hi]."""
+    if target == 0:
+        return 0.0
+    hi = 1.0
+    while measure_fn(hi) < target:
+        hi *= 2.0
+        if hi > 64.0:
+            raise ValueError("exceeds")
+    lo = 0.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if measure_fn(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _arc_value(family, p, base, direction, depth=16):
+    """a -> leaf_arc_measure(...).value of the arc of length a from base."""
+    def value(a):
+        arc = UnstableArc(base, 0.0, a) if direction > 0 else UnstableArc(base, -a, 0.0)
+        return leaf_arc_measure(family, p, arc, depth).value
+    return value
+
+
+def _bisection_coordinates(fam_u, p, fam_s, p_inv, fixed_xy, x, y, tol=1e-9):
+    fp = np.asarray(fixed_xy, dtype=float) % 1.0
+    base = tuple(fp.tolist())
+    sgn = 1 if float(np.dot(p.auto.e_s, p_inv.auto.e_u)) >= 0 else -1
+    alpha = _bisection(_arc_value(fam_u, p, base, 1), x, tol)
+    gamma = _bisection(_arc_value(fam_s, p_inv, base, sgn), y, tol)
+    z = (fp + alpha * p.auto.e_u + gamma * p.auto.e_s) % 1.0
+    return (float(z[0]), float(z[1])), alpha, gamma
+
+
+def _grid_step(tol):
+    """Cell width of bisecting [0, 2^k], k >= 0, down to width <= tol < 1."""
+    w = 1.0
+    while w > tol:
+        w *= 0.5
+    return w
+
+
+@pytest.fixture(scope="module")
+def stable_model(cat):
+    p_inv = inverse_partition(cat)
+    return p_inv, partition_family(p_inv)
+
+
+def test_margulis_coordinates_match_bisection_on_grid(cat, cat_family, stable_model, monkeypatch):
+    p_inv, fam_s = stable_model
+    calls = []
+    real = torus.leaf_arc_measure
+    monkeypatch.setattr(torus, "leaf_arc_measure", lambda *a: calls.append(1) or real(*a))
+    grid = np.linspace(0.3 / 5, 0.3, 5)
+    for x in grid:
+        for y in grid:
+            calls.clear()
+            mp = margulis_coordinates(cat_family, cat, fam_s, p_inv, (0.0, 0.0), float(x), float(y))
+            assert len(calls) == 4  # the two certificate measures per axis
+            point, alpha, gamma = _bisection_coordinates(cat_family, cat, fam_s, p_inv,
+                                                         (0.0, 0.0), float(x), float(y))
+            assert (mp.alpha, mp.gamma, mp.point) == (alpha, gamma, point)
+
+
+def test_margulis_coordinates_match_bisection_at_random_bases(cat, cat_family, stable_model):
+    p_inv, fam_s = stable_model
+    rng = np.random.default_rng(2024)
+    for _ in range(100):
+        base = rng.random(2)
+        x, y = 0.6 * (1.0 - rng.random(2))
+        mp = margulis_coordinates(cat_family, cat, fam_s, p_inv, base, float(x), float(y))
+        point, alpha, gamma = _bisection_coordinates(cat_family, cat, fam_s, p_inv,
+                                                     base, float(x), float(y))
+        assert (mp.alpha, mp.gamma, mp.point) == (alpha, gamma, point)
+
+
+def test_arc_length_solve_reversed_arcs_match_bisection(cat, cat_family):
+    # margulis_coordinates grows the stable arc backwards when the inverse
+    # model's e_u points against e_s; the cat map does not, so drive it here
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        base = tuple(rng.random(2).tolist())
+        target = float(0.6 * (1.0 - rng.random()))
+        got = torus._arc_length_solve(cat_family, cat, base, -1, target, 1e-9, 16)
+        assert got == _bisection(_arc_value(cat_family, cat, base, -1), target, 1e-9)
+
+
+@pytest.mark.parametrize("shift", [-3e-6, -2.5e-7, 4e-9, 2e-6, None])
+def test_certificate_repairs_a_wrong_crossing(cat, cat_family, monkeypatch, shift):
+    # a descent that misses the step must cost measures, never the answer
+    real = torus._measure_crossing
+
+    def wrong(*args):
+        b = real(*args)
+        return 0.0 if shift is None else b + shift
+    monkeypatch.setattr(torus, "_measure_crossing", wrong)
+    for base, direction, target in (((0.0, 0.0), 1, 0.1234567), ((0.31, 0.47), -1, 0.25)):
+        got = torus._arc_length_solve(cat_family, cat, base, direction, target, 1e-9, 16)
+        assert got == _bisection(_arc_value(cat_family, cat, base, direction), target, 1e-9)
+
+
+def test_margulis_coordinates_certified_cell_for_nonharmonic_family(cat, cat_family, stable_model):
+    # R1's psi x 1.3 breaks harmonicity: the measure is no longer monotone in
+    # the arc length, so only bisection's own invariant is asserted
+    p_inv, fam_s = stable_model
+
+    def scaled(p, fam):
+        psi = dict(fam.psi)
+        psi["R1"] *= 1.3
+        return make_family(p.graph, fam.h, psi)
+    wrong_u, wrong_s = scaled(cat, cat_family), scaled(p_inv, fam_s)
+    sgn = 1 if float(np.dot(cat.auto.e_s, p_inv.auto.e_u)) >= 0 else -1
+    tol = 1e-9
+    w = _grid_step(tol)
+    rng = np.random.default_rng(13)
+    for _ in range(15):
+        base = rng.random(2)
+        x, y = 0.6 * (1.0 - rng.random(2))
+        mp = margulis_coordinates(wrong_u, cat, wrong_s, p_inv, base, float(x), float(y), tol=tol)
+        key = tuple((base % 1.0).tolist())
+        for value, coord, target in ((_arc_value(wrong_u, cat, key, 1), mp.alpha, x),
+                                     (_arc_value(wrong_s, p_inv, key, sgn), mp.gamma, y)):
+            lo, hi = coord - w / 2, coord + w / 2
+            assert hi - lo <= tol
+            assert value(lo) < target <= value(hi)
+
+
+def test_margulis_coordinates_within_arc_length_brackets(cat, cat_family, stable_model):
+    # psi = u-extents makes the leaf measure arc length, so the cell
+    # [lo, hi] = alpha -/+ w/2 with value(lo) < x <= value(hi) puts x within
+    # the measure brackets at the cell's ends: |alpha - x| <= max err + w/2
+    p_inv, fam_s = stable_model
+    tol = 1e-9
+    w = _grid_step(tol)
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        x, y = 0.6 * (1.0 - rng.random(2))
+        mp = margulis_coordinates(cat_family, cat, fam_s, p_inv, (0.0, 0.0), float(x), float(y), tol=tol)
+        for fam, part, coord, target in ((cat_family, cat, mp.alpha, x), (fam_s, p_inv, mp.gamma, y)):
+            err = [leaf_arc_measure(fam, part, UnstableArc((0.0, 0.0), 0.0, a), 16).error_bound
+                   for a in (coord - w / 2, coord + w / 2)]
+            assert abs(coord - target) <= max(err) + w / 2
 
 
 def test_inverse_partition_reverses_graph(cat):
