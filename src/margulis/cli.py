@@ -202,7 +202,7 @@ def _cmd_torus_validate(args) -> int:
     from . import torus
     with open(args.partition, "r", encoding="utf-8") as fh:
         auto, rects = torus.parse_partition(fh.read())
-    rep = torus.validate_partition(auto, rects, tol=1e-9)
+    rep = torus.validate_partition(auto, rects)
     _emit_json({
         "ok": rep.ok,
         "area": rep.area_total,

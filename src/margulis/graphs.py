@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 StateId = str
@@ -191,7 +191,6 @@ class GraphReport:
     transitive_on_ball: bool
     explored: int
     witness: Optional[StateId] = None
-    ball_states: frozenset[StateId] = field(repr=False, default=frozenset())
 
 
 def validate_graph(graph: ShiftGraph, radius: int = 0) -> GraphReport:
@@ -223,7 +222,7 @@ def validate_graph(graph: ShiftGraph, radius: int = 0) -> GraphReport:
     fwd = _reachable(graph, graph.base, cap, forward=True)
     bwd = _reachable(graph, graph.base, cap, forward=False)
     witness = next((s for s in sorted(region) if s not in fwd or s not in bwd), None)
-    return GraphReport(max_out, max_in, witness is None, len(region), witness, region)
+    return GraphReport(max_out, max_in, witness is None, len(region), witness)
 
 
 def _reachable(graph: ShiftGraph, start: StateId, cap: int, forward: bool) -> set[StateId]:

@@ -102,7 +102,7 @@ def run_suite(fixture: str, config: SuiteConfig | None = None) -> Report:
 def _cat_suite(config: SuiteConfig) -> Report:
     report = Report("cat", environment=_env(config))
     p = torus.builtin_partition("cat-adler-weiss")
-    rep = torus.validate_partition(p.auto, p.rectangles, tol=1e-9)
+    rep = torus.validate_partition(p.auto, p.rectangles)
     report.add("cat/partition_valid", 1.0 if rep.ok else 0.0, 1.0, rep.ok,
                f"area={rep.area_total:.12f}")
     report.check_leq("cat/markov_u_err", rep.max_u_cross_err, 1e-9)

@@ -32,6 +32,8 @@ from .report import dump_json
 Vec = np.ndarray
 
 _PAD = 1e-9               # slack of the lattice-strip enumeration
+_VALID_TOL = 1e-9         # round-off slack of partition validation
+_MEMBER_TOL = 1e-12       # boundary slack of membership, coding and plaques
 _MAX_ARC_LEN = 64.0       # longest arc the coordinate solver brackets
 _RAY_SEED_LEN = 0.3       # length of the seed segment of a periodic ray
 _MAX_RAY_PERIOD = 12      # longest period searched for a ray's base point
@@ -218,7 +220,6 @@ class MarkovPartition:
     rectangles: list[Rectangle]
     graph: ShiftGraph
     crossings: dict[tuple[StateId, StateId], Crossing]
-    tol: float
     by_id: dict[StateId, Rectangle] = field(init=False)
     _caches: dict = field(default_factory=dict, repr=False)
 
@@ -237,28 +238,30 @@ def _interval_overlap(a: tuple[float, float], b: tuple[float, float]) -> float:
     return min(a[1], b[1]) - max(a[0], b[0])
 
 
-def _xy_bounds(auto: TorusAutomorphism, U: tuple[float, float],
-               S: tuple[float, float]) -> tuple[Vec, Vec]:
-    """Componentwise xy bounds of the eigen-coordinate box U x S."""
-    arr = np.array([auto.to_xy(np.array([u, s])) for u in U for s in S])
-    return arr.min(axis=0), arr.max(axis=0)
+def _box_image(f, A: tuple[float, float], B: tuple[float, float]):
+    """Componentwise ranges of the linear map ``f`` over the box A x B, read
+    off its four corners."""
+    arr = np.array([f(np.array([a, b])) for a in A for b in B])
+    lo, hi = arr.min(axis=0), arr.max(axis=0)
+    return (float(lo[0]), float(hi[0])), (float(lo[1]), float(hi[1]))
 
 
-def _translates_near(auto: TorusAutomorphism, box_a, box_b) -> list[tuple[int, int]]:
-    """Integer T with (box_b + T) possibly meeting box_a, via xy bounding boxes."""
-    lo_a, hi_a = _xy_bounds(auto, *box_a)
-    lo_b, hi_b = _xy_bounds(auto, *box_b)
-    lo = lo_a - hi_b
-    hi = hi_a - lo_b
-    out = []
-    for mm in range(math.floor(lo[0]) - 1, math.ceil(hi[0]) + 2):
-        for nn in range(math.floor(lo[1]) - 1, math.ceil(hi[1]) + 2):
-            out.append((mm, nn))
-    return out
+def _overlaps(auto: TorusAutomorphism, A, B):
+    """Lattice translates T for which box B + T overlaps box A by more than
+    ``_VALID_TOL`` on both axes, in (m, then n) order, as (T, eigen
+    coordinates of T, u range of B + T, s range of B + T)."""
+    (Ua, Sa), (Ub, Sb) = A, B
+    for T, _, _ in _lattice_in_strips(auto, (Ua[0] - Ub[1], Ua[1] - Ub[0]),
+                                      (Sa[0] - Sb[1], Sa[1] - Sb[0])):
+        # the enumerator's scalar coordinates may differ from to_eigen's in the last bit
+        te = auto.to_eigen(np.array(T, dtype=float))
+        tu = (Ub[0] + te[0], Ub[1] + te[0])
+        ts = (Sb[0] + te[1], Sb[1] + te[1])
+        if _interval_overlap(Ua, tu) > _VALID_TOL and _interval_overlap(Sa, ts) > _VALID_TOL:
+            yield T, te, tu, ts
 
 
-def validate_partition(auto: TorusAutomorphism, rectangles: Sequence[Rectangle],
-                       tol: float = 1e-9) -> PartitionReport:
+def validate_partition(auto: TorusAutomorphism, rectangles: Sequence[Rectangle]) -> PartitionReport:
     """Disjoint interiors, full-area cover, and the Markov crossing property.
 
     Exact in eigen-coordinates: the image of each rectangle is an axis-aligned
@@ -274,28 +277,21 @@ def validate_partition(auto: TorusAutomorphism, rectangles: Sequence[Rectangle],
         )
     witnesses: list[str] = []
     area = 0.0
-    scale = abs(np.linalg.det(auto.basis))
+    scale = float(abs(np.linalg.det(auto.basis)))  # a Python float keeps the verdicts bool
     for r in rectangles:
         if r.u_extent <= 0 or r.s_extent <= 0:
             witnesses.append(f"{r.id}: empty rectangle")
         area += r.u_extent * r.s_extent * scale
-    cover_ok = abs(area - 1.0) <= max(tol, 1e-9)
+    cover_ok = abs(area - 1.0) <= _VALID_TOL
     if not cover_ok:
         witnesses.append(f"area of union = {area:.12f} != 1")
 
     disjoint_ok = True
     for i, ri in enumerate(rectangles):
-        box_i = (ri.u_range, ri.s_range)
         for j in range(i, len(rectangles)):
             rj = rectangles[j]
-            box_j = (rj.u_range, rj.s_range)
-            for T in _translates_near(auto, box_i, box_j):
-                if i == j and T == (0, 0):
-                    continue
-                te = auto.to_eigen(np.array(T, dtype=float))
-                du = _interval_overlap(box_i[0], (box_j[0][0] + te[0], box_j[0][1] + te[0]))
-                ds = _interval_overlap(box_i[1], (box_j[1][0] + te[1], box_j[1][1] + te[1]))
-                if du > tol and ds > tol:
+            for T, *_ in _overlaps(auto, (ri.u_range, ri.s_range), (rj.u_range, rj.s_range)):
+                if i != j or T != (0, 0):
                     disjoint_ok = False
                     witnesses.append(f"interiors of {ri.id} and {rj.id}+{T} overlap")
 
@@ -309,21 +305,14 @@ def validate_partition(auto: TorusAutomorphism, rectangles: Sequence[Rectangle],
         img_s = (auto.lam_s * ri.s_range[0], auto.lam_s * ri.s_range[1])
         for rj in rectangles:
             hits = []
-            for T in _translates_near(auto, (img_u, img_s), (rj.u_range, rj.s_range)):
-                te = auto.to_eigen(np.array(T, dtype=float))
-                tu = (rj.u_range[0] + te[0], rj.u_range[1] + te[0])
-                ts = (rj.s_range[0] + te[1], rj.s_range[1] + te[1])
-                du = _interval_overlap(img_u, tu)
-                ds = _interval_overlap(img_s, ts)
-                if du <= tol or ds <= tol:
-                    continue
+            for T, te, tu, ts in _overlaps(auto, (img_u, img_s), (rj.u_range, rj.s_range)):
                 # full u-crossing: the image covers [tu[0], tu[1]] entirely;
                 # stable fit: the image's s-range sits inside [ts[0], ts[1]]
                 u_err = max(0.0, img_u[0] - tu[0]) + max(0.0, tu[1] - img_u[1])
                 s_err = max(0.0, ts[0] - img_s[0]) + max(0.0, img_s[1] - ts[1])
                 max_u_err = max(max_u_err, u_err)
                 max_s_err = max(max_s_err, s_err)
-                if u_err > tol or s_err > tol:
+                if u_err > _VALID_TOL or s_err > _VALID_TOL:
                     markov_ok = False
                     witnesses.append(
                         f"Markov violation {ri.id}->{rj.id}+{T}: u_err={u_err:.3e} s_err={s_err:.3e}"
@@ -343,16 +332,15 @@ def validate_partition(auto: TorusAutomorphism, rectangles: Sequence[Rectangle],
                            max_u_err, max_s_err, witnesses, edges, crossings)
 
 
-def make_partition(auto: TorusAutomorphism, rectangles: Sequence[Rectangle],
-                   tol: float = 1e-9) -> MarkovPartition:
-    report = validate_partition(auto, rectangles, tol)
+def make_partition(auto: TorusAutomorphism, rectangles: Sequence[Rectangle]) -> MarkovPartition:
+    report = validate_partition(auto, rectangles)
     if not report.ok:
         raise StructuralViolation(
             "invalid Markov partition: " + "; ".join(report.witnesses[:4])
         )
     ids = [r.id for r in rectangles]
     graph = build_finite_graph(ids, report.edges, base=ids[0], name="partition")
-    return MarkovPartition(auto, list(rectangles), graph, report.crossings, tol)
+    return MarkovPartition(auto, list(rectangles), graph, report.crossings)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +392,7 @@ def builtin_partition(name: str) -> MarkovPartition:
         u_ext = float(width * kappa_u) * vu_len
         s_ext = float(y_hi * kappa_s) * vu_len
         rectangles.append(Rectangle(sid, (corner_u, 0.0), u_ext, s_ext))
-    return make_partition(auto, rectangles, tol=1e-9)
+    return make_partition(auto, rectangles)
 
 
 def partition_to_json(p: MarkovPartition) -> str:
@@ -423,8 +411,9 @@ def parse_partition(text: str) -> tuple[TorusAutomorphism, list[Rectangle]]:
     """The automorphism and rectangles of the interchange format, unvalidated;
     ``make_partition(*parse_partition(text))`` validates them.
 
-    Raises ValueError for a malformed file or one that lacks a key, and for a
-    matrix the partition machinery does not handle (lam_u > 1 > lam_s > 0).
+    Raises ValueError for a malformed file or one that lacks a key, for a
+    repeated rectangle id or a non-finite corner or extent, and for a matrix
+    the partition machinery does not handle (lam_u > 1 > lam_s > 0).
     """
     spec = json.loads(text)
     if not isinstance(spec, dict):
@@ -437,8 +426,17 @@ def parse_partition(text: str) -> tuple[TorusAutomorphism, list[Rectangle]]:
                  for r in spec["rectangles"]]
     except KeyError as exc:
         raise ValueError(f'partition file lacks "{exc.args[0]}"') from None
-    except (TypeError, IndexError) as exc:
+    except (TypeError, IndexError, OverflowError) as exc:
         raise ValueError(f"malformed partition file: {exc}") from None
+    seen = set()
+    for r in rects:
+        for name, v in (("corner", r.corner[0]), ("corner", r.corner[1]),
+                        ("u_extent", r.u_extent), ("s_extent", r.s_extent)):
+            if not math.isfinite(v):
+                raise ValueError(f"rectangle {r.id!r}: {name} is not finite ({v})")
+        if r.id in seen:
+            raise ValueError(f"duplicate rectangle id {r.id!r}")
+        seen.add(r.id)
     if not (auto.lam_u > 1.0 and 0.0 < auto.lam_s < 1.0):
         raise ValueError(
             f"partition matrix has eigenvalues lam_u = {auto.lam_u!r}, lam_s = {auto.lam_s!r}; "
@@ -467,16 +465,9 @@ def inverse_partition(p: MarkovPartition) -> MarkovPartition:
     auto_inv = inverse_automorphism(p.auto)
     rects = []
     for r in p.rectangles:
-        corners_xy = [
-            p.auto.to_xy(np.array([u, s]))
-            for u in r.u_range for s in r.s_range
-        ]
-        coords = np.array([auto_inv.to_eigen(c) for c in corners_xy])
-        lo = coords.min(axis=0)
-        hi = coords.max(axis=0)
-        rects.append(Rectangle(r.id, (float(lo[0]), float(lo[1])),
-                               float(hi[0] - lo[0]), float(hi[1] - lo[1])))
-    return make_partition(auto_inv, rects, tol=p.tol)
+        U, S = _box_image(lambda v: auto_inv.to_eigen(p.auto.to_xy(v)), r.u_range, r.s_range)
+        rects.append(Rectangle(r.id, (U[0], S[0]), U[1] - U[0], S[1] - S[0]))
+    return make_partition(auto_inv, rects)
 
 
 # ---------------------------------------------------------------------------
@@ -487,20 +478,14 @@ def _chart_translates(p: MarkovPartition, r: Rectangle) -> list[tuple[tuple[int,
     """Translates T (with eigen coords) for which (r + T) can meet [0,1)^2."""
     cache = p._caches.setdefault("chart_translates", {})
     if r.id not in cache:
-        unit_box_eigen = _eigen_bbox(p.auto, (0.0, 1.0), (0.0, 1.0))
+        U, S = _box_image(p.auto.to_eigen, (0.0, 1.0), (0.0, 1.0))
         out = []
-        for T in _translates_near(p.auto, unit_box_eigen, (r.u_range, r.s_range)):
+        for T, _, _ in _lattice_in_strips(p.auto, (U[0] - r.u_range[1], U[1] - r.u_range[0]),
+                                          (S[0] - r.s_range[1], S[1] - r.s_range[0])):
             te = p.auto.to_eigen(np.array(T, dtype=float))
             out.append((T, (float(te[0]), float(te[1]))))
         cache[r.id] = out
     return cache[r.id]
-
-
-def _eigen_bbox(auto: TorusAutomorphism, x_range, y_range):
-    corners = [auto.to_eigen(np.array([x, y])) for x in x_range for y in y_range]
-    arr = np.array(corners)
-    return ((float(arr[:, 0].min()), float(arr[:, 0].max())),
-            (float(arr[:, 1].min()), float(arr[:, 1].max())))
 
 
 def _lattice_in_strips(auto: TorusAutomorphism, U: tuple[float, float],
@@ -513,8 +498,8 @@ def _lattice_in_strips(auto: TorusAutomorphism, U: tuple[float, float],
     Ei = auto.basis_inv
     e00, e01 = float(Ei[0, 0]), float(Ei[0, 1])
     e10, e11 = float(Ei[1, 0]), float(Ei[1, 1])
-    xy_lo, xy_hi = _xy_bounds(auto, U, S)
-    for mm in range(math.floor(xy_lo[0]), math.ceil(xy_hi[0]) + 1):
+    X, _ = _box_image(auto.to_xy, U, S)
+    for mm in range(math.floor(X[0]), math.ceil(X[1]) + 1):
         nu = _strip_range(e01, U[0] - e00 * mm, U[1] - e00 * mm)
         ns = _strip_range(e11, S[0] - e10 * mm, S[1] - e10 * mm)
         lo = max(nu[0], ns[0])
@@ -528,10 +513,10 @@ def _lattice_in_strips(auto: TorusAutomorphism, U: tuple[float, float],
                 yield (mm, nn), uT, sT
 
 
-def _chart_of(p: MarkovPartition, r: Rectangle, u: float, s: float,
-              tol: float) -> Optional[tuple[float, float]]:
+def _chart_of(p: MarkovPartition, r: Rectangle, u: float, s: float) -> Optional[tuple[float, float]]:
     """Eigen coordinates of the point (u, s) in the first chart translate of
-    ``r`` that contains it within ``tol``; None if no translate does."""
+    ``r`` that contains it within ``_MEMBER_TOL``; None if no translate does."""
+    tol = _MEMBER_TOL
     for _T, (tu, ts) in _chart_translates(p, r):
         uc, sc = u - tu, s - ts
         if (-tol <= uc - r.corner[0] <= r.u_extent + tol
@@ -540,10 +525,10 @@ def _chart_of(p: MarkovPartition, r: Rectangle, u: float, s: float,
     return None
 
 
-def memberships(p: MarkovPartition, xy: Vec, tol: float = 1e-12) -> list[tuple[StateId, float, float]]:
+def memberships(p: MarkovPartition, xy: Vec) -> list[tuple[StateId, float, float]]:
     """Rectangles containing the torus point, with relative (u,s) coordinates.
 
-    Points within ``tol`` of a boundary belong to every adjacent rectangle.
+    Points within ``_MEMBER_TOL`` of a boundary belong to every adjacent rectangle.
     """
     q0, q1 = float(xy[0]) % 1.0, float(xy[1]) % 1.0
     Ei = p.auto.basis_inv
@@ -551,15 +536,15 @@ def memberships(p: MarkovPartition, xy: Vec, tol: float = 1e-12) -> list[tuple[S
     s = float(Ei[1, 0]) * q0 + float(Ei[1, 1]) * q1
     out = []
     for r in p.rectangles:
-        chart = _chart_of(p, r, u, s, tol)
+        chart = _chart_of(p, r, u, s)
         if chart is not None:
             out.append((r.id, chart[0] - r.corner[0], chart[1] - r.corner[1]))
     return out
 
 
-def locate(p: MarkovPartition, xy: Vec, tol: float = 1e-12) -> tuple[StateId, float, float]:
+def locate(p: MarkovPartition, xy: Vec) -> tuple[StateId, float, float]:
     """The unique rectangle containing an interior point (error on boundaries)."""
-    ms = memberships(p, xy, tol)
+    ms = memberships(p, xy)
     if len(ms) != 1:
         raise ValueError(f"point {xy} is not uniquely located (memberships: {ms})")
     return ms[0]
@@ -575,7 +560,7 @@ class Itinerary:
     radius: float
 
 
-def code_point(p: MarkovPartition, xy: Vec, n: int, tol: float = 1e-12) -> list[Itinerary]:
+def code_point(p: MarkovPartition, xy: Vec, n: int) -> list[Itinerary]:
     """All itineraries of f^-n(x)..f^n(x) whose decoded box contains x.
 
     The unstable interval of an itinerary depends only on its future symbols
@@ -587,9 +572,9 @@ def code_point(p: MarkovPartition, xy: Vec, n: int, tol: float = 1e-12) -> list[
     if n < 0:
         raise ValueError("n must be >= 0")
     out = []
-    for rid, u_rel, s_rel in memberships(p, xy, tol):
-        futures = _containing_forward(p, rid, u_rel, n, tol)
-        pasts = _containing_backward(p, rid, s_rel, n, tol)
+    for rid, u_rel, s_rel in memberships(p, xy):
+        futures = _containing_forward(p, rid, u_rel, n)
+        pasts = _containing_backward(p, rid, s_rel, n)
         for past in pasts:
             for fut in futures:
                 symbols = tuple(reversed(past)) + (rid,) + tuple(fut)
@@ -600,7 +585,7 @@ def code_point(p: MarkovPartition, xy: Vec, n: int, tol: float = 1e-12) -> list[
 
 
 def _containing_forward(p: MarkovPartition, rid: StateId, u_rel: float,
-                        n: int, tol: float) -> list[tuple[StateId, ...]]:
+                        n: int) -> list[tuple[StateId, ...]]:
     """Forward symbol words w_1..w_n whose cylinder u-interval contains u_rel."""
     if n == 0:
         return [()]
@@ -609,15 +594,14 @@ def _containing_forward(p: MarkovPartition, rid: StateId, u_rel: float,
     for b in p.graph.successors(rid):
         cross = p.crossings[(rid, b)]
         width = p.rect(b).u_extent / lam_u
-        if cross.u_offset - tol <= u_rel <= cross.u_offset + width + tol:
-            for rest in _containing_forward(p, b, (u_rel - cross.u_offset) * lam_u,
-                                            n - 1, tol):
+        if cross.u_offset - _MEMBER_TOL <= u_rel <= cross.u_offset + width + _MEMBER_TOL:
+            for rest in _containing_forward(p, b, (u_rel - cross.u_offset) * lam_u, n - 1):
                 words.append((b,) + rest)
     return words
 
 
 def _containing_backward(p: MarkovPartition, rid: StateId, s_rel: float,
-                         n: int, tol: float) -> list[tuple[StateId, ...]]:
+                         n: int) -> list[tuple[StateId, ...]]:
     """Past words w_-1..w_-n (in that order) whose stable strip contains s_rel."""
     if n == 0:
         return [()]
@@ -626,9 +610,8 @@ def _containing_backward(p: MarkovPartition, rid: StateId, s_rel: float,
     for a in p.graph.predecessors(rid):
         cross = p.crossings[(a, rid)]
         height = lam_s * p.rect(a).s_extent
-        if cross.s_offset - tol <= s_rel <= cross.s_offset + height + tol:
-            for rest in _containing_backward(p, a, (s_rel - cross.s_offset) / lam_s,
-                                             n - 1, tol):
+        if cross.s_offset - _MEMBER_TOL <= s_rel <= cross.s_offset + height + _MEMBER_TOL:
+            for rest in _containing_backward(p, a, (s_rel - cross.s_offset) / lam_s, n - 1):
                 words.append((a,) + rest)
     return words
 
@@ -698,13 +681,13 @@ def cylinder_image_arc(p: MarkovPartition, root: StateId, future: Sequence[State
     return UnstableArc(base, 0.0, u_hi - u_lo)
 
 
-def _plaque_segments(p: MarkovPartition, arc: UnstableArc,
-                     tol: float = 1e-12) -> list[tuple[StateId, float, float, float]]:
+def _plaque_segments(p: MarkovPartition, arc: UnstableArc) -> list[tuple[StateId, float, float, float]]:
     """Split an arc into plaque pieces: (rect id, u_rel_lo, u_rel_hi, t_lo).
 
     Membership along the stable coordinate is half-open ([0, s_extent)), so a
     leaf lying exactly on a rectangle boundary is assigned deterministically.
     """
+    tol = _MEMBER_TOL
     if arc.length <= tol:
         return []
     base_us = p.auto.to_eigen(np.array(arc.base))
@@ -852,7 +835,7 @@ def intersection_count(p: MarkovPartition, arc: UnstableArc, i: int,
         raise ValueError(f"anchor lies in {rid!r}, not {anchor_symbol!r}")
     r = p.rect(anchor_symbol)
     anchor_us = p.auto.to_eigen(np.asarray(anchor_xy, dtype=float) % 1.0)
-    chart = _chart_of(p, r, float(anchor_us[0]), float(anchor_us[1]), 1e-12)
+    chart = _chart_of(p, r, float(anchor_us[0]), float(anchor_us[1]))
     if chart is None:
         raise ValueError("anchor could not be charted")
     u_a = chart[0]

@@ -117,7 +117,7 @@ def test_criterion_5_cat_model(cat):
     c = Criterion(5, "cat: entropy = log((3+sqrt5)/2) +- 1e-6; partition valid at 1e-9", 5.0)
     est = gurevich_entropy(cat.graph, "R1", 40, "ratio")
     assert abs(est.value - math.log(LAM_CAT)) <= 1e-6
-    rep = validate_partition(cat.auto, cat.rectangles, tol=1e-9)
+    rep = validate_partition(cat.auto, cat.rectangles)
     assert rep.ok
     c.done()
 

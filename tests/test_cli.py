@@ -161,9 +161,38 @@ def test_partition_validate_names_missing_key(tmp_path):
 
 def test_partition_validate_malformed_file_exit_2(tmp_path):
     pfile = tmp_path / "malformed.json"
-    for spec in ([1], {"matrix": 5, "rectangles": []},
-                 {"matrix": [[2, 1], [1, 1]], "rectangles": [5]}):
+    assert run_cli("torus", "export", "--out", str(pfile)).returncode == 0
+    cat = json.loads(pfile.read_text())
+    duplicate = json.loads(json.dumps(cat))
+    duplicate["rectangles"][1]["id"] = "R1"
+    non_finite = json.loads(json.dumps(cat))
+    non_finite["rectangles"][2]["corner"][0] = float("nan")
+    cases = [([1], None), ({"matrix": 5, "rectangles": []}, None),
+             ({"matrix": [[2, 1], [1, 1]], "rectangles": [5]}, None),
+             (duplicate, "duplicate rectangle id 'R1'"),
+             (non_finite, "rectangle 'R3': corner is not finite")]
+    for spec, message in cases:
         pfile.write_text(json.dumps(spec))
         r = run_cli("torus", "validate", "--partition", str(pfile))
         assert r.returncode == 2
         assert "Traceback" not in r.stderr
+        if message is not None:
+            assert message in r.stderr
+
+
+def test_partition_validate_area_failure_gets_a_verdict(tmp_path):
+    # a long rectangle must not cost the square of its length, and a rectangle
+    # that fails only the area check must still print its JSON verdict
+    pfile = tmp_path / "area.json"
+    for u_extent, s_extent in ((3000, 0.0003), (0.1, 0.1)):
+        pfile.write_text(json.dumps({
+            "matrix": [[2, 1], [1, 1]],
+            "rectangles": [{"id": "A", "corner": [0, 0],
+                            "u_extent": u_extent, "s_extent": s_extent}],
+        }))
+        r = subprocess.run([sys.executable, "-m", "margulis.cli", "torus", "validate",
+                            "--partition", str(pfile)],
+                           capture_output=True, text=True, timeout=30)
+        assert r.returncode == 1
+        assert json.loads(r.stdout)["ok"] is False
+        assert "area of union" in r.stderr

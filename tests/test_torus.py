@@ -77,7 +77,7 @@ def test_make_automorphism_rejects_non_integer():
 # -- partition ------------------------------------------------------------------
 
 def test_builtin_partition_validates(cat):
-    rep = validate_partition(cat.auto, cat.rectangles, tol=1e-9)
+    rep = validate_partition(cat.auto, cat.rectangles)
     assert rep.ok
     assert rep.area_total == pytest.approx(1.0, abs=1e-12)
     assert rep.max_u_cross_err < 1e-9 and rep.max_s_fit_err < 1e-9
@@ -97,7 +97,7 @@ def test_partition_rejects_shrunk_rectangle(cat):
     rects = list(cat.rectangles)
     r = rects[0]
     rects[0] = Rectangle(r.id, r.corner, r.u_extent * 0.99, r.s_extent)
-    rep = validate_partition(cat.auto, rects, tol=1e-9)
+    rep = validate_partition(cat.auto, rects)
     assert not rep.ok
     assert any("Markov violation" in w or "overlap" in w or "area" in w
                for w in rep.witnesses)
@@ -106,8 +106,19 @@ def test_partition_rejects_shrunk_rectangle(cat):
 def test_partition_rejects_whole_torus_square(cat):
     # a single unit square is not a proper partition rectangle for the cat map
     big = [Rectangle("Q", (0.0, 0.0), 1.2, 1.2)]
-    rep = validate_partition(cat.auto, big, tol=1e-9)
+    rep = validate_partition(cat.auto, big)
     assert not rep.ok
+
+
+@pytest.mark.parametrize("T", [(3, -2), (-5, 7), (13, 8)])
+def test_partition_validation_is_chart_independent(cat, T):
+    # a rectangle moved by a lattice vector is the same set on the torus
+    te = cat.auto.to_eigen(np.array(T, dtype=float))
+    rects = [Rectangle(r.id, (r.corner[0] + te[0], r.corner[1] + te[1]), r.u_extent, r.s_extent)
+             if r.id == "R3" else r for r in cat.rectangles]
+    rep = validate_partition(cat.auto, rects)
+    assert rep.ok, rep.witnesses
+    assert rep.edges == validate_partition(cat.auto, cat.rectangles).edges
 
 
 def test_u_extents_are_perron_eigenvector(cat):
