@@ -248,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--out", help="write the JSON result to this path")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--tol", type=float, default=1e-12)
-    ap.set_defaults(_common=common)
     sub = ap.add_subparsers(dest="command", required=True)
 
     shift = sub.add_parser("shift", help="graph structure operations").add_subparsers(

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -105,11 +105,14 @@ def make_automorphism(matrix: Sequence[Sequence[int]]) -> TorusAutomorphism:
     then flipped if needed so that det[e_u e_s] > 0.  Eigen residuals are
     checked to 1e-13.
     """
-    m = [[int(matrix[i][j]) for j in range(2)] for i in range(2)]
-    for i in range(2):
-        for j in range(2):
-            if m[i][j] != matrix[i][j]:
-                raise ValueError("matrix entries must be integers")
+    try:
+        m = [[int(v) for v in row] for row in matrix]
+    except (ValueError, OverflowError):
+        raise ValueError(f"matrix entries must be finite integers; got {matrix!r}") from None
+    if len(m) != 2 or any(len(row) != 2 for row in m):
+        raise ValueError(f"matrix must be 2x2; got {matrix!r}")
+    if m != [list(row) for row in matrix]:
+        raise ValueError("matrix entries must be integers")
     a, b = m[0]
     c, d = m[1]
     det = a * d - b * c
@@ -182,21 +185,6 @@ class Rectangle:
         return (self.corner[1], self.corner[1] + self.s_extent)
 
 
-@dataclass(frozen=True)
-class Crossing:
-    """One full unstable crossing of rectangle j by the image of rectangle i.
-
-    ``u_offset``: start of the crossing's preimage inside R_i, relative to
-    R_i's corner.  ``s_offset``: start of the image strip inside R_j,
-    relative to R_j's corner.  ``translate``: the lattice vector identifying
-    f(R_i)'s chart with R_j's.
-    """
-
-    u_offset: float
-    s_offset: float
-    translate: tuple[int, int]
-
-
 @dataclass
 class PartitionReport:
     disjoint_ok: bool
@@ -207,7 +195,9 @@ class PartitionReport:
     max_s_fit_err: float
     witnesses: list[str]
     edges: list[tuple[StateId, StateId]]
-    crossings: dict[tuple[StateId, StateId], Crossing]
+    # (i, j) -> (start of the crossing's preimage in R_i, relative to R_i's
+    # corner; start of the image strip in R_j, relative to R_j's corner)
+    crossings: dict[tuple[StateId, StateId], tuple[float, float]]
 
     @property
     def ok(self) -> bool:
@@ -216,15 +206,40 @@ class PartitionReport:
 
 @dataclass
 class MarkovPartition:
+    """A validated partition with its cylinder tree, filled at construction.
+
+    ``children[a][b] = (u_start, u_width)``: the interval of R_a's unstable
+    side that f maps across R_b, relative to R_a's corner, in u order.
+    ``parents[b][a] = (s_start, s_height)``: the strip of R_b's stable side
+    that f(R_a) covers, relative to R_b's corner, in s order.
+    ``charts[a]``: eigen coordinates of the translates T for which R_a + T
+    can meet [0,1)^2.
+    """
+
     auto: TorusAutomorphism
     rectangles: list[Rectangle]
     graph: ShiftGraph
-    crossings: dict[tuple[StateId, StateId], Crossing]
+    crossings: InitVar[dict]    # PartitionReport.crossings
     by_id: dict[StateId, Rectangle] = field(init=False)
-    _caches: dict = field(default_factory=dict, repr=False)
+    children: dict = field(init=False, repr=False)
+    parents: dict = field(init=False, repr=False)
+    charts: dict = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, crossings):
         self.by_id = {r.id: r for r in self.rectangles}
+        self.children = {r.id: {} for r in self.rectangles}
+        self.parents = {r.id: {} for r in self.rectangles}
+        for (a, b), (u_off, _) in sorted(crossings.items(), key=lambda c: c[1][0]):
+            self.children[a][b] = (u_off, self.by_id[b].u_extent / self.auto.lam_u)
+        for (a, b), (_, s_off) in sorted(crossings.items(), key=lambda c: c[1][1]):
+            self.parents[b][a] = (s_off, self.auto.lam_s * self.by_id[a].s_extent)
+        U, S = _box_image(self.auto.to_eigen, (0.0, 1.0), (0.0, 1.0))
+        self.charts = {}
+        for r in self.rectangles:
+            self.charts[r.id] = [
+                tuple(self.auto.to_eigen(np.array(T, dtype=float)).tolist())
+                for T, _, _ in _lattice_in_strips(self.auto, (U[0] - r.u_range[1], U[1] - r.u_range[0]),
+                                                  (S[0] - r.s_range[1], S[1] - r.s_range[0]))]
 
     @property
     def h(self) -> float:
@@ -299,7 +314,7 @@ def validate_partition(auto: TorusAutomorphism, rectangles: Sequence[Rectangle])
     max_u_err = 0.0
     max_s_err = 0.0
     edges: list[tuple[StateId, StateId]] = []
-    crossings: dict[tuple[StateId, StateId], Crossing] = {}
+    crossings: dict[tuple[StateId, StateId], tuple[float, float]] = {}
     for ri in rectangles:
         img_u = (auto.lam_u * ri.u_range[0], auto.lam_u * ri.u_range[1])
         img_s = (auto.lam_s * ri.s_range[0], auto.lam_s * ri.s_range[1])
@@ -327,7 +342,7 @@ def validate_partition(auto: TorusAutomorphism, rectangles: Sequence[Rectangle])
                 u_off = (rj.u_range[0] + te[0]) / auto.lam_u - ri.u_range[0]
                 s_off = auto.lam_s * ri.s_range[0] - (rj.s_range[0] + te[1])
                 edges.append((ri.id, rj.id))
-                crossings[(ri.id, rj.id)] = Crossing(u_off, s_off, T)
+                crossings[(ri.id, rj.id)] = (u_off, s_off)
     return PartitionReport(disjoint_ok, cover_ok, markov_ok, area,
                            max_u_err, max_s_err, witnesses, edges, crossings)
 
@@ -474,20 +489,6 @@ def inverse_partition(p: MarkovPartition) -> MarkovPartition:
 # membership and coding
 # ---------------------------------------------------------------------------
 
-def _chart_translates(p: MarkovPartition, r: Rectangle) -> list[tuple[tuple[int, int], tuple[float, float]]]:
-    """Translates T (with eigen coords) for which (r + T) can meet [0,1)^2."""
-    cache = p._caches.setdefault("chart_translates", {})
-    if r.id not in cache:
-        U, S = _box_image(p.auto.to_eigen, (0.0, 1.0), (0.0, 1.0))
-        out = []
-        for T, _, _ in _lattice_in_strips(p.auto, (U[0] - r.u_range[1], U[1] - r.u_range[0]),
-                                          (S[0] - r.s_range[1], S[1] - r.s_range[0])):
-            te = p.auto.to_eigen(np.array(T, dtype=float))
-            out.append((T, (float(te[0]), float(te[1]))))
-        cache[r.id] = out
-    return cache[r.id]
-
-
 def _lattice_in_strips(auto: TorusAutomorphism, U: tuple[float, float],
                        S: tuple[float, float]):
     """Integer vectors T with u(T) in U and s(T) in S (both padded by ``_PAD``).
@@ -517,7 +518,7 @@ def _chart_of(p: MarkovPartition, r: Rectangle, u: float, s: float) -> Optional[
     """Eigen coordinates of the point (u, s) in the first chart translate of
     ``r`` that contains it within ``_MEMBER_TOL``; None if no translate does."""
     tol = _MEMBER_TOL
-    for _T, (tu, ts) in _chart_translates(p, r):
+    for tu, ts in p.charts[r.id]:
         uc, sc = u - tu, s - ts
         if (-tol <= uc - r.corner[0] <= r.u_extent + tol
                 and -tol <= sc - r.corner[1] <= r.s_extent + tol):
@@ -572,9 +573,10 @@ def code_point(p: MarkovPartition, xy: Vec, n: int) -> list[Itinerary]:
     if n < 0:
         raise ValueError("n must be >= 0")
     out = []
+    lam_u, lam_s = p.auto.lam_u, p.auto.lam_s
     for rid, u_rel, s_rel in memberships(p, xy):
-        futures = _containing_forward(p, rid, u_rel, n)
-        pasts = _containing_backward(p, rid, s_rel, n)
+        futures = _containing(p.children, lambda v: v * lam_u, rid, u_rel, n)
+        pasts = _containing(p.parents, lambda v: v / lam_s, rid, s_rel, n)
         for past in pasts:
             for fut in futures:
                 symbols = tuple(reversed(past)) + (rid,) + tuple(fut)
@@ -584,35 +586,18 @@ def code_point(p: MarkovPartition, xy: Vec, n: int) -> list[Itinerary]:
     return out
 
 
-def _containing_forward(p: MarkovPartition, rid: StateId, u_rel: float,
-                        n: int) -> list[tuple[StateId, ...]]:
-    """Forward symbol words w_1..w_n whose cylinder u-interval contains u_rel."""
+def _containing(table: dict, rescale, rid: StateId, x: float, n: int) -> list[tuple[StateId, ...]]:
+    """Words w_1..w_n, read through ``table`` (``children`` for the future,
+    ``parents`` for the past, w_-1..w_-n in that order), whose nested
+    intervals contain x; ``rescale`` maps a child's relative coordinate to
+    the child rectangle's."""
     if n == 0:
         return [()]
-    lam_u = p.auto.lam_u
     words = []
-    for b in p.graph.successors(rid):
-        cross = p.crossings[(rid, b)]
-        width = p.rect(b).u_extent / lam_u
-        if cross.u_offset - _MEMBER_TOL <= u_rel <= cross.u_offset + width + _MEMBER_TOL:
-            for rest in _containing_forward(p, b, (u_rel - cross.u_offset) * lam_u, n - 1):
+    for b, (start, width) in table[rid].items():
+        if start - _MEMBER_TOL <= x <= start + width + _MEMBER_TOL:
+            for rest in _containing(table, rescale, b, rescale(x - start), n - 1):
                 words.append((b,) + rest)
-    return words
-
-
-def _containing_backward(p: MarkovPartition, rid: StateId, s_rel: float,
-                         n: int) -> list[tuple[StateId, ...]]:
-    """Past words w_-1..w_-n (in that order) whose stable strip contains s_rel."""
-    if n == 0:
-        return [()]
-    lam_s = p.auto.lam_s
-    words = []
-    for a in p.graph.predecessors(rid):
-        cross = p.crossings[(a, rid)]
-        height = lam_s * p.rect(a).s_extent
-        if cross.s_offset - _MEMBER_TOL <= s_rel <= cross.s_offset + height + _MEMBER_TOL:
-            for rest in _containing_backward(p, a, (s_rel - cross.s_offset) / lam_s, n - 1):
-                words.append((a,) + rest)
     return words
 
 
@@ -635,11 +620,11 @@ def decode(p: MarkovPartition, symbols: Sequence[StateId],
     past = symbols[: zero_index + 1]
     u_lo, u_hi = 0.0, p.rect(future[-1]).u_extent
     for a, b in reversed(list(zip(future, future[1:]))):
-        off = p.crossings[(a, b)].u_offset
+        off = p.children[a][b][0]
         u_lo, u_hi = off + u_lo / lam_u, off + u_hi / lam_u
     s_lo, s_hi = 0.0, p.rect(past[0]).s_extent
     for a, b in zip(past, past[1:]):
-        off = p.crossings[(a, b)].s_offset
+        off = p.parents[b][a][0]
         s_lo, s_hi = off + lam_s * s_lo, off + lam_s * s_hi
     r0 = p.rect(symbols[zero_index])
     center_us = np.array([r0.corner[0] + (u_lo + u_hi) / 2.0,
@@ -761,10 +746,8 @@ def leaf_arc_measure(family: ConformalFamily, p: MarkovPartition, arc: UnstableA
             acc["outer"] += weight * family.psi_of(rid)
             acc["boundary"] += 1
             return
-        for b in p.graph.successors(rid):
-            cross = p.crossings[(rid, b)]
-            child_w = p.rect(b).u_extent / lam_u
-            c_lo, c_hi = cross.u_offset, cross.u_offset + child_w
+        for b, (c_lo, c_w) in p.children[rid].items():
+            c_hi = c_lo + c_w
             ov_lo, ov_hi = max(lo, c_lo), min(hi, c_hi)
             if ov_hi - ov_lo > 1e-15:
                 descend(b, (ov_lo - c_lo) * lam_u, (ov_hi - c_lo) * lam_u,
@@ -916,28 +899,6 @@ def periodic_ray_divergence(family: ConformalFamily, p: MarkovPartition,
     return [math.exp(k * family.h) * m0 for k in range(K + 1)]
 
 
-def _ordered_children(p: MarkovPartition, direction: int) -> dict:
-    """Per rectangle, its children (id, start, width) in the order an arc
-    growing in ``direction`` from its fixed end meets them.
-
-    Coordinates are the parent's u coordinates, mirrored (u -> u_extent - u)
-    for direction -1, so a descent reads both directions left to right.
-    """
-    cache = p._caches.setdefault("ordered_children", {})
-    if direction not in cache:
-        lam_u = p.auto.lam_u
-        out = {}
-        for r in p.rectangles:
-            kids = []
-            for b in p.graph.successors(r.id):
-                width = p.rect(b).u_extent / lam_u
-                start = p.crossings[(r.id, b)].u_offset
-                kids.append((b, start if direction > 0 else r.u_extent - start - width, width))
-            out[r.id] = sorted(kids, key=lambda k: k[1])
-        cache[direction] = out
-    return cache[direction]
-
-
 def _measure_crossing(family: ConformalFamily, p: MarkovPartition, base: tuple[float, float],
                       direction: int, length: float, target: float,
                       depth: int) -> Optional[float]:
@@ -953,7 +914,6 @@ def _measure_crossing(family: ConformalFamily, p: MarkovPartition, base: tuple[f
     """
     arc = UnstableArc(base, 0.0, length) if direction > 0 else UnstableArc(base, -length, 0.0)
     segs = _plaque_segments(p, arc)
-    children = _ordered_children(p, direction)
     lam_u = p.auto.lam_u
     wh = math.exp(-family.h)
     total = 0.0
@@ -978,7 +938,10 @@ def _measure_crossing(family: ConformalFamily, p: MarkovPartition, base: tuple[f
                 return org + ext * scale
             total += 0.5 * m
             return None
-        for b, c_lo, c_w in children[rid]:
+        kids = p.children[rid].items()
+        for b, (c_lo, c_w) in (kids if direction > 0 else reversed(kids)):
+            if direction < 0:   # mirrored (u -> u_extent - u): the arc grows along -e_u
+                c_lo = ext - c_lo - c_w
             if c_lo + c_w - y0 <= 1e-15:
                 continue
             a = node(b, (max(y0, c_lo) - c_lo) * lam_u, d - 1, weight * wh,

@@ -171,6 +171,11 @@ def test_partition_validate_malformed_file_exit_2(tmp_path):
              ({"matrix": [[2, 1], [1, 1]], "rectangles": [5]}, None),
              (duplicate, "duplicate rectangle id 'R1'"),
              (non_finite, "rectangle 'R3': corner is not finite")]
+    for matrix, message in (([[2, 1, 0], [1, 1, 0]], "matrix must be 2x2"),
+                            ([[2, 1], [1, 1], [7, 7]], "matrix must be 2x2"),
+                            ([[float("nan"), 1], [1, 1]], "matrix entries must be finite integers"),
+                            ([[2, 1], [1, float("inf")]], "matrix entries must be finite integers")):
+        cases.append((dict(cat, matrix=matrix), message))
     for spec, message in cases:
         pfile.write_text(json.dumps(spec))
         r = run_cli("torus", "validate", "--partition", str(pfile))

@@ -128,6 +128,22 @@ def test_u_extents_are_perron_eigenvector(cat):
         assert r.u_extent / scale == pytest.approx(hf.values[r.id], abs=1e-10)
 
 
+@pytest.mark.parametrize("inverse", [False, True])
+def test_cylinder_tree_tiles_each_rectangle(cat, inverse):
+    # children[a] tiles R_a's unstable side in u order, parents[b] R_b's stable side
+    p = inverse_partition(cat) if inverse else cat
+    for r in p.rectangles:
+        assert sorted(p.children[r.id]) == sorted(p.graph.successors(r.id))
+        assert sorted(p.parents[r.id]) == sorted(p.graph.predecessors(r.id))
+        assert list(p.children[r.id].values()) == sorted(p.children[r.id].values())
+        for table, extent in ((p.children, r.u_extent), (p.parents, r.s_extent)):
+            end = 0.0
+            for start, width in sorted(table[r.id].values()):
+                assert abs(start - end) <= 1e-12
+                end = start + width
+            assert abs(end - extent) <= 1e-12
+
+
 # -- coding ----------------------------------------------------------------------
 
 def test_code_point_fixed_point_constant_itinerary(cat):
@@ -156,6 +172,18 @@ def test_code_point_boundary_multiple(cat):
     xy = cat.auto.to_xy(us) % 1.0
     its = code_point(cat, xy, 5)
     assert 2 <= len(its) <= (cat.graph.degree_bound + 1) ** 2 - 1
+
+
+def test_inverse_partition_codes_reversed(cat):
+    # the past of a point under f is its future under f^-1, so the parents
+    # table must agree with the children table of an independently validated partition
+    p_inv = inverse_partition(cat)
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        x = rng.random(2)
+        its = code_point(cat, x, 5)
+        assert len(its) == 1
+        assert [it.symbols for it in code_point(p_inv, x, 5)] == [its[0].symbols[::-1]]
 
 
 def test_decode_radius_shrinks(cat):
