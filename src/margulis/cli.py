@@ -168,7 +168,7 @@ def _cmd_measure_cylinder(args) -> int:
 def _cmd_measure_verify(args) -> int:
     family = _load_family_arg(args)
     root = args.root if args.root else family.graph.base
-    con = measures.conformality_check(family, root, args.depth)
+    con = measures.conformality_check(family, root, args.depth, tol=args.tol)
     sup = measures.support_check(family, root, args.depth)
     hol = measures.symbolic_holonomy_check(family, root, root, min(args.depth, 6))
     payload = {
@@ -177,7 +177,7 @@ def _cmd_measure_verify(args) -> int:
         "consistency_max_err": hol.max_discrepancy,
     }
     _emit_json(payload, args.out)
-    ok = con.max_discrepancy < args.tol and sup and hol.max_discrepancy == 0.0
+    ok = con.passed and sup and hol.passed
     return 0 if ok else 1
 
 

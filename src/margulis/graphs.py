@@ -36,7 +36,8 @@ class ShiftGraph:
     Finite graphs carry their state list; generated graphs have none and are
     explored through their successor/predecessor functions.  Explored
     neighborhoods are memoized under a lock so concurrent callers see
-    bitwise-identical results.
+    bitwise-identical results.  A state is checked once, when its memo entry
+    is filled; a memo hit skips the check.
     """
 
     def __init__(
@@ -86,21 +87,20 @@ class ShiftGraph:
         return s
 
     def successors(self, s: StateId) -> tuple[StateId, ...]:
-        self.check_state(s)
-        memo = self._succ_memo
-        if s not in memo:
-            with self._lock:
-                if s not in memo:
-                    memo[s] = tuple(self._succ_fn(s))
-        return memo[s]
+        out = self._succ_memo.get(s)
+        return self._fill(self._succ_memo, self._succ_fn, s) if out is None else out
 
     def predecessors(self, s: StateId) -> tuple[StateId, ...]:
+        out = self._pred_memo.get(s)
+        return self._fill(self._pred_memo, self._pred_fn, s) if out is None else out
+
+    def _fill(self, memo: dict, fn: Callable, s: StateId) -> tuple[StateId, ...]:
+        """Memoize ``fn(s)``.  ``s`` and every state ``fn`` returns pass
+        :meth:`check_state` first, so every memo key and entry is a state."""
         self.check_state(s)
-        memo = self._pred_memo
-        if s not in memo:
-            with self._lock:
-                if s not in memo:
-                    memo[s] = tuple(self._pred_fn(s))
+        with self._lock:
+            if s not in memo:
+                memo[s] = tuple(self.check_state(t) for t in fn(s))
         return memo[s]
 
     def has_edge(self, a: StateId, b: StateId) -> bool:

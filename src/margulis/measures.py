@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .counting import _frontiers
-from .graphs import Cylinder, ShiftGraph, StateId, is_admissible
+from .graphs import Cylinder, ShiftGraph, StateId, is_admissible, make_cylinder
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ def make_family(graph: ShiftGraph, h: float, psi: Mapping[StateId, float]) -> Co
 
     ``psi`` may be any Mapping, including a lazily evaluated one for graphs
     with infinitely many states; finite dicts are validated eagerly, lazy
-    mappings on access.
+    mappings on access.  A dict must cover every state of a finite graph.
     """
     if h <= 0:
         raise ValueError("h must be positive")
@@ -52,6 +52,9 @@ def make_family(graph: ShiftGraph, h: float, psi: Mapping[StateId, float]) -> Co
         for s, v in psi.items():
             if not v > 0:
                 raise ValueError(f"psi must be positive; psi({s!r}) = {v}")
+        missing = [s for s in graph.states if s not in psi] if graph.is_finite else []
+        if missing:
+            raise ValueError(f"psi has no value for state {missing[0]!r}")
         psi = dict(psi)
     return ConformalFamily(graph, h, psi)
 
@@ -65,12 +68,16 @@ class CylinderMeasureValue:
 def cylinder_measure(family: ConformalFamily, root: StateId,
                      future: Sequence[StateId] = ()) -> CylinderMeasureValue:
     """mu([root; w_1..w_N]) = exp(-N h) psi(w_N); the empty future gives psi(root)."""
-    graph = family.graph
-    if not is_admissible(graph, [root, *future]):
+    if not is_admissible(family.graph, [root, *future]):
         raise ValueError(f"inadmissible cylinder ({root!r}; {list(future)!r})")
-    n = len(future)
-    last = future[-1] if future else root
-    return CylinderMeasureValue(math.exp(-n * family.h) * family.psi_of(last), n)
+    return CylinderMeasureValue(_mass(family, len(future), future[-1] if future else root),
+                                len(future))
+
+
+def _mass(family: ConformalFamily, n: int, last: StateId) -> float:
+    """exp(-n h) psi(last), the mass of an admissible n-edge cylinder ending at
+    ``last``; the caller vouches for admissibility."""
+    return math.exp(-n * family.h) * family.psi_of(last)
 
 
 def cylinder_probability(family: ConformalFamily, root: StateId,
@@ -82,7 +89,9 @@ def iter_cylinders(graph: ShiftGraph, root: StateId, depth: int,
                    psi: Optional[Mapping[StateId, float]] = None) -> Iterator[tuple[StateId, ...]]:
     """All futures from ``root`` with at most ``depth`` edges (including the
     empty future), depth-first in successor order.  With ``psi`` given, the
-    walk is restricted to states psi is defined on."""
+    walk is restricted to states psi is defined on.  ``root`` is checked and
+    successor lists hold only states, so every yielded cylinder is admissible."""
+    graph.check_state(root)
     stack: list[tuple[StateId, ...]] = [()]
     while stack:
         fut = stack.pop()
@@ -101,6 +110,10 @@ class ConsistencyReport:
     cylinders_checked: int
     passed: bool
 
+    def __post_init__(self):
+        # a check that saw no cylinder has verified nothing
+        self.passed = self.passed and self.cylinders_checked > 0
+
 
 def conformality_check(family: ConformalFamily, root: StateId, depth: int,
                        tol: float = 1e-12) -> ConsistencyReport:
@@ -117,19 +130,20 @@ def conformality_check(family: ConformalFamily, root: StateId, depth: int,
     psi = family.psi
     worst, worst_cyl, checked = 0.0, None, 0
     for fut in iter_cylinders(graph, root, depth, psi):
-        parent = cylinder_measure(family, root, fut).value
+        n = len(fut)
         last = fut[-1] if fut else root
-        children = [s for s in graph.successors(last) if s in psi]
-        if len(children) != len(graph.successors(last)):
+        parent = _mass(family, n, last)
+        succ = graph.successors(last)
+        children = [s for s in succ if s in psi]
+        if len(children) != len(succ):
             continue
-        total = math.fsum(cylinder_measure(family, root, fut + (s,)).value
-                          for s in children)
+        total = math.fsum(_mass(family, n + 1, s) for s in children)
         disc = abs(total - parent)
         checked += 1
         if disc > worst:
             worst, worst_cyl = disc, (root, fut)
         if fut:
-            shifted = cylinder_measure(family, fut[0], fut[1:]).value
+            shifted = _mass(family, n - 1, last)
             disc = abs(parent - math.exp(-family.h) * shifted)
             if disc > worst:
                 worst, worst_cyl = disc, (root, fut)
@@ -138,7 +152,7 @@ def conformality_check(family: ConformalFamily, root: StateId, depth: int,
 
 def support_check(family: ConformalFamily, root: StateId, depth: int) -> bool:
     """Every admissible cylinder carries strictly positive mass."""
-    return all(cylinder_measure(family, root, fut).value > 0.0
+    return all(_mass(family, len(fut), fut[-1] if fut else root) > 0.0
                for fut in iter_cylinders(family.graph, root, depth, family.psi))
 
 
@@ -151,30 +165,24 @@ def symbolic_holonomy_check(family: ConformalFamily, root_a: StateId,
     cylinder measures; the symbolic unstable holonomy only rewrites the past.
     """
     graph = family.graph
-    if root_a != root_b and not _same_tree(graph, root_a, root_b, depth):
+    graph.check_state(root_b)
+    # distinct roots with equal successor lists have equal trees to any depth
+    if root_a != root_b and depth > 0 and graph.successors(root_a) != graph.successors(root_b):
         raise ValueError(
             f"holonomy precondition violated: {root_a!r} and {root_b!r} differ "
             f"as symbols and have different successor trees to depth {depth}"
         )
     worst, worst_cyl, checked = 0.0, None, 0
     for fut in iter_cylinders(graph, root_a, depth, family.psi):
-        if not is_admissible(graph, [root_b, *fut]):
+        # the rest of [root_b, *fut] is the walk's own path
+        if fut and not graph.has_edge(root_b, fut[0]):
             continue
-        va = cylinder_measure(family, root_a, fut).value
-        vb = cylinder_measure(family, root_b, fut).value
+        va = _mass(family, len(fut), fut[-1] if fut else root_a)
+        vb = _mass(family, len(fut), fut[-1] if fut else root_b)
         checked += 1
         if abs(va - vb) > worst:
             worst, worst_cyl = abs(va - vb), (root_a, fut)
     return ConsistencyReport(worst, worst_cyl, checked, worst == 0.0)
-
-
-def _same_tree(graph: ShiftGraph, a: StateId, b: StateId, depth: int) -> bool:
-    if depth == 0:
-        return True
-    sa, sb = graph.successors(a), graph.successors(b)
-    if sa != sb:
-        return False
-    return all(_same_tree(graph, s, s, depth - 1) for s in sa)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +217,6 @@ def global_leaf_measure(family: ConformalFamily, past: Sequence[StateId],
     Requires n <= len(past) - 1.
     """
     graph = family.graph
-    past = [graph.check_state(s) for s in past]
     if not is_admissible(graph, past):
         raise ValueError(f"inadmissible past {past!r}")
     if n > len(past) - 1:
@@ -220,9 +227,7 @@ def global_leaf_measure(family: ConformalFamily, past: Sequence[StateId],
         cyl = c if isinstance(c, Cylinder) else Cylinder(str(c[0]), tuple(c[1]))
         if cyl.root != root:
             raise ValueError(f"arc cylinder {cyl} does not sit over root {root!r}")
-        cyls.append(cyl)
-    arc_measure = math.fsum(cylinder_measure(family, c.root, c.future).value
-                            for c in cyls)
+        cyls.append(make_cylinder(graph, cyl.root, cyl.future))
 
     def step(s: StateId) -> list[StateId]:
         return [t for t in graph.successors(s) if t in family.psi]
@@ -236,19 +241,13 @@ def global_leaf_measure(family: ConformalFamily, past: Sequence[StateId],
         mass = math.fsum(w * family.psi_of(s) for s, w in sorted(vec.items()))
         # the fixed arc, pulled back m steps and re-expanded: the only
         # m-extension whose leaf meets the arc is the original past, so the
-        # sum telescopes to e^{m h} mu([start; past-suffix . future])
-        suffix = tuple(past[-m:]) if m else ()
-        av = math.fsum(
-            math.exp(m * family.h)
-            * cylinder_measure(family, start, suffix + c.future).value
-            for c in cyls
-        )
+        # sum telescopes to e^{m h} mu([start; past-suffix . future]),
+        # admissible because past and arc are
+        av = math.fsum(math.exp(m * family.h) * _mass(family, m + c.depth, c.last)
+                       for c in cyls)
         arc_values.append(av)
         mass_values.append(mass)
         counts.append(cnt)
-    # rounding guard: the telescoped arc values must match the direct measure
-    if arc_values and abs(arc_values[0] - arc_measure) > 1e-9 * (1 + arc_measure):
-        raise RuntimeError("extension sum failed to telescope to the arc measure")
     return LeafTrace(arc_values, mass_values, counts)
 
 

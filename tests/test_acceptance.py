@@ -106,7 +106,7 @@ def test_criterion_3_ladder():
 
 def test_criterion_4_conformality():
     c = Criterion(4, "cylinder conformality < 1e-12 to depth 8", 1.0)
-    for name in ("golden-mean", "full-2"):
+    for name in ("golden-mean", "full-2", "renewal"):
         fx = get_fixture(name)
         rep = conformality_check(fx.family(), fx.base, 8, tol=1e-12)
         assert rep.passed and rep.max_discrepancy < 1e-12

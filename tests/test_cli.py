@@ -61,6 +61,25 @@ def test_measure_verify():
     assert payload["consistency_max_err"] == 0.0
 
 
+def test_measure_verify_rejects_bad_families(tmp_path):
+    r = run_cli("measure", "verify", "--fixture", "renewal", "--root", "zzz")
+    assert r.returncode == 2
+    assert "unknown state 'zzz'" in r.stderr
+    golden = {"kind": "finite", "states": ["0", "1"],
+              "edges": [["0", "0"], ["0", "1"], ["1", "0"]]}
+    renewal = {"kind": "generator", "name": "renewal", "params": {"max_len": 64}}
+    # a psi that misses a state of a finite graph is bad input
+    fam = tmp_path / "golden.json"
+    fam.write_text(json.dumps({"graph": golden, "h": 0.48121182505960347, "psi": {"0": 7.0}}))
+    r = run_cli("measure", "verify", "--family", str(fam))
+    assert r.returncode == 2
+    assert "psi has no value for state '1'" in r.stderr
+    # on a generated graph, a psi whose walk checks no cylinder verifies nothing
+    fam = tmp_path / "renewal.json"
+    fam.write_text(json.dumps({"graph": renewal, "h": 0.6931471805599453, "psi": {"b": 1.0}}))
+    assert run_cli("measure", "verify", "--family", str(fam)).returncode == 1
+
+
 def test_suite_run_golden_mean(tmp_path):
     out = tmp_path / "report.json"
     r = run_cli("suite", "run", "--fixture", "golden-mean", "--out", str(out))

@@ -1,9 +1,11 @@
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from margulis.graphs import (
+    ShiftGraph,
     StructuralViolation,
     ball,
     build_finite_graph,
@@ -202,9 +204,38 @@ def test_concurrent_exploration_deterministic():
         results.append(ball(g, "b", 5))
 
     threads = [threading.Thread(target=worker) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the memo fills as finely as possible
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads) and len(results) == 8
     fresh = build_graph({"kind": "generator", "name": "renewal", "params": {"max_len": 24}})
     assert all(r == ball(fresh, "b", 5) for r in results)
+
+
+def test_memo_fill_validates_every_state():
+    # a successor or predecessor function that emits a non-state must not
+    # get that state into the memo; a memo hit needs no second check
+    checked = []
+
+    def contains(s):
+        checked.append(s)
+        return s in ("a", "b")
+
+    g = ShiftGraph("a", lambda s: ["b", "zz"] if s == "a" else ["a"],
+                   lambda s: ["yy"] if s == "b" else ["b"], contains_fn=contains)
+    with pytest.raises(KeyError, match="'zz'"):
+        g.successors("a")
+    with pytest.raises(KeyError, match="'yy'"):
+        g.predecessors("b")
+    assert g.successors("b") == ("a",) and g.predecessors("a") == ("b",)
+    checked.clear()
+    assert g.successors("b") == ("a",) and g.predecessors("a") == ("b",)
+    assert checked == []
+    with pytest.raises(KeyError, match="'zz'"):
+        g.successors("a")

@@ -3,9 +3,11 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from margulis.fixtures import PHI, get_fixture
-from margulis.graphs import Cylinder
+from margulis import measures
+from margulis.fixtures import PHI, LazyPsi, _renewal_psi_value, get_fixture
+from margulis.graphs import Cylinder, build_graph
 from margulis.measures import (
+    ConsistencyReport,
     conformality_check,
     cylinder_measure,
     cylinder_probability,
@@ -36,6 +38,21 @@ def test_make_family_rejects_nonpositive_psi():
         make_family(g, LOG2, {"0": 1.0, "1": 0.0})
     with pytest.raises(ValueError):
         make_family(g, -1.0, {"0": 1.0, "1": 1.0})
+
+
+def test_make_family_rejects_psi_missing_a_state():
+    g = get_fixture("golden-mean").graph()
+    with pytest.raises(ValueError, match="no value for state '1'"):
+        make_family(g, math.log(PHI), {"0": 7.0})
+
+
+def test_check_on_zero_cylinders_fails():
+    assert not ConsistencyReport(0.0, None, 0, True).passed
+    # on a generated graph a dict psi may restrict the walk to nothing
+    fam = make_family(build_graph({"kind": "generator", "name": "renewal"}), LOG2, {"b": 1.0})
+    rep = conformality_check(fam, "b", 8)
+    assert rep.cylinders_checked == 0 and rep.max_discrepancy == 0.0
+    assert not rep.passed
 
 
 def test_cylinder_measure_golden_identities():
@@ -97,6 +114,76 @@ def test_conformality_detects_perturbed_psi():
     fam = make_family(get_fixture("golden-mean").graph(), math.log(PHI),
                       {"0": PHI * 1.01, "1": 1.0})
     rep = conformality_check(fam, "0", 4, tol=1e-12)
+    assert not rep.passed
+    assert rep.max_discrepancy > 1e-3
+
+
+def _checked_cylinders(family, root, depth):
+    """Every (root, future) whose mass the checks read from the walk: each
+    walked cylinder, its one-step refinements and its shift."""
+    for fut in iter_cylinders(family.graph, root, depth, family.psi):
+        yield root, fut
+        last = fut[-1] if fut else root
+        for s in family.graph.successors(last):
+            yield root, fut + (s,)
+        if fut:
+            yield fut[0], fut[1:]
+
+
+@pytest.mark.parametrize("name", ["renewal", "full-2", "golden-mean", "cat"])
+def test_walk_masses_equal_cylinder_measure(name, monkeypatch):
+    # the checks read masses off the walk without re-validating; they must
+    # read exactly the masses cylinder_measure gives those cylinders, bit for bit
+    if name == "cat":
+        from margulis.torus import builtin_partition, partition_family
+        family = partition_family(builtin_partition("cat-adler-weiss"))
+        roots = family.graph.states
+    else:
+        fx = get_fixture(name)
+        family, roots = fx.family(), [fx.base]
+    read = {}
+    mass = measures._mass
+
+    def spy(fam, n, last):
+        read[(n, last)] = mass(fam, n, last)
+        return read[(n, last)]
+
+    monkeypatch.setattr(measures, "_mass", spy)
+    for root in roots:
+        assert conformality_check(family, root, 6).passed
+        assert support_check(family, root, 6)
+        assert symbolic_holonomy_check(family, root, root, 6).passed
+    monkeypatch.undo()
+    expected = {(len(fut), fut[-1] if fut else r): cylinder_measure(family, r, fut).value
+                for root in roots for r, fut in _checked_cylinders(family, root, 6)}
+    assert len(expected) > 10
+    assert read == expected
+
+
+def _renewal_futures(depth, max_len=64):
+    # paths of n edges from b: stay at b, or enter the loop of length k and
+    # either still be on it after n steps (n < k) or be back at b after k
+    paths = [1]
+    for n in range(1, depth + 1):
+        paths.append(paths[n - 1] + sum(1 if n < k else paths[n - k]
+                                        for k in range(2, max_len + 1)))
+    return sum(paths)
+
+
+def test_renewal_conformality_checks_every_future():
+    rep = conformality_check(get_fixture("renewal").family(), "b", 8)
+    assert rep.passed
+    assert rep.cylinders_checked == _renewal_futures(8) == 16074
+
+
+def test_conformality_detects_scaled_renewal_psi():
+    fx = get_fixture("renewal")
+
+    def value(s):
+        return _renewal_psi_value(s) * (1.3 if s == "l(3,1)" else 1.0)
+
+    fam = make_family(fx.graph(), LOG2, LazyPsi(fx.psi.__contains__, value))
+    rep = conformality_check(fam, "b", 8)
     assert not rep.passed
     assert rep.max_discrepancy > 1e-3
 
