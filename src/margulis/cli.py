@@ -235,19 +235,16 @@ def _add_graph_args(sp) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # global flags are accepted both before and after the subcommand
+    # --out is global, accepted both before and after the subcommand; --seed
+    # and --tol are declared only on the subcommands that read them
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=argparse.SUPPRESS,
                         help="write the JSON result to this path")
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--tol", type=float, default=argparse.SUPPRESS)
 
     ap = argparse.ArgumentParser(prog="margulis",
                                  description="countable Markov shifts, entropy, "
                                              "harmonic functions, and leaf measures")
     ap.add_argument("--out", help="write the JSON result to this path")
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--tol", type=float, default=1e-12)
     sub = ap.add_subparsers(dest="command", required=True)
 
     shift = sub.add_parser("shift", help="graph structure operations").add_subparsers(
@@ -307,6 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     mv.add_argument("--fixture")
     mv.add_argument("--root")
     mv.add_argument("--depth", type=int, default=8)
+    mv.add_argument("--tol", type=float, default=1e-12)
     mv.set_defaults(func=_cmd_measure_verify)
 
     to = sub.add_parser("torus", help="toral automorphism model")
@@ -315,6 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     tv.add_argument("--map", default="cat")
     tv.add_argument("--depth", type=int, default=8)
     tv.add_argument("--samples", type=int, default=500)
+    tv.add_argument("--seed", type=int, default=0)
     tv.set_defaults(func=_cmd_torus_verify)
     te = tos.add_parser("export", parents=[common])
     te.add_argument("--map", dest="map_name", default="cat-adler-weiss")
@@ -332,6 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     sr.add_argument("--depth", type=int, default=8)
     sr.add_argument("--samples", type=int, default=500)
     sr.add_argument("--threshold", type=float, default=15.0)
+    sr.add_argument("--seed", type=int, default=0)
     sr.set_defaults(func=_cmd_suite_run)
     return ap
 

@@ -12,42 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
+from typing import Mapping, Optional
 
 from .graphs import ShiftGraph, StateId, build_graph
 from .measures import ConformalFamily, make_family
 
 PHI = (1 + math.sqrt(5.0)) / 2
 
-
-class LazyPsi(Mapping):
-    """Mapping view of a formula psi on a countable state set."""
-
-    def __init__(self, contains: Callable[[StateId], bool], value: Callable[[StateId], float]):
-        self._contains = contains
-        self._value = value
-
-    def __getitem__(self, s: StateId) -> float:
-        if not self._contains(s):
-            raise KeyError(s)
-        return self._value(s)
-
-    def __contains__(self, s) -> bool:
-        return self._contains(s)
-
-    def __iter__(self):
-        raise TypeError("lazy psi is not enumerable")
-
-    def __len__(self) -> int:
-        raise TypeError("lazy psi is not enumerable")
-
-
-def _renewal_psi_value(s: StateId) -> float:
-    # psi(b) = 1, psi(l(n,k)) = 2^(k-n); harmonic for h = log 2
-    if s == "b":
-        return 1.0
-    n, k = s[2:-1].split(",")
-    return 2.0 ** (int(k) - int(n))
+RENEWAL_MAX_LEN = 64  # longest renewal loop; the psi table covers every state
 
 
 @dataclass
@@ -100,12 +72,14 @@ FIXTURES: dict[str, Fixture] = {
     ),
     "renewal": Fixture(
         name="renewal",
-        graph_spec={"kind": "generator", "name": "renewal", "params": {"max_len": 64}},
+        graph_spec={"kind": "generator", "name": "renewal",
+                    "params": {"max_len": RENEWAL_MAX_LEN}},
         base="b",
         entropy=math.log(2.0),
         recurrent_at_entropy=True,
-        psi=LazyPsi(lambda s: s == "b" or (s.startswith("l(") and s.endswith(")")),
-                    _renewal_psi_value),
+        # psi(b) = 1, psi(l(n,k)) = 2^(k-n); harmonic for h = log 2
+        psi={"b": 1.0, **{f"l({n},{k})": 2.0 ** (k - n)
+                          for n in range(2, RENEWAL_MAX_LEN + 1) for k in range(1, n)}},
     ),
     "ladder": Fixture(
         name="ladder",

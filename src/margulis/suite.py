@@ -113,7 +113,7 @@ def _cat_suite(config: SuiteConfig) -> Report:
     report.check_leq("cat/entropy_consistency", abs(est.value - h_exact), 1e-6)
 
     family = torus.partition_family(p)
-    rep_h = thermo.check_harmonic(p.graph, dict(family.psi), family.h, tol=1e-10)
+    rep_h = thermo.check_harmonic(p.graph, family.psi, family.h, tol=1e-10)
     report.check_leq("cat/u_extent_harmonic_residual", rep_h.max_residual, 1e-10)
 
     # intersection-count identity on a small sample of cylinders

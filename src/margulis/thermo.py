@@ -94,14 +94,8 @@ def gurevich_entropy(graph: ShiftGraph, base: StateId, n_max: int,
         usable = [n for n in range(p, n_max + 1) if counts[n] > 0 and counts[n - p] > 0]
         if not usable:
             raise ValueError(f"no usable loop-count ratio at {base!r}")
-        diag = []
-        for n in usable[-8:]:
-            num, den = counts[n], counts[n - p]
-            if num % den == 0:
-                ratio = float(num // den)
-            else:
-                ratio = num / den
-            diag.append(math.log(ratio) / p)
+        # int true division is correctly rounded, exact quotients included
+        diag = [math.log(counts[n] / counts[n - p]) / p for n in usable[-8:]]
         return EntropyEstimate(diag[-1], "ratio", n_max, base, p, diag)
 
     raise ValueError(f"unknown entropy method {method!r}")
@@ -267,23 +261,21 @@ def check_harmonic(graph: ShiftGraph, values: Mapping[StateId, float], h: float,
                    tol: float = 1e-8) -> ResidualReport:
     """Max relative residual |e^-h L0 psi - psi| / psi over the checkable states.
 
-    A state is checkable when psi is defined and positive there and on all of
-    its successors (psi on a radius+1 ball makes every radius-ball state
-    checkable).
+    A state is checkable when psi is positive there and :func:`ruelle_apply`
+    applies L0 there, i.e. psi covers all of its successors (psi on a
+    radius+1 ball makes every radius-ball state checkable).
     """
     if center is not None and radius is not None:
         region = sorted(ball(graph, center, radius))
     else:
         region = sorted(values)
+    l0 = ruelle_apply(graph, values)
     worst, worst_state, checked = 0.0, None, 0
     scale = math.exp(-h)
     for r in region:
-        if r not in values or values[r] <= 0:
+        if r not in l0 or values[r] <= 0:
             continue
-        succ = graph.successors(r)
-        if not all(s in values for s in succ):
-            continue
-        res = abs(scale * math.fsum(values[s] for s in succ) - values[r]) / values[r]
+        res = abs(scale * l0[r] - values[r]) / values[r]
         checked += 1
         if res > worst:
             worst, worst_state = res, r

@@ -55,18 +55,11 @@ class Q5:
     def of(a, b=0) -> "Q5":
         return Q5(Fraction(a), Fraction(b))
 
-    def __add__(self, o: "Q5") -> "Q5":
-        return Q5(self.a + o.a, self.b + o.b)
-
     def __sub__(self, o: "Q5") -> "Q5":
         return Q5(self.a - o.a, self.b - o.b)
 
     def __mul__(self, o: "Q5") -> "Q5":
         return Q5(self.a * o.a + 5 * self.b * o.b, self.a * o.b + self.b * o.a)
-
-    def __truediv__(self, o: "Q5") -> "Q5":
-        d = o.a * o.a - 5 * o.b * o.b
-        return Q5((self.a * o.a - 5 * self.b * o.b) / d, (self.b * o.a - self.a * o.b) / d)
 
     def __float__(self) -> float:
         return float(self.a) + float(self.b) * math.sqrt(5.0)
@@ -838,8 +831,8 @@ def intersection_count(p: MarkovPartition, arc: UnstableArc, i: int,
 
 
 def _strip_range(coef: float, lo: float, hi: float) -> tuple[float, float]:
-    if coef == 0:
-        return (-math.inf, math.inf) if lo <= 0 <= hi else (math.inf, -math.inf)
+    # coef is an eigen-basis entry, nonzero: a zero entry needs an axis-parallel
+    # eigenvector, i.e. eigenvalues +-1, which is not hyperbolic
     a, b = lo / coef, hi / coef
     return (min(a, b), max(a, b))
 

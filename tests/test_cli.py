@@ -1,6 +1,9 @@
+import argparse
 import json
 import subprocess
 import sys
+
+from margulis.cli import build_parser
 
 
 def run_cli(*args):
@@ -78,6 +81,35 @@ def test_measure_verify_rejects_bad_families(tmp_path):
     fam = tmp_path / "renewal.json"
     fam.write_text(json.dumps({"graph": renewal, "h": 0.6931471805599453, "psi": {"b": 1.0}}))
     assert run_cli("measure", "verify", "--family", str(fam)).returncode == 1
+
+
+def test_measure_verify_verdict_ignores_the_scale_of_psi(tmp_path):
+    golden = {"kind": "finite", "states": ["0", "1"],
+              "edges": [["0", "0"], ["0", "1"], ["1", "0"]]}
+    fam = tmp_path / "family.json"
+    # a wrong psi at a tiny scale fails, the right psi scaled by 1e6 passes
+    for psi, code in (({"0": 1.618033988749895e-14, "1": 1.3e-14}, 1),
+                      ({"0": 1618033.988749895, "1": 1e6}, 0)):
+        fam.write_text(json.dumps({"graph": golden, "h": 0.4812118250596035, "psi": psi}))
+        assert run_cli("measure", "verify", "--family", str(fam), "--depth", "8").returncode == code
+
+
+def test_flags_only_where_read():
+    r = run_cli("shift", "count", "--fixture", "golden-mean", "--origin", "0",
+                "--target", "0", "--n", "6", "--tol", "1e-3")
+    assert r.returncode == 2
+    assert "unrecognized arguments: --tol" in r.stderr
+
+    def subparsers(parser):
+        return next(a.choices for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction))
+
+    flags = {(cmd, sub): {o for a in leaf._actions for o in a.option_strings}
+             for cmd, group in subparsers(build_parser()).items()
+             for sub, leaf in subparsers(group).items()}
+    assert len(flags) == 12 and all("--out" in f for f in flags.values())
+    assert {c for c, f in flags.items() if "--seed" in f} == {("suite", "run"), ("torus", "verify")}
+    assert {c for c, f in flags.items() if "--tol" in f} == {("measure", "verify")}
 
 
 def test_suite_run_golden_mean(tmp_path):

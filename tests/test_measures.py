@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from margulis import measures
-from margulis.fixtures import PHI, LazyPsi, _renewal_psi_value, get_fixture
-from margulis.graphs import Cylinder, build_graph
+from margulis.fixtures import PHI, RENEWAL_MAX_LEN, get_fixture
+from margulis.graphs import Cylinder, ball, build_graph
 from margulis.measures import (
     ConsistencyReport,
     conformality_check,
@@ -44,6 +44,35 @@ def test_make_family_rejects_psi_missing_a_state():
     g = get_fixture("golden-mean").graph()
     with pytest.raises(ValueError, match="no value for state '1'"):
         make_family(g, math.log(PHI), {"0": 7.0})
+
+
+def test_renewal_psi_table_covers_the_truncated_graph():
+    fx = get_fixture("renewal")
+    assert fx.graph_spec["params"]["max_len"] == RENEWAL_MAX_LEN == 64
+    states = ball(fx.graph(), "b", RENEWAL_MAX_LEN)
+    assert set(fx.psi) == states and len(states) == 2017
+    assert fx.psi["b"] == 1.0
+    for s in states - {"b"}:
+        n, k = map(int, s[2:-1].split(","))
+        assert fx.psi[s] == 2.0 ** (k - n)
+
+
+def test_family_psi_is_read_only():
+    psi = {"0": PHI, "1": 1.0}
+    fam = make_family(get_fixture("golden-mean").graph(), math.log(PHI), psi)
+    with pytest.raises(TypeError):
+        fam.psi["0"] = 2.0
+    psi["0"] = 2.0  # the family keeps its own copy
+    assert fam.psi_of("0") == PHI
+
+
+@pytest.mark.parametrize("psi,passed", [
+    ({"0": 1.618033988749895e-14, "1": 1.3e-14}, False),  # wrong psi at a tiny scale
+    ({"0": 1618033.988749895, "1": 1e6}, True),          # the right psi scaled by 1e6
+])
+def test_conformality_verdict_ignores_the_scale_of_psi(psi, passed):
+    fam = make_family(get_fixture("golden-mean").graph(), math.log(PHI), psi)
+    assert conformality_check(fam, "0", 8).passed is passed
 
 
 def test_check_on_zero_cylinders_fails():
@@ -120,14 +149,12 @@ def test_conformality_detects_perturbed_psi():
 
 def _checked_cylinders(family, root, depth):
     """Every (root, future) whose mass the checks read from the walk: each
-    walked cylinder, its one-step refinements and its shift."""
+    walked cylinder and its one-step refinements."""
     for fut in iter_cylinders(family.graph, root, depth, family.psi):
         yield root, fut
         last = fut[-1] if fut else root
         for s in family.graph.successors(last):
             yield root, fut + (s,)
-        if fut:
-            yield fut[0], fut[1:]
 
 
 @pytest.mark.parametrize("name", ["renewal", "full-2", "golden-mean", "cat"])
@@ -178,11 +205,9 @@ def test_renewal_conformality_checks_every_future():
 
 def test_conformality_detects_scaled_renewal_psi():
     fx = get_fixture("renewal")
-
-    def value(s):
-        return _renewal_psi_value(s) * (1.3 if s == "l(3,1)" else 1.0)
-
-    fam = make_family(fx.graph(), LOG2, LazyPsi(fx.psi.__contains__, value))
+    psi = dict(fx.psi)
+    psi["l(3,1)"] *= 1.3
+    fam = make_family(fx.graph(), LOG2, psi)
     rep = conformality_check(fam, "b", 8)
     assert not rep.passed
     assert rep.max_discrepancy > 1e-3
