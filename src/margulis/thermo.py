@@ -216,19 +216,10 @@ def classify_recurrence(graph: ShiftGraph, base: StateId, h: float, n_max: int,
 # Ruelle operator and harmonic functions
 # ---------------------------------------------------------------------------
 
-def ruelle_apply(graph: ShiftGraph, phi: Mapping[StateId, float],
-                 states: Optional[Sequence[StateId]] = None) -> dict[StateId, float]:
-    """(L0 phi)(R) = sum over successors S of R of phi(S).
-
-    With ``states`` given, raises KeyError if phi is undefined on a needed
-    successor; otherwise applies L0 at every state whose successors are all
-    covered by phi.
-    """
+def ruelle_apply(graph: ShiftGraph, phi: Mapping[StateId, float]) -> dict[StateId, float]:
+    """(L0 phi)(R) = sum over successors S of R of phi(S), at every state R
+    of phi whose successors phi all covers."""
     out: dict[StateId, float] = {}
-    if states is not None:
-        for r in states:
-            out[r] = math.fsum(phi[s] for s in graph.successors(r))
-        return out
     for r in phi:
         succ = graph.successors(r)
         if all(s in phi for s in succ):

@@ -94,6 +94,8 @@ class TorusAutomorphism:
 def make_automorphism(matrix: Sequence[Sequence[int]]) -> TorusAutomorphism:
     """Validate a hyperbolic unimodular 2x2 integer matrix and fix eigendata.
 
+    The partition machinery needs positive eigenvalues lam_u > 1 > lam_s > 0
+    (so det = 1); any other matrix is rejected, and its square qualifies.
     Signs are canonical: e_u has its largest-magnitude entry positive, e_s is
     then flipped if needed so that det[e_u e_s] > 0.  Eigen residuals are
     checked to 1e-13.
@@ -119,8 +121,11 @@ def make_automorphism(matrix: Sequence[Sequence[int]]) -> TorusAutomorphism:
     roots = ((tr + sq) / 2.0, (tr - sq) / 2.0)
     lam_u = max(roots, key=abs)
     lam_s = det / lam_u
-    if abs(lam_u) <= 1.0:
-        raise ValueError("matrix is not hyperbolic; |lambda_u| <= 1")
+    if not (lam_u > 1.0 and 0.0 < lam_s < 1.0):
+        raise ValueError(
+            f"partition matrix has eigenvalues lam_u = {lam_u!r}, lam_s = {lam_s!r}; "
+            "partitions require lam_u > 1 > lam_s > 0 (use the square of the map)"
+        )
 
     A = np.array(m, dtype=float)
 
@@ -150,10 +155,15 @@ def make_automorphism(matrix: Sequence[Sequence[int]]) -> TorusAutomorphism:
 
 
 def inverse_automorphism(auto: TorusAutomorphism) -> TorusAutomorphism:
-    (a, b), (c, d) = auto.matrix
-    det = a * d - b * c
-    inv = [[d * det, -b * det], [-c * det, a * det]]
-    return make_automorphism(inv)
+    """The inverse map in the right-handed frame (e_u, e_s) = (e_s, -e_u) of
+    ``auto``, so its unstable arcs run along +e_s of ``auto``."""
+    (a, b), (c, d) = auto.matrix     # det = 1
+    E = np.column_stack([auto.e_s, -auto.e_u])
+    return TorusAutomorphism(
+        matrix=((d, -b), (-c, a)),
+        lam_u=1.0 / auto.lam_s, lam_s=1.0 / auto.lam_u, e_u=auto.e_s, e_s=-auto.e_u,
+        basis=E, basis_inv=np.linalg.inv(E),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +246,7 @@ class MarkovPartition:
 
     @property
     def h(self) -> float:
-        return math.log(abs(self.auto.lam_u))
+        return math.log(self.auto.lam_u)
 
     def rect(self, rid: StateId) -> Rectangle:
         return self.by_id[rid]
@@ -278,11 +288,6 @@ def validate_partition(auto: TorusAutomorphism, rectangles: Sequence[Rectangle])
     crossing more than once is reported as a violation: the artifact's simple
     transition graphs require a refined partition.
     """
-    if auto.lam_u <= 1.0 or not (0.0 < auto.lam_s < 1.0):
-        raise StructuralViolation(
-            "partition machinery requires positive eigenvalues (lam_u > 1 > lam_s > 0); "
-            "use the square of the map otherwise"
-        )
     witnesses: list[str] = []
     area = 0.0
     scale = float(abs(np.linalg.det(auto.basis)))  # a Python float keeps the verdicts bool
@@ -421,7 +426,7 @@ def parse_partition(text: str) -> tuple[TorusAutomorphism, list[Rectangle]]:
 
     Raises ValueError for a malformed file or one that lacks a key, for a
     repeated rectangle id or a non-finite corner or extent, and for a matrix
-    the partition machinery does not handle (lam_u > 1 > lam_s > 0).
+    that ``make_automorphism`` rejects.
     """
     spec = json.loads(text)
     if not isinstance(spec, dict):
@@ -445,11 +450,6 @@ def parse_partition(text: str) -> tuple[TorusAutomorphism, list[Rectangle]]:
         if r.id in seen:
             raise ValueError(f"duplicate rectangle id {r.id!r}")
         seen.add(r.id)
-    if not (auto.lam_u > 1.0 and 0.0 < auto.lam_s < 1.0):
-        raise ValueError(
-            f"partition matrix has eigenvalues lam_u = {auto.lam_u!r}, lam_s = {auto.lam_s!r}; "
-            "partitions require lam_u > 1 > lam_s > 0 (use the square of the map)"
-        )
     return auto, rects
 
 
@@ -467,8 +467,9 @@ def partition_family(p: MarkovPartition) -> ConformalFamily:
 def inverse_partition(p: MarkovPartition) -> MarkovPartition:
     """The same rectangles as a Markov partition of the inverse map.
 
-    Unstable and stable roles swap; the transition graph is the reverse of
-    p.graph.  Used for stable-leaf measures.
+    Unstable and stable roles swap, in the frame (e_s, -e_u) of p; the
+    transition graph is the reverse of p.graph.  Used for stable-leaf
+    measures, which run along +e_s of p.
     """
     auto_inv = inverse_automorphism(p.auto)
     rects = []
@@ -781,6 +782,8 @@ def holonomy_invariance_check(family: ConformalFamily, p: MarkovPartition,
     The certified bound (sum of both arcs' inner/outer gaps) decays like
     e^{-depth h} because the boundary-cylinder masses do.
     """
+    if not depths:
+        raise ValueError("depths must be non-empty")
     image = stable_holonomy(p, arc, target_xy)
     discrepancies, bounds = [], []
     for d in depths:
@@ -893,11 +896,10 @@ def periodic_ray_divergence(family: ConformalFamily, p: MarkovPartition,
 
 
 def _measure_crossing(family: ConformalFamily, p: MarkovPartition, base: tuple[float, float],
-                      direction: int, length: float, target: float,
-                      depth: int) -> Optional[float]:
+                      length: float, target: float, depth: int) -> Optional[float]:
     """The arc length a <= ``length`` at which the ``value`` of
-    ``leaf_arc_measure`` for the arc of length a from ``base`` (along +e_u for
-    direction 1, -e_u for -1) first reaches ``target``; None if it stays below.
+    ``leaf_arc_measure`` for the arc of length a from ``base`` along +e_u
+    first reaches ``target``; None if it stays below.
 
     One descent of the plaques and the cylinder tree, applying the ``value``
     rule: a whole cylinder counts its mass, an unresolved depth-0 cylinder half
@@ -905,8 +907,7 @@ def _measure_crossing(family: ConformalFamily, p: MarkovPartition, base: tuple[f
     skipped without descending.  Rounding and the measure's 1e-12/1e-15 slack
     can move the answer by ~1e-15, so callers certify it with real measures.
     """
-    arc = UnstableArc(base, 0.0, length) if direction > 0 else UnstableArc(base, -length, 0.0)
-    segs = _plaque_segments(p, arc)
+    segs = _plaque_segments(p, UnstableArc(base, 0.0, length))
     lam_u = p.auto.lam_u
     wh = math.exp(-family.h)
     total = 0.0
@@ -931,10 +932,7 @@ def _measure_crossing(family: ConformalFamily, p: MarkovPartition, base: tuple[f
                 return org + ext * scale
             total += 0.5 * m
             return None
-        kids = p.children[rid].items()
-        for b, (c_lo, c_w) in (kids if direction > 0 else reversed(kids)):
-            if direction < 0:   # mirrored (u -> u_extent - u): the arc grows along -e_u
-                c_lo = ext - c_lo - c_w
+        for b, (c_lo, c_w) in p.children[rid].items():
             if c_lo + c_w - y0 <= 1e-15:
                 continue
             a = node(b, (max(y0, c_lo) - c_lo) * lam_u, d - 1, weight * wh,
@@ -944,40 +942,35 @@ def _measure_crossing(family: ConformalFamily, p: MarkovPartition, base: tuple[f
         # the children stayed below the target; the node turns whole at its end
         return org + ext * scale if whole else None
 
-    for rid, lo, hi, t_lo in (segs if direction > 0 else reversed(segs)):
-        ext = p.rect(rid).u_extent
-        if direction > 0:
-            a = node(rid, lo, depth, 1.0, t_lo - lo, 1.0)
-        else:
-            a = node(rid, ext - hi, depth, 1.0, lo - ext - t_lo, 1.0)
+    for rid, lo, _, t_lo in segs:
+        a = node(rid, lo, depth, 1.0, t_lo - lo, 1.0)
         if a is not None:
             return a if a <= length else None
     return None
 
 
 def _arc_length_solve(family: ConformalFamily, p: MarkovPartition, base: tuple[float, float],
-                      direction: int, target: float, tol: float, depth: int) -> float:
+                      target: float, tol: float, depth: int) -> float:
     """Midpoint of the dyadic cell [lo, hi], hi - lo <= tol, of the arc length
     a with value(lo) < target <= value(hi), where value(a) is the
-    ``leaf_arc_measure(...).value`` of the arc of length a from ``base``.
+    ``leaf_arc_measure(...).value`` of the arc of length a from ``base`` along
+    +e_u.
 
     The grid is that of bisecting [0, H], H the first power of two whose arc
     reaches the target.  ``_measure_crossing`` picks the cell and two real
-    measures certify it; if they do not, the cell is found by galloping and
-    bisecting on the same grid.
+    measures certify it; if they do not, plain bisection of [0, H] finds it.
     """
-    if target < 0:
-        raise ValueError("coordinates must be >= 0")
+    if not 0.0 <= target < math.inf:
+        raise ValueError(f"coordinates must be finite and >= 0; got {target!r}")
     if target == 0:
         return 0.0
 
     def value(a: float) -> float:
-        arc = UnstableArc(base, 0.0, a) if direction > 0 else UnstableArc(base, -a, 0.0)
-        return leaf_arc_measure(family, p, arc, depth).value
+        return leaf_arc_measure(family, p, UnstableArc(base, 0.0, a), depth).value
 
     exceeds = f"coordinate {target} exceeds the measurable leaf mass within length {_MAX_ARC_LEN}"
     length = 1.0
-    while (b := _measure_crossing(family, p, base, direction, length, target, depth)) is None:
+    while (b := _measure_crossing(family, p, base, length, target, depth)) is None:
         length *= 2.0
         if length > _MAX_ARC_LEN:
             raise ValueError(exceeds)
@@ -986,21 +979,15 @@ def _arc_length_solve(family: ConformalFamily, p: MarkovPartition, base: tuple[f
         w *= 0.5
     lo = max(math.floor(b / w), 0) * w
     hi = lo + w
-    step = w
-    if lo > 0 and value(lo) >= target:       # gallop left; value(0) = 0 < target
-        lo, hi = max(lo - step, 0.0), lo
-        while lo > 0 and value(lo) >= target:
-            step *= 2
-            lo, hi = max(lo - step, 0.0), lo
-    elif value(hi) < target:                 # gallop right
-        lo, hi = hi, min(hi + step, _MAX_ARC_LEN)
-        while value(hi) < target:
-            if hi >= _MAX_ARC_LEN:
-                raise ValueError(exceeds)
-            step *= 2
-            lo, hi = hi, min(hi + step, _MAX_ARC_LEN)
-    while hi - lo > w:
-        mid = lo + math.floor((hi - lo) / (2 * w)) * w
+    if (lo == 0 or value(lo) < target) and value(hi) >= target:   # value(0) = 0 < target
+        return 0.5 * (lo + hi)
+    lo, hi = 0.0, 1.0
+    while value(hi) < target:
+        hi *= 2.0
+        if hi > _MAX_ARC_LEN:
+            raise ValueError(exceeds)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
         if value(mid) < target:
             lo = mid
         else:
@@ -1024,7 +1011,8 @@ def margulis_coordinates(family_u: ConformalFamily, p: MarkovPartition,
     z = fixed + alpha e_u + gamma e_s where the arc from the stable axis to z
     along its unstable leaf has measure x (holonomy invariance makes this
     independent of gamma, so alpha solves a single equation), and
-    symmetrically for y on the stable side via the inverse-map model.
+    symmetrically for y on the stable side via the inverse-map model
+    ``p_inv = inverse_partition(p)``, whose e_u is p's e_s.
 
     Each equation is solved on the grid of bisecting [0, H] down to cells of
     width <= tol, H the first power of two (>= 1) whose arc reaches the
@@ -1033,18 +1021,15 @@ def margulis_coordinates(family_u: ConformalFamily, p: MarkovPartition,
     ``leaf_arc_measure(...).value``.  That measure is a staircase in the arc
     length, constant while the arc ends inside one depth-``depth`` cylinder,
     so one descent of the cylinder tree locates the step that crosses the
-    target and two real measures certify its cell (a gallop and bisection on
-    the same grid take over if they do not).  The certified inequality holds
-    for every family; where the measure is monotone in the arc length (a
-    harmonic psi) that cell is the only one, so the result is the one plain
-    bisection returns.
+    target and two real measures certify its cell (plain bisection takes
+    over if they do not).  The certified inequality holds for every family;
+    where the measure is monotone in the arc length (a harmonic psi) that
+    cell is the only one, so the result is the one plain bisection returns.
     """
     fp = np.asarray(fixed_xy, dtype=float) % 1.0
     base = tuple(fp.tolist())
-    alpha = _arc_length_solve(family_u, p, base, 1, x, tol, depth)
-    # the stable axis of p is the unstable axis of the inverse model, up to sign
-    sgn = 1 if float(np.dot(p.auto.e_s, p_inv.auto.e_u)) >= 0 else -1
-    gamma = _arc_length_solve(family_s, p_inv, base, sgn, y, tol, depth)
+    alpha = _arc_length_solve(family_u, p, base, x, tol, depth)
+    gamma = _arc_length_solve(family_s, p_inv, base, y, tol, depth)
     z = (fp + alpha * p.auto.e_u + gamma * p.auto.e_s) % 1.0
     return MargulisPoint((float(z[0]), float(z[1])), alpha, gamma)
 

@@ -137,7 +137,7 @@ def test_ruelle_renewal_exact_harmonic():
     fx = get_fixture("renewal")
     g = fx.graph()
     states = ["b"] + [f"l({n},{k})" for n in range(2, 10) for k in range(1, n)]
-    out = ruelle_apply(g, fx.psi, states=states)
+    out = ruelle_apply(g, fx.psi)
     for s in states:
         expected = 2.0 * fx.psi[s]
         tol = 1e-12 if s != "b" else 1e-15  # b sums the truncated loop family
@@ -145,9 +145,9 @@ def test_ruelle_renewal_exact_harmonic():
 
 
 def test_ruelle_missing_successor_value():
+    # L0 applies only where phi covers every successor: "0" -> "1" is uncovered
     g = get_fixture("golden-mean").graph()
-    with pytest.raises(KeyError):
-        ruelle_apply(g, {"0": 1.0}, states=["0"])
+    assert ruelle_apply(g, {"0": 1.0}) == {}
 
 
 # -- harmonic functions -------------------------------------------------------

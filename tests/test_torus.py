@@ -53,10 +53,25 @@ def test_make_automorphism_cat():
     assert np.max(np.abs(A @ auto.e_u - auto.lam_u * auto.e_u)) < 1e-13
 
 
-def test_make_automorphism_fibonacci_det_minus_one():
-    auto = make_automorphism([[1, 1], [1, 0]])
-    assert auto.lam_u == pytest.approx(PHI, abs=1e-14)
-    assert auto.lam_s == pytest.approx(-1 / PHI, abs=1e-14)
+def test_make_automorphism_rejects_negative_eigenvalues():
+    # det -1 (lam_s = -1/phi) and trace -3 (both eigenvalues negative)
+    for m in ([[1, 1], [1, 0]], [[-2, 1], [1, -1]]):
+        with pytest.raises(ValueError, match=r"use the square of the map"):
+            make_automorphism(m)
+
+
+@pytest.mark.parametrize("m", [[[2, 1], [1, 1]], [[1, 1], [1, 2]], [[3, 1], [2, 1]],
+                               [[3, 2], [1, 1]], [[5, 2], [2, 1]]])
+def test_inverse_automorphism_takes_the_forward_frame(m):
+    a = make_automorphism(m)
+    inv = torus.inverse_automorphism(a)
+    assert np.array_equal(inv.e_u, a.e_s) and np.array_equal(inv.e_s, -a.e_u)
+    assert np.linalg.det(inv.basis) > 0
+    A, B = np.array(a.matrix), np.array(inv.matrix)
+    assert np.array_equal(B @ A, np.eye(2, dtype=int))
+    Bf = B.astype(float)
+    assert np.max(np.abs(Bf @ inv.e_u - inv.lam_u * inv.e_u)) < 1e-13
+    assert np.max(np.abs(Bf @ inv.e_s - inv.lam_s * inv.e_s)) < 1e-13
 
 
 def test_make_automorphism_rejects_parabolic():
@@ -259,6 +274,12 @@ def test_holonomy_invariance_within_and_cross(cat, cat_family):
     assert cross >= 5
 
 
+def test_holonomy_invariance_check_rejects_no_depths(cat, cat_family):
+    arc = UnstableArc((0.3, 0.4), 0.0, 0.1)
+    with pytest.raises(ValueError, match="depths"):
+        holonomy_invariance_check(cat_family, cat, arc, (0.9, 0.05), depths=())
+
+
 # -- intersection counts ------------------------------------------------------------
 
 def anchor(cat):
@@ -374,20 +395,18 @@ def _bisection(measure_fn, target, tol):
     return 0.5 * (lo + hi)
 
 
-def _arc_value(family, p, base, direction, depth=16):
+def _arc_value(family, p, base, depth=16):
     """a -> leaf_arc_measure(...).value of the arc of length a from base."""
     def value(a):
-        arc = UnstableArc(base, 0.0, a) if direction > 0 else UnstableArc(base, -a, 0.0)
-        return leaf_arc_measure(family, p, arc, depth).value
+        return leaf_arc_measure(family, p, UnstableArc(base, 0.0, a), depth).value
     return value
 
 
 def _bisection_coordinates(fam_u, p, fam_s, p_inv, fixed_xy, x, y, tol=1e-9):
     fp = np.asarray(fixed_xy, dtype=float) % 1.0
     base = tuple(fp.tolist())
-    sgn = 1 if float(np.dot(p.auto.e_s, p_inv.auto.e_u)) >= 0 else -1
-    alpha = _bisection(_arc_value(fam_u, p, base, 1), x, tol)
-    gamma = _bisection(_arc_value(fam_s, p_inv, base, sgn), y, tol)
+    alpha = _bisection(_arc_value(fam_u, p, base), x, tol)
+    gamma = _bisection(_arc_value(fam_s, p_inv, base), y, tol)
     z = (fp + alpha * p.auto.e_u + gamma * p.auto.e_s) % 1.0
     return (float(z[0]), float(z[1])), alpha, gamma
 
@@ -434,15 +453,27 @@ def test_margulis_coordinates_match_bisection_at_random_bases(cat, cat_family, s
         assert (mp.alpha, mp.gamma, mp.point) == (alpha, gamma, point)
 
 
-def test_arc_length_solve_reversed_arcs_match_bisection(cat, cat_family):
-    # margulis_coordinates grows the stable arc backwards when the inverse
-    # model's e_u points against e_s; the cat map does not, so drive it here
+def test_margulis_coordinates_match_bisection_on_the_inverse_pair(stable_model):
+    # (p_inv, inverse_partition(p_inv)): the stable model's frame comes from
+    # p_inv, so its arcs run along +e_s of p_inv like the reference's
+    p_inv, fam_s = stable_model
+    q = inverse_partition(p_inv)
+    fam_q = partition_family(q)
     rng = np.random.default_rng(7)
     for _ in range(20):
-        base = tuple(rng.random(2).tolist())
-        target = float(0.6 * (1.0 - rng.random()))
-        got = torus._arc_length_solve(cat_family, cat, base, -1, target, 1e-9, 16)
-        assert got == _bisection(_arc_value(cat_family, cat, base, -1), target, 1e-9)
+        base = rng.random(2)
+        x, y = 0.6 * (1.0 - rng.random(2))
+        mp = margulis_coordinates(fam_s, p_inv, fam_q, q, base, float(x), float(y))
+        point, alpha, gamma = _bisection_coordinates(fam_s, p_inv, fam_q, q,
+                                                     base, float(x), float(y))
+        assert (mp.alpha, mp.gamma, mp.point) == (alpha, gamma, point)
+
+
+@pytest.mark.parametrize("x, y", [(math.nan, 0.1), (0.1, math.nan), (-0.1, 0.1)])
+def test_margulis_coordinates_reject_nan_and_negative(cat, cat_family, stable_model, x, y):
+    p_inv, fam_s = stable_model
+    with pytest.raises(ValueError, match="must be finite and >= 0"):
+        margulis_coordinates(cat_family, cat, fam_s, p_inv, (0.0, 0.0), x, y)
 
 
 @pytest.mark.parametrize("shift", [-3e-6, -2.5e-7, 4e-9, 2e-6, None])
@@ -454,9 +485,9 @@ def test_certificate_repairs_a_wrong_crossing(cat, cat_family, monkeypatch, shif
         b = real(*args)
         return 0.0 if shift is None else b + shift
     monkeypatch.setattr(torus, "_measure_crossing", wrong)
-    for base, direction, target in (((0.0, 0.0), 1, 0.1234567), ((0.31, 0.47), -1, 0.25)):
-        got = torus._arc_length_solve(cat_family, cat, base, direction, target, 1e-9, 16)
-        assert got == _bisection(_arc_value(cat_family, cat, base, direction), target, 1e-9)
+    for base, target in (((0.0, 0.0), 0.1234567), ((0.31, 0.47), 0.25)):
+        got = torus._arc_length_solve(cat_family, cat, base, target, 1e-9, 16)
+        assert got == _bisection(_arc_value(cat_family, cat, base), target, 1e-9)
 
 
 def test_margulis_coordinates_certified_cell_for_nonharmonic_family(cat, cat_family, stable_model):
@@ -469,7 +500,6 @@ def test_margulis_coordinates_certified_cell_for_nonharmonic_family(cat, cat_fam
         psi["R1"] *= 1.3
         return make_family(p.graph, fam.h, psi)
     wrong_u, wrong_s = scaled(cat, cat_family), scaled(p_inv, fam_s)
-    sgn = 1 if float(np.dot(cat.auto.e_s, p_inv.auto.e_u)) >= 0 else -1
     tol = 1e-9
     w = _grid_step(tol)
     rng = np.random.default_rng(13)
@@ -478,8 +508,8 @@ def test_margulis_coordinates_certified_cell_for_nonharmonic_family(cat, cat_fam
         x, y = 0.6 * (1.0 - rng.random(2))
         mp = margulis_coordinates(wrong_u, cat, wrong_s, p_inv, base, float(x), float(y), tol=tol)
         key = tuple((base % 1.0).tolist())
-        for value, coord, target in ((_arc_value(wrong_u, cat, key, 1), mp.alpha, x),
-                                     (_arc_value(wrong_s, p_inv, key, sgn), mp.gamma, y)):
+        for value, coord, target in ((_arc_value(wrong_u, cat, key), mp.alpha, x),
+                                     (_arc_value(wrong_s, p_inv, key), mp.gamma, y)):
             lo, hi = coord - w / 2, coord + w / 2
             assert hi - lo <= tol
             assert value(lo) < target <= value(hi)
