@@ -181,16 +181,6 @@ def _cmd_measure_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_torus_verify(args) -> int:
-    if args.map != "cat":
-        raise SystemExit(f"unknown map {args.map!r}; only 'cat' is shipped")
-    config = SuiteConfig(depth=args.depth, samples=args.samples, seed=args.seed)
-    report = run_suite("cat", config)
-    emit(report, args.out)
-    sys.stdout.write("\n".join(report.summary_lines()) + "\n")
-    return report.exit_code
-
-
 def _cmd_torus_export(args) -> int:
     from . import torus
     p = torus.builtin_partition(args.map_name)
@@ -310,11 +300,12 @@ def build_parser() -> argparse.ArgumentParser:
     to = sub.add_parser("torus", help="toral automorphism model")
     tos = to.add_subparsers(dest="subcommand", required=True)
     tv = tos.add_parser("verify", parents=[common])
-    tv.add_argument("--map", default="cat")
+    tv.add_argument("--map", choices=["cat"], default="cat")
     tv.add_argument("--depth", type=int, default=8)
     tv.add_argument("--samples", type=int, default=500)
     tv.add_argument("--seed", type=int, default=0)
-    tv.set_defaults(func=_cmd_torus_verify)
+    # the cat suite with its default horizon and threshold
+    tv.set_defaults(func=_cmd_suite_run, fixture="cat", n=40, threshold=15.0)
     te = tos.add_parser("export", parents=[common])
     te.add_argument("--map", dest="map_name", default="cat-adler-weiss")
     te.set_defaults(func=_cmd_torus_export)

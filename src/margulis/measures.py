@@ -41,17 +41,24 @@ class ConformalFamily:
             if not v > 0:
                 raise ValueError(f"psi must be positive; psi({s!r}) = {v}")
         if self.graph.is_finite:
-            missing = [s for s in self.graph.states if s not in self.psi]
-            if missing:
-                raise ValueError(f"psi has no value for state {missing[0]!r}")
+            for s in self.graph.states:
+                self.psi_of(s)  # raises for a state psi misses
         object.__setattr__(self, "psi", MappingProxyType(dict(self.psi)))
 
     def psi_of(self, s: StateId) -> float:
-        return self.psi[s]
+        try:
+            return self.psi[s]
+        except KeyError:
+            raise ValueError(f"psi has no value for state {s!r}") from None
+
+    def successors(self, s: StateId) -> list[StateId]:
+        """The successors of ``s`` that psi covers: the step of every walk
+        the checks and the leaf traces take."""
+        return [t for t in self.graph.successors(s) if t in self.psi]
 
     def total_mass(self, root: StateId) -> float:
         """Mass of the whole fiber over ``root``: psi(root)."""
-        return self.psi[root]
+        return self.psi_of(root)
 
 
 def make_family(graph: ShiftGraph, h: float, psi: Mapping[StateId, float]) -> ConformalFamily:
@@ -86,11 +93,9 @@ def cylinder_probability(family: ConformalFamily, root: StateId,
     return cylinder_measure(family, root, future).value / family.psi_of(root)
 
 
-def iter_cylinders(graph: ShiftGraph, root: StateId, depth: int,
-                   psi: Optional[Mapping[StateId, float]] = None) -> Iterator[tuple[StateId, ...]]:
+def iter_cylinders(graph: ShiftGraph, root: StateId, depth: int) -> Iterator[tuple[StateId, ...]]:
     """All futures from ``root`` with at most ``depth`` edges (including the
-    empty future), depth-first in successor order.  With ``psi`` given, the
-    walk is restricted to states psi is defined on.  ``root`` is checked and
+    empty future), depth-first in successor order.  ``root`` is checked and
     successor lists hold only states, so every yielded cylinder is admissible."""
     graph.check_state(root)
     stack: list[tuple[StateId, ...]] = [()]
@@ -100,14 +105,24 @@ def iter_cylinders(graph: ShiftGraph, root: StateId, depth: int,
         if len(fut) < depth:
             last = fut[-1] if fut else root
             for s in reversed(graph.successors(last)):
-                if psi is None or s in psi:
-                    stack.append(fut + (s,))
+                stack.append(fut + (s,))
+
+
+def _classes(family: ConformalFamily, root: StateId, depth: int) -> Iterator[tuple[int, StateId, int]]:
+    """(n, last, count) for n = 0..depth: ``count`` futures of n edges from
+    ``root``, on states psi covers, end at ``last``.  A cylinder's mass
+    exp(-n h) psi(last) depends only on its class, so the checks read each
+    class once instead of each word."""
+    family.graph.check_state(root)
+    for n, frontier in enumerate(_frontiers(family.successors, root, depth)):
+        for last, count in frontier.items():
+            yield n, last, count
 
 
 @dataclass
 class ConsistencyReport:
     max_discrepancy: float
-    worst_cylinder: Optional[tuple[StateId, tuple[StateId, ...]]]
+    worst_class: Optional[tuple[int, StateId]]
     cylinders_checked: int
     passed: bool
 
@@ -130,25 +145,22 @@ def conformality_check(family: ConformalFamily, root: StateId, depth: int,
         raise ValueError("depth must be >= 1")
     graph = family.graph
     psi = family.psi
-    worst, worst_cyl, checked = 0.0, None, 0
-    for fut in iter_cylinders(graph, root, depth, psi):
-        n = len(fut)
-        last = fut[-1] if fut else root
+    worst, worst_class, checked = 0.0, None, 0
+    for n, last, count in _classes(family, root, depth):
         succ = graph.successors(last)
         if not all(s in psi for s in succ):
             continue
         total = math.fsum(_mass(family, n + 1, s) for s in succ)
         disc = abs(total - _mass(family, n, last))
-        checked += 1
+        checked += count
         if disc > worst:
-            worst, worst_cyl = disc, (root, fut)
-    return ConsistencyReport(worst, worst_cyl, checked, worst < tol * family.psi_of(root))
+            worst, worst_class = disc, (n, last)
+    return ConsistencyReport(worst, worst_class, checked, worst < tol * family.psi_of(root))
 
 
 def support_check(family: ConformalFamily, root: StateId, depth: int) -> bool:
     """Every admissible cylinder carries strictly positive mass."""
-    return all(_mass(family, len(fut), fut[-1] if fut else root) > 0.0
-               for fut in iter_cylinders(family.graph, root, depth, family.psi))
+    return all(_mass(family, n, last) > 0.0 for n, last, _ in _classes(family, root, depth))
 
 
 def symbolic_holonomy_check(family: ConformalFamily, root_a: StateId,
@@ -167,14 +179,14 @@ def symbolic_holonomy_check(family: ConformalFamily, root_a: StateId,
             f"holonomy precondition violated: {root_a!r} and {root_b!r} differ "
             f"as symbols and have different successor trees to depth {depth}"
         )
-    worst, worst_cyl, checked = 0.0, None, 0
-    for fut in iter_cylinders(graph, root_a, depth, family.psi):
-        va = _mass(family, len(fut), fut[-1] if fut else root_a)
-        vb = _mass(family, len(fut), fut[-1] if fut else root_b)
-        checked += 1
+    worst, worst_class, checked = 0.0, None, 0
+    for n, last, count in _classes(family, root_a, depth):
+        va = _mass(family, n, last)
+        vb = _mass(family, n, last if n else root_b)
+        checked += count
         if abs(va - vb) > worst:
-            worst, worst_cyl = abs(va - vb), (root_a, fut)
-    return ConsistencyReport(worst, worst_cyl, checked, worst == 0.0)
+            worst, worst_class = abs(va - vb), (n, last)
+    return ConsistencyReport(worst, worst_class, checked, worst == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +213,7 @@ class LeafTrace:
 
 
 def global_leaf_measure(family: ConformalFamily, past: Sequence[StateId],
-                        arc: Sequence[Cylinder | tuple], n: int) -> LeafTrace:
+                        arc: Sequence[Cylinder], n: int) -> LeafTrace:
     """Increasing extension sums of the measures of a fixed arc of cylinders.
 
     ``past`` is a truncated left chain ending at the root (past[-1] is the
@@ -216,19 +228,15 @@ def global_leaf_measure(family: ConformalFamily, past: Sequence[StateId],
     root = past[-1]
     cyls: list[Cylinder] = []
     for c in arc:
-        cyl = c if isinstance(c, Cylinder) else Cylinder(str(c[0]), tuple(c[1]))
-        if cyl.root != root:
-            raise ValueError(f"arc cylinder {cyl} does not sit over root {root!r}")
-        cyls.append(make_cylinder(graph, cyl.root, cyl.future))
-
-    def step(s: StateId) -> list[StateId]:
-        return [t for t in graph.successors(s) if t in family.psi]
+        if c.root != root:
+            raise ValueError(f"arc cylinder {c} does not sit over root {root!r}")
+        cyls.append(make_cylinder(graph, c.root, c.future))
 
     arc_values, mass_values, counts = [], [], []
     for m in range(n + 1):
         start = past[-1 - m]
         # mass of all m-step extensions = (L0^m psi)(start), by harmonicity
-        *_, vec = _frontiers(step, start, m)
+        *_, vec = _frontiers(family.successors, start, m)
         cnt = sum(vec.values())
         mass = math.fsum(w * family.psi_of(s) for s, w in sorted(vec.items()))
         # the fixed arc, pulled back m steps and re-expanded: the only

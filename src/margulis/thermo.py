@@ -235,9 +235,6 @@ class HarmonicFunction:
     method: str
     meta: dict = field(default_factory=dict)
 
-    def __getitem__(self, s: StateId) -> float:
-        return self.values[s]
-
 
 @dataclass
 class ResidualReport:
@@ -323,18 +320,18 @@ def harmonic_sarig(graph: ShiftGraph, a0: StateId, h: float, n_max: int,
     graph.check_state(a0)
     m0 = n_max // 2
     tables = count_words_to(graph, a0, n_max)
+    region = ball(graph, a0, radius + 1)
     sums: dict[StateId, NeumaierSum] = {}
     first_hit: dict[StateId, int] = {}
     for i, table in enumerate(tables):
         for s, z in table.items():
-            if z:
+            if z and s in region:
                 first_hit.setdefault(s, i)
                 if i > m0:
                     sums.setdefault(s, NeumaierSum()).add(exp_weighted(z, i, h))
     if a0 not in sums or sums[a0].value <= 0.0:
         raise ValueError(f"no loops at {a0!r} within n_max={n_max}; denominator is zero")
     den = sums[a0].value
-    region = ball(graph, a0, radius + 1)
     # a state whose first path into a0 is longer than the window start has a
     # transient prefix inside the window, contaminating its ratio: drop it
     values = {s: sums[s].value / den for s in sorted(region)

@@ -81,6 +81,21 @@ def test_measure_verify_rejects_bad_families(tmp_path):
     fam = tmp_path / "renewal.json"
     fam.write_text(json.dumps({"graph": renewal, "h": 0.6931471805599453, "psi": {"b": 1.0}}))
     assert run_cli("measure", "verify", "--family", str(fam)).returncode == 1
+    # a root psi does not cover is bad input, named as the constructor names it
+    for cmd in ("verify", "cylinder"):
+        r = run_cli("measure", cmd, "--family", str(fam), "--root", "l(3,1)")
+        assert r.returncode == 2
+        assert "error: psi has no value for state 'l(3,1)'" in r.stderr
+
+
+def test_measure_verify_depth_30_is_fast():
+    # the checks read (length, last state) classes: 2^31 - 1 and ~6.8e10
+    # futures are counted, not walked
+    for name in ("full-2", "renewal"):
+        r = subprocess.run([sys.executable, "-m", "margulis.cli", "measure", "verify",
+                            "--fixture", name, "--depth", "30"],
+                           capture_output=True, text=True, timeout=30)
+        assert r.returncode == 0, r.stderr
 
 
 def test_measure_verify_verdict_ignores_the_scale_of_psi(tmp_path):
@@ -110,6 +125,17 @@ def test_flags_only_where_read():
     assert len(flags) == 12 and all("--out" in f for f in flags.values())
     assert {c for c, f in flags.items() if "--seed" in f} == {("suite", "run"), ("torus", "verify")}
     assert {c for c, f in flags.items() if "--tol" in f} == {("measure", "verify")}
+
+
+def test_torus_verify_is_the_cat_suite():
+    args = ("--depth", "4", "--samples", "50", "--seed", "3")
+    tv = run_cli("torus", "verify", *args)
+    sr = run_cli("suite", "run", "--fixture", "cat", *args)
+    assert tv.returncode == sr.returncode == 0
+    assert tv.stdout == sr.stdout
+    r = run_cli("torus", "verify", "--map", "golden-mean")
+    assert r.returncode == 2
+    assert "invalid choice: 'golden-mean'" in r.stderr
 
 
 def test_suite_run_golden_mean(tmp_path):

@@ -147,10 +147,18 @@ def test_conformality_detects_perturbed_psi():
     assert rep.max_discrepancy > 1e-3
 
 
+def _psi_futures(family, root, depth):
+    """The futures the checks cover: every future to ``depth`` on states psi
+    covers."""
+    for fut in iter_cylinders(family.graph, root, depth):
+        if all(s in family.psi for s in fut):
+            yield fut
+
+
 def _checked_cylinders(family, root, depth):
     """Every (root, future) whose mass the checks read from the walk: each
     walked cylinder and its one-step refinements."""
-    for fut in iter_cylinders(family.graph, root, depth, family.psi):
+    for fut in _psi_futures(family, root, depth):
         yield root, fut
         last = fut[-1] if fut else root
         for s in family.graph.successors(last):
@@ -201,6 +209,84 @@ def test_renewal_conformality_checks_every_future():
     rep = conformality_check(get_fixture("renewal").family(), "b", 8)
     assert rep.passed
     assert rep.cylinders_checked == _renewal_futures(8) == 16074
+
+
+def test_checks_count_every_future_at_depth_30():
+    # classes keep the checks linear in depth: billions of futures, counted exactly
+    rep = conformality_check(get_fixture("renewal").family(), "b", 30)
+    assert rep.passed
+    assert rep.cylinders_checked == _renewal_futures(30) == 67_645_734_880
+    rep = conformality_check(get_fixture("full-2").family(), "0", 30)
+    assert rep.passed and rep.cylinders_checked == 2 ** 31 - 1
+
+
+# -- the word-by-word checks, kept as the reference the class-based ones match --
+
+def _word_conformality(family, root, depth, tol=1e-12):
+    graph, psi = family.graph, family.psi
+    worst, checked = 0.0, 0
+    for fut in _psi_futures(family, root, depth):
+        n, last = len(fut), fut[-1] if fut else root
+        succ = graph.successors(last)
+        if not all(s in psi for s in succ):
+            continue
+        total = math.fsum(measures._mass(family, n + 1, s) for s in succ)
+        disc = abs(total - measures._mass(family, n, last))
+        checked += 1
+        if disc > worst:
+            worst = disc
+    return worst, checked > 0 and worst < tol * family.psi_of(root), checked
+
+
+def _word_support(family, root, depth):
+    return all(measures._mass(family, len(fut), fut[-1] if fut else root) > 0.0
+               for fut in _psi_futures(family, root, depth))
+
+
+def _word_holonomy(family, root_a, root_b, depth):
+    worst, checked = 0.0, 0
+    for fut in _psi_futures(family, root_a, depth):
+        va = measures._mass(family, len(fut), fut[-1] if fut else root_a)
+        vb = measures._mass(family, len(fut), fut[-1] if fut else root_b)
+        checked += 1
+        if abs(va - vb) > worst:
+            worst = abs(va - vb)
+    return worst, checked > 0 and worst == 0.0, checked
+
+
+def _reference_cases():
+    from margulis.torus import builtin_partition, partition_family
+    cases = [(get_fixture(name).family(), get_fixture(name).base, get_fixture(name).base)
+             for name in ("full-2", "golden-mean", "renewal")]
+    full = get_fixture("full-2")
+    cases.append((full.family(), "0", "1"))
+    cases.append((make_family(full.graph(), LOG2, {"0": 1.0, "1": 1.3}), "0", "1"))
+    cat = partition_family(builtin_partition("cat-adler-weiss"))
+    cases += [(cat, root, root) for root in cat.graph.states]
+    cases.append((make_family(get_fixture("golden-mean").graph(), math.log(PHI),
+                              {"0": PHI * 1.01, "1": 1.0}), "0", "0"))
+    fx = get_fixture("renewal")
+    scaled = dict(fx.psi)
+    scaled["l(3,1)"] *= 1.3
+    cases += [(make_family(fx.graph(), LOG2, scaled), r, r) for r in ("b", "l(3,1)")]
+    short = {s: v for s, v in fx.psi.items() if s == "b" or int(s[2:-1].split(",")[0]) <= 10}
+    cases.append((make_family(fx.graph(), LOG2, short), "b", "b"))
+    return cases
+
+
+def test_class_checks_match_the_word_walk_bit_for_bit():
+    verdicts = set()
+    for family, root, other in _reference_cases():
+        for depth in range(1, 9):
+            con = conformality_check(family, root, depth)
+            assert (con.max_discrepancy, con.passed, con.cylinders_checked) \
+                == _word_conformality(family, root, depth), (root, depth)
+            assert support_check(family, root, depth) is _word_support(family, root, depth)
+            hol = symbolic_holonomy_check(family, root, other, depth)
+            assert (hol.max_discrepancy, hol.passed, hol.cylinders_checked) \
+                == _word_holonomy(family, root, other, depth), (root, depth)
+            verdicts.add(con.passed)
+    assert verdicts == {True, False}  # the cases include wrong families
 
 
 def test_conformality_detects_scaled_renewal_psi():

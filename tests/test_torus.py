@@ -274,6 +274,28 @@ def test_holonomy_invariance_within_and_cross(cat, cat_family):
     assert cross >= 5
 
 
+def test_holonomy_bracket_form_on_seeded_arcs(cat, cat_family):
+    # the form the measure brackets imply: each discrepancy lies within the
+    # combined truncation bound, and the bound does not grow with depth.  The
+    # first arc has d6 exactly 0 and d12 > 0, so a relative decay test
+    # d12 <= e^{-6h} d6 fails there while the brackets hold
+    arcs = [((0.5309401726529681, 0.14090019403949317), 0.2652108550275934,
+             (0.050220152637389104, 0.5106423464401804))]
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        base = rng.random(2)
+        arcs.append(((float(base[0]), float(base[1])), 0.1 + 0.3 * float(rng.random()),
+                     rng.random(2)))
+    for i, (base, length, target) in enumerate(arcs):
+        rep = holonomy_invariance_check(cat_family, cat, UnstableArc(base, 0.0, length),
+                                        target, depths=(6, 12))
+        (d6, d12), (b6, b12) = rep.discrepancies, rep.combined_bounds
+        assert d6 <= b6 and d12 <= b12, (base, length)
+        assert b12 <= b6, (base, length)
+        if i == 0:
+            assert d6 == 0.0 < d12
+
+
 def test_holonomy_invariance_check_rejects_no_depths(cat, cat_family):
     arc = UnstableArc((0.3, 0.4), 0.0, 0.1)
     with pytest.raises(ValueError, match="depths"):
