@@ -335,7 +335,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ValueError, KeyError, FileNotFoundError, SystemExit) as exc:
         if isinstance(exc, SystemExit) and exc.code in (0, 1, 2):
             raise
-        sys.stderr.write(f"error: {exc}\n")
+        # str() of a KeyError quotes its message; print the message itself
+        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        sys.stderr.write(f"error: {msg}\n")
         return USAGE_ERROR
     except StructuralViolation as exc:
         sys.stderr.write(f"structural violation: {exc}\n")

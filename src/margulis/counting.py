@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .graphs import ShiftGraph, StateId
 
@@ -44,11 +45,11 @@ class WeightedSumTrace:
         return self.partial_sums[-1]
 
 
-def _frontiers(step: Callable[[StateId], Sequence[StateId]], start: StateId,
-               n_max: int) -> Iterator[dict[StateId, int]]:
-    """For n = 0..n_max, the number of n-edge walks from ``start`` along
-    ``step`` ending at each state (states with no walk are absent)."""
-    frontier: dict[StateId, int] = {start: 1}
+def _frontiers(step: Callable[[StateId], Sequence[StateId]], frontier: Mapping[StateId, int],
+               n_max: int) -> Iterator[Mapping[StateId, int]]:
+    """For n = 0..n_max, the number of walks along ``step`` ending at each
+    state, weighted by ``frontier`` at their start: n-edge walks from a state
+    ``a`` when ``frontier`` is ``{a: 1}`` (states with no walk are absent)."""
     yield frontier
     for _ in range(n_max):
         nxt: dict[StateId, int] = {}
@@ -63,28 +64,50 @@ def count_words(graph: ShiftGraph, a: StateId, b: StateId, n_max: int) -> CountT
     """Dynamic programming over the lazily explored out-neighborhood of ``a``.
 
     Exact for every n <= n_max: all intermediate states of such words lie in
-    the explored region by construction.
+    the explored region by construction.  Not memoized, so per-pair calls on
+    a long-lived graph leave nothing behind on it.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     graph.check_state(a)
     graph.check_state(b)
-    return CountTable(a, b, [f.get(b, 0) for f in _frontiers(graph.successors, a, n_max)])
+    return CountTable(a, b, [f.get(b, 0) for f in _frontiers(graph.successors, {a: 1}, n_max)])
 
 
 def count_periodic(graph: ShiftGraph, a: StateId, n_max: int) -> CountTable:
-    """P_n(a): loops of n edges at ``a`` (periodic chains of period n)."""
-    return count_words(graph, a, a, n_max)
+    """P_n(a): loops of n edges at ``a`` (periodic chains of period n).
+
+    Read off :func:`count_words_to`, whose frontiers are memoized per graph
+    and target (O(n_max * frontier size) entries), so entropy, recurrence and
+    the Sarig solver on one graph share one DP into ``a``.
+    """
+    return CountTable(a, a, [t.get(a, 0) for t in count_words_to(graph, a, n_max)])
 
 
-def count_words_to(graph: ShiftGraph, target: StateId, n_max: int) -> list[dict[StateId, int]]:
-    """tables[n][s] = Z_n(s, target), via backward DP over predecessors.
+def count_words_to(graph: ShiftGraph, target: StateId, n_max: int) -> list[Mapping[StateId, int]]:
+    """tables[n][s] = Z_n(s, target) for n = 0..n_max, via backward DP over
+    predecessors.
 
     One pass serves every source state at once; used by the harmonic-function
-    constructions which need Z_n(R, a0) for all R in a ball.
+    constructions which need Z_n(R, a0) for all R in a ball, and by
+    :func:`count_periodic`.  The frontiers are memoized on the graph per
+    target and extended from the last stored one when a longer horizon is
+    asked for, so the memo holds O(n_max * frontier size) entries for the
+    life of the graph.  The tables are read-only views of the memo.
     """
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     graph.check_state(target)
-    return list(_frontiers(graph.predecessors, target, n_max))
+    tables = graph._into_memo.get(target, ())
+    if len(tables) <= n_max:
+        tables = tables or (MappingProxyType({target: 1}),)
+        more = _frontiers(graph.predecessors, tables[-1], n_max + 1 - len(tables))
+        next(more)  # the stored frontier it starts from
+        tables = (*tables, *map(MappingProxyType, more))
+        with graph._lock:
+            if len(graph._into_memo.get(target, ())) < len(tables):
+                graph._into_memo[target] = tables
+    return list(tables[:n_max + 1])
 
 
 def exp_weighted(count: int, n: int, h: float) -> float:

@@ -37,7 +37,9 @@ class ShiftGraph:
     explored through their successor/predecessor functions.  Explored
     neighborhoods are memoized under a lock so concurrent callers see
     bitwise-identical results.  A state is checked once, when its memo entry
-    is filled; a memo hit skips the check.
+    is filled; a memo hit skips the check.  ``_into_memo`` holds, per target,
+    the backward walk-count frontiers that ``counting.count_words_to`` fills
+    and extends under the same lock.
     """
 
     def __init__(
@@ -60,6 +62,7 @@ class ShiftGraph:
         self._state_set = frozenset(self._states or ())
         self._succ_memo: dict[StateId, tuple[StateId, ...]] = {}
         self._pred_memo: dict[StateId, tuple[StateId, ...]] = {}
+        self._into_memo: dict[StateId, tuple[Mapping[StateId, int], ...]] = {}
         self._lock = threading.Lock()
 
     # -- basic queries ------------------------------------------------------

@@ -114,7 +114,7 @@ def _classes(family: ConformalFamily, root: StateId, depth: int) -> Iterator[tup
     exp(-n h) psi(last) depends only on its class, so the checks read each
     class once instead of each word."""
     family.graph.check_state(root)
-    for n, frontier in enumerate(_frontiers(family.successors, root, depth)):
+    for n, frontier in enumerate(_frontiers(family.successors, {root: 1}, depth)):
         for last, count in frontier.items():
             yield n, last, count
 
@@ -236,7 +236,7 @@ def global_leaf_measure(family: ConformalFamily, past: Sequence[StateId],
     for m in range(n + 1):
         start = past[-1 - m]
         # mass of all m-step extensions = (L0^m psi)(start), by harmonicity
-        *_, vec = _frontiers(family.successors, start, m)
+        *_, vec = _frontiers(family.successors, {start: 1}, m)
         cnt = sum(vec.values())
         mass = math.fsum(w * family.psi_of(s) for s, w in sorted(vec.items()))
         # the fixed arc, pulled back m steps and re-expanded: the only

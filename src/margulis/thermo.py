@@ -320,25 +320,32 @@ def harmonic_sarig(graph: ShiftGraph, a0: StateId, h: float, n_max: int,
     graph.check_state(a0)
     m0 = n_max // 2
     tables = count_words_to(graph, a0, n_max)
-    region = ball(graph, a0, radius + 1)
-    sums: dict[StateId, NeumaierSum] = {}
-    first_hit: dict[StateId, int] = {}
-    for i, table in enumerate(tables):
-        for s, z in table.items():
-            if z and s in region:
-                first_hit.setdefault(s, i)
-                if i > m0:
-                    sums.setdefault(s, NeumaierSum()).add(exp_weighted(z, i, h))
-    if a0 not in sums or sums[a0].value <= 0.0:
-        raise ValueError(f"no loops at {a0!r} within n_max={n_max}; denominator is zero")
-    den = sums[a0].value
     # a state whose first path into a0 is longer than the window start has a
     # transient prefix inside the window, contaminating its ratio: drop it
-    values = {s: sums[s].value / den for s in sorted(region)
-              if s in sums and sums[s].value > 0.0 and first_hit[s] <= m0}
+    sums: dict[StateId, float] = {}
+    dropped = 0
+    for s in sorted(ball(graph, a0, radius + 1)):
+        acc = NeumaierSum()
+        first_hit = None
+        for i, table in enumerate(tables):
+            z = table.get(s, 0)
+            if z:
+                if first_hit is None:
+                    first_hit = i
+                if i > m0:
+                    acc.add(exp_weighted(z, i, h))
+        if first_hit is not None and first_hit > m0:
+            dropped += 1
+        elif acc.value > 0.0:
+            sums[s] = acc.value
+    if a0 not in sums:
+        raise ValueError(f"no loops at {a0!r} within n_max={n_max}; denominator is zero")
+    den = sums[a0]
+    values = {s: v / den for s, v in sums.items()}
     rep = check_harmonic(graph, values, h, center=a0, radius=radius, tol=math.inf)
     return HarmonicFunction(values, h, rep.max_residual, "sarig",
-                            meta={"a0": a0, "window": (m0 + 1, n_max), "radius": radius})
+                            meta={"a0": a0, "window": (m0 + 1, n_max), "radius": radius,
+                                  "dropped": dropped})
 
 
 def _adjacency(graph: ShiftGraph, states: Sequence[StateId]) -> tuple[dict[StateId, int], np.ndarray]:

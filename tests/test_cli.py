@@ -64,6 +64,14 @@ def test_measure_verify():
     assert payload["consistency_max_err"] == 0.0
 
 
+def test_unknown_state_message_is_unquoted():
+    r = run_cli("thermo", "harmonic", "--fixture", "renewal", "--method", "sarig",
+                "--base", "zzz", "--h", "0.6931471805599453", "--n", "60", "--radius", "6")
+    assert r.returncode == 2
+    assert r.stderr == "error: unknown state 'zzz'\n"
+    assert r.stdout == ""
+
+
 def test_measure_verify_rejects_bad_families(tmp_path):
     r = run_cli("measure", "verify", "--fixture", "renewal", "--root", "zzz")
     assert r.returncode == 2

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -10,7 +12,7 @@ from margulis.counting import (
     count_words_to,
     weighted_loop_sum,
 )
-from margulis.fixtures import get_fixture
+from margulis.fixtures import FIXTURES, get_fixture
 
 
 def brute_count(g, a, b, n):
@@ -108,6 +110,67 @@ def test_count_words_to_matches_forward():
         fwd = count_words(g, s, "b", 12).counts
         for i in range(13):
             assert tables[i].get(s, 0) == fwd[i]
+
+
+def test_negative_horizon_rejected():
+    g = get_fixture("renewal").graph()
+    with pytest.raises(ValueError, match="n_max must be >= 0"):
+        count_words_to(g, "b", -1)
+    with pytest.raises(ValueError, match="n_max must be >= 0"):
+        count_periodic(g, "b", -1)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_periodic_reads_the_backward_memo_exactly(name):
+    fx = get_fixture(name)
+    forward = count_words(fx.graph(), fx.base, fx.base, 60).counts
+    assert count_periodic(fx.graph(), fx.base, 60).counts == forward
+    # one graph whose memo is filled to 20, extended to 60, then read shorter
+    g = fx.graph()
+    for n in (20, 60, 10):
+        assert count_periodic(g, fx.base, n).counts == forward[:n + 1]
+    for n in range(61):
+        assert count_periodic(g, fx.base, n).counts == forward[:n + 1]
+
+
+def test_count_words_to_tables_are_read_only():
+    g = get_fixture("renewal").graph()
+    tables = count_words_to(g, "b", 12)
+    with pytest.raises(TypeError):
+        tables[3]["b"] = 0
+    with pytest.raises(TypeError):
+        del tables[0]["b"]
+    tables.clear()  # the returned list is the caller's own
+    again = count_words_to(g, "b", 12)
+    assert len(again) == 13
+    fresh = count_words_to(get_fixture("renewal").graph(), "b", 12)
+    assert [dict(t) for t in again] == [dict(t) for t in fresh]
+    assert again[3]["b"] == 4
+
+
+def test_concurrent_memo_extension_keeps_the_longest_horizon():
+    g = get_fixture("renewal").graph()
+    forward = count_words(get_fixture("renewal").graph(), "b", "b", 30).counts
+    results = []
+
+    def worker(horizons):
+        results.extend((n, count_periodic(g, "b", n).counts) for n in horizons)
+
+    threads = [threading.Thread(target=worker, args=(range(k, 31, 3),)) for k in range(8)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the memo extensions as finely as possible
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == sum(len(range(k, 31, 3)) for k in range(8))
+    assert all(counts == forward[:n + 1] for n, counts in results)
+    # a shorter extension stored last would have dropped frontiers
+    assert len(g._into_memo["b"]) == 31
 
 
 def test_weighted_sum_trivial_and_monotone():

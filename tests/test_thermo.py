@@ -2,8 +2,9 @@ import math
 
 import pytest
 
+from margulis.counting import NeumaierSum, count_words_to, exp_weighted
 from margulis.fixtures import PHI, get_fixture
-from margulis.graphs import build_finite_graph
+from margulis.graphs import ball, build_finite_graph
 from margulis.thermo import (
     RECURRENT,
     TRANSIENT_EVIDENCE,
@@ -202,6 +203,57 @@ def test_harmonic_sarig_zero_denominator():
     g = build_finite_graph(["0", "1"], [("0", "1"), ("1", "1")])
     with pytest.raises(ValueError, match="denominator"):
         harmonic_sarig(g, "0", LOG2, n_max=12)
+
+
+def test_harmonic_sarig_counts_dropped_states_on_renewal():
+    # l(m,j) first reaches b after m - j edges; the window drops the region
+    # states whose first hit lies past its start m0 but within n_max
+    n_max, radius = 40, 6
+    g = get_fixture("renewal").graph()
+    hs = harmonic_sarig(g, "b", LOG2, n_max=n_max, radius=radius)
+    m0 = n_max // 2
+    region = ball(g, "b", radius + 1)
+    expected = sum(1 for m in range(2, 65) for j in range(1, m)
+                   if f"l({m},{j})" in region and m0 < m - j <= n_max)
+    assert expected > 0
+    assert hs.meta["dropped"] == expected
+    assert not any(f"l({m},{j})" in hs.values for m in range(2, 65) for j in range(1, m)
+                   if m - j > m0)
+
+
+def _table_first_sarig(graph, a0, h, n_max, radius):
+    """The Sarig window loop table by table, kept as the reference the
+    state-first loop of harmonic_sarig matches."""
+    m0 = n_max // 2
+    tables = count_words_to(graph, a0, n_max)
+    region = ball(graph, a0, radius + 1)
+    sums, first_hit = {}, {}
+    for i, table in enumerate(tables):
+        for s, z in table.items():
+            if z and s in region:
+                first_hit.setdefault(s, i)
+                if i > m0:
+                    sums.setdefault(s, NeumaierSum()).add(exp_weighted(z, i, h))
+    den = sums[a0].value
+    values = {s: sums[s].value / den for s in sorted(region)
+              if s in sums and sums[s].value > 0.0 and first_hit[s] <= m0}
+    rep = check_harmonic(graph, values, h, center=a0, radius=radius, tol=math.inf)
+    dropped = sum(1 for i in first_hit.values() if i > m0)
+    return values, rep.max_residual, {"a0": a0, "window": (m0 + 1, n_max),
+                                      "radius": radius, "dropped": dropped}
+
+
+@pytest.mark.parametrize("name", ["renewal", "golden-mean", "full-2"])
+def test_harmonic_sarig_matches_the_table_first_loop_bit_for_bit(name):
+    fx = get_fixture(name)
+    for n_max in (12, 40, 80):
+        for radius in (2, 6, 8):
+            hs = harmonic_sarig(fx.graph(), fx.base, fx.entropy, n_max=n_max, radius=radius)
+            values, residual, meta = _table_first_sarig(fx.graph(), fx.base, fx.entropy,
+                                                        n_max, radius)
+            assert list(hs.values.items()) == list(values.items()), (n_max, radius)
+            assert hs.residual == residual
+            assert hs.meta == meta
 
 
 def test_harmonic_cyr_ladder():
