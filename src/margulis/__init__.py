@@ -3,13 +3,10 @@ conformal (Margulis) leaf measures, with a verified hyperbolic
 toral-automorphism model."""
 
 from .graphs import (
-    Cylinder,
     ShiftGraph,
     StructuralViolation,
-    Word,
     ball,
     build_graph,
-    graph_from_json,
     is_admissible,
     load_graph,
     validate_graph,
@@ -33,13 +30,10 @@ from .thermo import (
 )
 from .measures import (
     ConformalFamily,
-    CylinderMeasureValue,
     conformality_check,
     cylinder_measure,
-    cylinder_probability,
     global_leaf_measure,
     make_family,
-    periodic_ray_mass,
     support_check,
     symbolic_holonomy_check,
 )
@@ -72,7 +66,7 @@ from .torus import (
     validate_partition,
 )
 from .fixtures import FIXTURES, get_fixture
-from .report import Report, emit
+from .report import Report
 from .suite import SuiteConfig, run_suite
 
 __version__ = "0.1.0"

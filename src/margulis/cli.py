@@ -18,7 +18,7 @@ from . import measures, thermo
 from .counting import count_words
 from .fixtures import FIXTURES, get_fixture
 from .graphs import ShiftGraph, StructuralViolation, ball, build_graph, load_graph, validate_graph
-from .report import dump_json, emit, emit_csv, write_text
+from .report import dump_json, trace_csv, write_text
 from .suite import SuiteConfig, run_suite
 
 USAGE_ERROR = 2
@@ -52,11 +52,18 @@ def _load_family_arg(args) -> measures.ConformalFamily:
     if getattr(args, "family", None):
         with open(args.family, "r", encoding="utf-8") as fh:
             spec = json.load(fh)
+        if not isinstance(spec, dict):
+            raise ValueError(f"malformed family: expected a JSON object, got {type(spec).__name__}")
         if "fixture" in spec:
-            return get_fixture(spec["fixture"]).family()
-        graph = build_graph(spec["graph"])
-        return measures.make_family(graph, float(spec["h"]),
-                                    {str(k): float(v) for k, v in spec["psi"].items()})
+            return get_fixture(str(spec["fixture"])).family()
+        try:
+            graph = build_graph(spec["graph"])
+            return measures.make_family(graph, float(spec["h"]),
+                                        {str(k): float(v) for k, v in spec["psi"].items()})
+        except KeyError as exc:
+            raise ValueError(f'malformed family: lacks "{exc.args[0]}"') from None
+        except (TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed family: {exc}") from None
     raise SystemExit("one of --family FILE or --fixture NAME is required")
 
 
@@ -122,7 +129,7 @@ def _cmd_thermo_classify(args) -> int:
         }
     _emit_json(payload, args.out)
     if args.csv:
-        emit_csv(verdict.trace.partial_sums, args.csv)
+        write_text(trace_csv(verdict.trace.partial_sums), args.csv)
     return 0
 
 
@@ -154,13 +161,13 @@ def _cmd_thermo_harmonic(args) -> int:
 def _cmd_measure_cylinder(args) -> int:
     family = _load_family_arg(args)
     future = split_states(args.future) if args.future else []
-    val = measures.cylinder_measure(family, args.root, future)
+    value = measures.cylinder_measure(family, args.root, future)
     _emit_json({
         "root": args.root,
         "future": future,
-        "value": val.value,
-        "probability": val.value / family.psi_of(args.root),
-        "depth": val.depth,
+        "value": value,
+        "probability": value / family.psi_of(args.root),
+        "depth": len(future),
     }, args.out)
     return 0
 
@@ -212,7 +219,7 @@ def _cmd_suite_run(args) -> int:
     config = SuiteConfig(n_max=args.n, depth=args.depth, samples=args.samples,
                          seed=args.seed, threshold=args.threshold)
     report = run_suite(args.fixture, config)
-    emit(report, args.out)
+    write_text(report.to_json(), args.out)
     sys.stdout.write("\n".join(report.summary_lines()) + "\n")
     return report.exit_code
 

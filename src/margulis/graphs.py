@@ -116,53 +116,6 @@ class ShiftGraph:
 
 
 # ---------------------------------------------------------------------------
-# words and cylinders
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Word:
-    """A finite admissible path; ``edge_count`` is len(symbols) - 1."""
-
-    symbols: tuple[StateId, ...]
-
-    def __post_init__(self):
-        if not self.symbols:
-            raise ValueError("word must be nonempty")
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.symbols) - 1
-
-
-@dataclass(frozen=True)
-class Cylinder:
-    """Symbol at time 0 plus the future symbols at times 1..N (N may be 0)."""
-
-    root: StateId
-    future: tuple[StateId, ...] = ()
-
-    @property
-    def depth(self) -> int:
-        return len(self.future)
-
-    @property
-    def last(self) -> StateId:
-        return self.future[-1] if self.future else self.root
-
-
-def make_word(graph: ShiftGraph, symbols: Sequence[StateId]) -> Word:
-    if not is_admissible(graph, symbols):
-        raise ValueError(f"inadmissible word {list(symbols)!r}")
-    return Word(tuple(symbols))
-
-
-def make_cylinder(graph: ShiftGraph, root: StateId, future: Sequence[StateId]) -> Cylinder:
-    if not is_admissible(graph, [root, *future]):
-        raise ValueError(f"inadmissible cylinder ({root!r}; {list(future)!r})")
-    return Cylinder(root, tuple(future))
-
-
-# ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
 
@@ -373,27 +326,31 @@ GENERATORS: Mapping[str, Callable[..., ShiftGraph]] = {
 
 
 def build_graph(spec: Mapping) -> ShiftGraph:
-    """Build a graph from a parsed description (see the graph file format)."""
+    """Build a graph from a parsed description (see the graph file format);
+    raises ValueError for a malformed one."""
+    if not isinstance(spec, Mapping):
+        raise ValueError(f"malformed graph: expected a JSON object, got {type(spec).__name__}")
     kind = spec.get("kind")
-    if kind == "finite":
-        return build_finite_graph(
-            spec["states"],
-            [tuple(e) for e in spec["edges"]],
-            base=spec.get("base"),
-        )
-    if kind == "generator":
-        name = spec.get("name")
-        if name not in GENERATORS:
-            raise ValueError(f"unknown generator name {name!r}")
-        params = dict(spec.get("params", {}))
-        return GENERATORS[name](**params)
+    try:
+        if kind == "finite":
+            return build_finite_graph(
+                spec["states"],
+                [tuple(e) for e in spec["edges"]],
+                base=spec.get("base"),
+            )
+        if kind == "generator":
+            name = spec.get("name")
+            if name not in GENERATORS:
+                raise ValueError(f"unknown generator name {name!r}")
+            params = dict(spec.get("params", {}))
+            return GENERATORS[name](**params)
+    except KeyError as exc:
+        raise ValueError(f'malformed graph: lacks "{exc.args[0]}"') from None
+    except TypeError as exc:
+        raise ValueError(f"malformed graph: {exc}") from None
     raise ValueError(f"unknown graph kind {kind!r}")
-
-
-def graph_from_json(text: str) -> ShiftGraph:
-    return build_graph(json.loads(text))
 
 
 def load_graph(path: str) -> ShiftGraph:
     with open(path, "r", encoding="utf-8") as fh:
-        return graph_from_json(fh.read())
+        return build_graph(json.load(fh))

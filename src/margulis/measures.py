@@ -2,11 +2,10 @@
 
 Given a graph, an entropy value h, and a positive harmonic function psi (a
 finite table, checked once when the family is built), the measure of the
-cylinder with root R and future word (w_1..w_N) is exp(-N h) * psi(w_N);
-the associated probability divides by psi(R).  Because psi depends only on
-the current symbol, the family is indexed by (root, future) pairs alone;
-left-infinite pasts enter only through the extension sums of the global
-leaf trace.
+cylinder with root R and future word (w_1..w_N) is exp(-N h) * psi(w_N).
+Because psi depends only on the current symbol, the family is indexed by
+(root, future) pairs alone; left-infinite pasts enter only through the
+extension sums of the global leaf trace.
 
 Harmonicity of psi is exactly Kolmogorov consistency here: the children of a
 cylinder sum to their parent, and the verification routines below check that
@@ -21,25 +20,25 @@ from types import MappingProxyType
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .counting import _frontiers
-from .graphs import Cylinder, ShiftGraph, StateId, is_admissible, make_cylinder
+from .graphs import ShiftGraph, StateId, is_admissible
 
 
 @dataclass(frozen=True)
 class ConformalFamily:
-    """A graph, an entropy h > 0 and a finite psi table, checked once here:
-    every psi value is positive and covers every state of a finite graph.
-    ``psi`` is kept as a read-only copy."""
+    """A graph, an entropy h and a finite psi table, checked once here: h
+    and every psi value are positive and finite, and psi covers every state
+    of a finite graph.  ``psi`` is kept as a read-only copy."""
 
     graph: ShiftGraph
     h: float
     psi: Mapping[StateId, float]
 
     def __post_init__(self):
-        if self.h <= 0:
-            raise ValueError("h must be positive")
+        if not 0 < self.h < math.inf:
+            raise ValueError(f"h must be positive and finite; h = {self.h}")
         for s, v in self.psi.items():
-            if not v > 0:
-                raise ValueError(f"psi must be positive; psi({s!r}) = {v}")
+            if not 0 < v < math.inf:
+                raise ValueError(f"psi must be positive and finite; psi({s!r}) = {v}")
         if self.graph.is_finite:
             for s in self.graph.states:
                 self.psi_of(s)  # raises for a state psi misses
@@ -56,41 +55,25 @@ class ConformalFamily:
         the checks and the leaf traces take."""
         return [t for t in self.graph.successors(s) if t in self.psi]
 
-    def total_mass(self, root: StateId) -> float:
-        """Mass of the whole fiber over ``root``: psi(root)."""
-        return self.psi_of(root)
-
 
 def make_family(graph: ShiftGraph, h: float, psi: Mapping[StateId, float]) -> ConformalFamily:
-    """Freeze a conformal family; rejects h <= 0, nonpositive psi values and,
-    on a finite graph, a psi that misses a state."""
+    """Freeze a conformal family; rejects an h or a psi value that is not
+    positive and finite and, on a finite graph, a psi that misses a state."""
     return ConformalFamily(graph, h, psi)
 
 
-@dataclass
-class CylinderMeasureValue:
-    value: float
-    depth: int
-
-
 def cylinder_measure(family: ConformalFamily, root: StateId,
-                     future: Sequence[StateId] = ()) -> CylinderMeasureValue:
+                     future: Sequence[StateId] = ()) -> float:
     """mu([root; w_1..w_N]) = exp(-N h) psi(w_N); the empty future gives psi(root)."""
     if not is_admissible(family.graph, [root, *future]):
         raise ValueError(f"inadmissible cylinder ({root!r}; {list(future)!r})")
-    return CylinderMeasureValue(_mass(family, len(future), future[-1] if future else root),
-                                len(future))
+    return _mass(family, len(future), future[-1] if future else root)
 
 
 def _mass(family: ConformalFamily, n: int, last: StateId) -> float:
     """exp(-n h) psi(last), the mass of an admissible n-edge cylinder ending at
     ``last``; the caller vouches for admissibility."""
     return math.exp(-n * family.h) * family.psi_of(last)
-
-
-def cylinder_probability(family: ConformalFamily, root: StateId,
-                         future: Sequence[StateId] = ()) -> float:
-    return cylinder_measure(family, root, future).value / family.psi_of(root)
 
 
 def iter_cylinders(graph: ShiftGraph, root: StateId, depth: int) -> Iterator[tuple[StateId, ...]]:
@@ -197,70 +180,30 @@ def symbolic_holonomy_check(family: ConformalFamily, root_a: StateId,
 class LeafTrace:
     """Extension sums over re-extended pasts, for m = 0..n.
 
-    ``arc_values[m]``: total mass the m-step extensions of the truncated past
-    assign to the fixed arc; by conformality this telescopes to the arc's own
-    measure, so the sequence is constant up to rounding and equals the global
-    leaf measure of the arc.
-
     ``mass_values[m]``: total mass of all m-step extensions (the measure of
     the expanding union of their local leaves) = e^{m h} psi(past[-1-m]);
     nondecreasing, and unbounded along recurrent pasts.
     """
 
-    arc_values: list[float]
     mass_values: list[float]
     extension_counts: list[int]
 
 
-def global_leaf_measure(family: ConformalFamily, past: Sequence[StateId],
-                        arc: Sequence[Cylinder], n: int) -> LeafTrace:
-    """Increasing extension sums of the measures of a fixed arc of cylinders.
+def global_leaf_measure(family: ConformalFamily, past: Sequence[StateId], n: int) -> LeafTrace:
+    """Increasing extension sums of the local leaves over a truncated past.
 
     ``past`` is a truncated left chain ending at the root (past[-1] is the
-    symbol at time 0); ``arc`` is a set of sibling cylinders over that root.
-    Requires n <= len(past) - 1.
+    symbol at time 0).  Requires n <= len(past) - 1.
     """
-    graph = family.graph
-    if not is_admissible(graph, past):
+    if not is_admissible(family.graph, past):
         raise ValueError(f"inadmissible past {past!r}")
     if n > len(past) - 1:
         raise ValueError("n exceeds the available past length")
-    root = past[-1]
-    cyls: list[Cylinder] = []
-    for c in arc:
-        if c.root != root:
-            raise ValueError(f"arc cylinder {c} does not sit over root {root!r}")
-        cyls.append(make_cylinder(graph, c.root, c.future))
-
-    arc_values, mass_values, counts = [], [], []
+    mass_values, counts = [], []
     for m in range(n + 1):
         start = past[-1 - m]
         # mass of all m-step extensions = (L0^m psi)(start), by harmonicity
         *_, vec = _frontiers(family.successors, {start: 1}, m)
-        cnt = sum(vec.values())
-        mass = math.fsum(w * family.psi_of(s) for s, w in sorted(vec.items()))
-        # the fixed arc, pulled back m steps and re-expanded: the only
-        # m-extension whose leaf meets the arc is the original past, so the
-        # sum telescopes to e^{m h} mu([start; past-suffix . future]),
-        # admissible because past and arc are
-        av = math.fsum(math.exp(m * family.h) * _mass(family, m + c.depth, c.last)
-                       for c in cyls)
-        arc_values.append(av)
-        mass_values.append(mass)
-        counts.append(cnt)
-    return LeafTrace(arc_values, mass_values, counts)
-
-
-def periodic_ray_mass(family: ConformalFamily, loop: Sequence[StateId], k: int) -> float:
-    """Mass e^{k L h} psi(a) accumulated after k traversals of a loop at a.
-
-    Unbounded in k for any loop, which is the symbolic form of the infinite
-    measure of rays in periodic leaves.
-    """
-    loop = list(loop)
-    if len(loop) < 2 or loop[0] != loop[-1] or not is_admissible(family.graph, loop):
-        raise ValueError(f"not an admissible loop: {loop!r}")
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    L = len(loop) - 1
-    return math.exp(k * L * family.h) * family.psi_of(loop[0])
+        counts.append(sum(vec.values()))
+        mass_values.append(math.fsum(w * family.psi_of(s) for s, w in sorted(vec.items())))
+    return LeafTrace(mass_values, counts)

@@ -69,17 +69,8 @@ def write_text(text: str, path: Optional[str]) -> str:
     return text
 
 
-def emit(report: Report, path: Optional[str]) -> str:
-    """Write the report as byte-stable JSON; returns the serialized text."""
-    return write_text(report.to_json(), path)
-
-
 def trace_csv(partial_sums: Sequence[float]) -> str:
     lines = ["n,partial_sum"]
     for n, s in enumerate(partial_sums):
         lines.append(f"{n},{s!r}")
     return "\n".join(lines) + "\n"
-
-
-def emit_csv(partial_sums: Sequence[float], path: str) -> None:
-    write_text(trace_csv(partial_sums), path)

@@ -11,8 +11,8 @@ the classical two-parallelogram dissection: the two boxes of the golden
 natural-extension domain are refined into the five connected components of
 their one-step pullback intersections, which turns the multiplicity matrix
 [[2,1],[1,1]] into an ordinary 0/1 transition graph with the same spectral
-radius.  Its coordinates are exact in Q[sqrt(5)] and evaluated to floats at
-load time.
+radius.  Its coordinates are Q[sqrt(5)] closed forms times the length of
+(1, 1/phi), shipped as float literals and validated on every load.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import InitVar, dataclass, field
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -38,36 +37,6 @@ _MAX_ARC_LEN = 64.0       # longest arc the coordinate solver brackets
 _RAY_SEED_LEN = 0.3       # length of the seed segment of a periodic ray
 _MAX_RAY_PERIOD = 12      # longest period searched for a ray's base point
 _FIBER_BOUNDARY_POINTS = 24
-
-
-# ---------------------------------------------------------------------------
-# exact quadratic numbers a + b sqrt(5)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Q5:
-    """Element a + b*sqrt(5) of Q[sqrt(5)], with exact rational a, b."""
-
-    a: Fraction
-    b: Fraction = Fraction(0)
-
-    @staticmethod
-    def of(a, b=0) -> "Q5":
-        return Q5(Fraction(a), Fraction(b))
-
-    def __sub__(self, o: "Q5") -> "Q5":
-        return Q5(self.a - o.a, self.b - o.b)
-
-    def __mul__(self, o: "Q5") -> "Q5":
-        return Q5(self.a * o.a + 5 * self.b * o.b, self.a * o.b + self.b * o.a)
-
-    def __float__(self) -> float:
-        return float(self.a) + float(self.b) * math.sqrt(5.0)
-
-
-_Q0 = Q5.of(0)
-_Q1 = Q5.of(1)
-_S5 = Q5.of(0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -360,31 +329,19 @@ def make_partition(auto: TorusAutomorphism, rectangles: Sequence[Rectangle]) -> 
 # the shipped cat partition
 # ---------------------------------------------------------------------------
 
-def _cat_exact_data() -> tuple[list[tuple[str, Q5, Q5]], list[Q5], list[Q5]]:
-    """Exact strip data (id, x_lo, y_hi) of the golden natural-extension boxes.
-
-    x-cuts in Q[sqrt5]: 0 < sqrt5-2 < (3-sqrt5)/2 < (sqrt5-1)/2 < 3-sqrt5 < 1;
-    strips over the first three carry height 1, the last two height
-    (sqrt5-1)/2 = 1/phi.
-    """
-    half = Fraction(1, 2)
-    x = [
-        _Q0,
-        _S5 - Q5.of(2),                      # 1/(phi*beta)
-        Q5(Fraction(3, 2), -half),           # 1/beta
-        Q5(-half, half),                     # 1/phi
-        Q5.of(3) - _S5,                      # 2/beta
-        _Q1,
-    ]
-    one_over_phi = Q5(-half, half)
-    heights = [_Q1, _Q1, _Q1, one_over_phi, one_over_phi]
-    strips = [(f"R{k + 1}", x[k], heights[k]) for k in range(5)]
-    widths = [x[k + 1] - x[k] for k in range(5)]
-    return strips, widths, x
+# (id, corner u, u_extent, s_extent) of the five strips, corners at s = 0:
+# repr literals of Q[sqrt5] closed forms times |v_u|, pinned by the tests
+_CAT_RECTANGLES = (
+    ("R1", 0.0, 0.2008114158862273, 1.3763819204711738),
+    ("R2", 0.2008114158862273, 0.12410828034667895, 1.3763819204711738),
+    ("R3", 0.3249196962329063, 0.2008114158862273, 1.3763819204711738),
+    ("R4", 0.5257311121191337, 0.12410828034667895, 0.8506508083520399),
+    ("R5", 0.6498393924658126, 0.2008114158862273, 0.8506508083520399),
+)
 
 
 def builtin_partition(name: str) -> MarkovPartition:
-    """Named partitions shipped with the package.
+    """Named partitions shipped with the package, validated on every load.
 
     ``cat-adler-weiss``: five-parallelogram refinement of the classical
     two-box partition for [[2,1],[1,1]].
@@ -392,19 +349,8 @@ def builtin_partition(name: str) -> MarkovPartition:
     if name != "cat-adler-weiss":
         raise ValueError(f"unknown builtin partition {name!r}")
     auto = make_automorphism([[2, 1], [1, 1]])
-    strips, widths, _ = _cat_exact_data()
-    # G maps the natural-extension box to the torus; its axis images are
-    # kappa_u * v_u and kappa_s * (-1/phi, 1) with exact Q[sqrt5] factors.
-    ten = Fraction(10)
-    kappa_u = Q5(Fraction(5) / ten, Fraction(1) / ten)      # phi/sqrt5
-    kappa_s = Q5(Fraction(5) / ten, Fraction(3) / ten)      # (5+3*sqrt5)/10
-    vu_len = math.hypot(1.0, float(Q5(Fraction(-1, 2), Fraction(1, 2))))  # |(1, 1/phi)|
-    rectangles = []
-    for (sid, x_lo, y_hi), width in zip(strips, widths):
-        corner_u = float(x_lo * kappa_u) * vu_len
-        u_ext = float(width * kappa_u) * vu_len
-        s_ext = float(y_hi * kappa_s) * vu_len
-        rectangles.append(Rectangle(sid, (corner_u, 0.0), u_ext, s_ext))
+    rectangles = [Rectangle(sid, (u, 0.0), u_ext, s_ext)
+                  for sid, u, u_ext, s_ext in _CAT_RECTANGLES]
     return make_partition(auto, rectangles)
 
 

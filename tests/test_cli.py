@@ -3,7 +3,9 @@ import json
 import subprocess
 import sys
 
-from margulis.cli import build_parser
+import pytest
+
+from margulis.cli import build_parser, main
 
 
 def run_cli(*args):
@@ -94,6 +96,37 @@ def test_measure_verify_rejects_bad_families(tmp_path):
         r = run_cli("measure", cmd, "--family", str(fam), "--root", "l(3,1)")
         assert r.returncode == 2
         assert "error: psi has no value for state 'l(3,1)'" in r.stderr
+
+
+GOLDEN = {"kind": "finite", "states": ["0", "1"], "edges": [["0", "0"], ["0", "1"], ["1", "0"]]}
+
+
+@pytest.mark.parametrize("command,text", [
+    pytest.param("shift validate --graph", "[1, 2]", id="graph-list"),
+    pytest.param("shift validate --graph",
+                 '{"kind": "generator", "name": "renewal", "params": {"bogus": 1}}',
+                 id="graph-unknown-param"),
+    pytest.param("shift validate --graph",
+                 '{"kind": "generator", "name": "renewal", "params": {"max_len": "x"}}',
+                 id="graph-string-param"),
+    pytest.param("measure verify --family",
+                 json.dumps({"graph": GOLDEN, "h": 0.48, "psi": [1]}), id="family-psi-list"),
+    pytest.param("measure verify --family",
+                 json.dumps({"graph": GOLDEN, "h": None, "psi": {"0": 1.6, "1": 1.0}}),
+                 id="family-h-null"),
+    pytest.param("measure verify --family", json.dumps([GOLDEN]), id="family-list"),
+    # Python's json reads NaN; a NaN h would pass every discrepancy test
+    pytest.param("measure verify --family",
+                 '{"graph": %s, "h": NaN, "psi": {"0": 1.6, "1": 1.0}}' % json.dumps(GOLDEN),
+                 id="family-h-nan"),
+])
+def test_malformed_input_file_exits_2(tmp_path, capsys, command, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    assert main([*command.split(), str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_measure_verify_depth_30_is_fast():

@@ -10,10 +10,7 @@ from margulis.graphs import (
     ball,
     build_finite_graph,
     build_graph,
-    graph_from_json,
     is_admissible,
-    make_cylinder,
-    make_word,
     validate_graph,
 )
 
@@ -153,25 +150,13 @@ def test_is_admissible():
         is_admissible(g, [])
 
 
-def test_word_and_cylinder_validation():
-    g = golden()
-    w = make_word(g, ["0", "1", "0"])
-    assert w.edge_count == 2
-    with pytest.raises(ValueError):
-        make_word(g, ["1", "1"])
-    c = make_cylinder(g, "0", ["1", "0"])
-    assert c.depth == 2 and c.last == "0"
-    with pytest.raises(ValueError):
-        make_cylinder(g, "1", ["1"])
-
-
 def test_json_round_trip_and_file_format():
     spec = {"kind": "finite", "states": ["0", "1"],
             "edges": [["0", "0"], ["0", "1"], ["1", "0"]]}
-    g = graph_from_json(json.dumps(spec))
+    g = build_graph(json.loads(json.dumps(spec)))
     assert g.successors("0") == ("0", "1")
-    gen = graph_from_json(json.dumps({"kind": "generator", "name": "full",
-                                      "params": {"symbols": 3}}))
+    gen = build_graph(json.loads(json.dumps({"kind": "generator", "name": "full",
+                                             "params": {"symbols": 3}})))
     assert len(gen.states) == 3
 
 

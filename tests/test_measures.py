@@ -1,20 +1,19 @@
+import json
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from margulis import measures
+from margulis import cli, measures
 from margulis.fixtures import PHI, RENEWAL_MAX_LEN, get_fixture
-from margulis.graphs import Cylinder, ball, build_graph
+from margulis.graphs import ball, build_graph
 from margulis.measures import (
     ConsistencyReport,
     conformality_check,
     cylinder_measure,
-    cylinder_probability,
     global_leaf_measure,
     iter_cylinders,
     make_family,
-    periodic_ray_mass,
     support_check,
     symbolic_holonomy_check,
 )
@@ -27,9 +26,9 @@ def golden_family():
 
 
 def test_make_family_total_masses():
-    assert golden_family().total_mass("0") == pytest.approx(PHI)
-    assert get_fixture("full-2").family().total_mass("1") == 1.0
-    assert get_fixture("renewal").family().total_mass("b") == 1.0
+    assert golden_family().psi_of("0") == pytest.approx(PHI)
+    assert get_fixture("full-2").family().psi_of("1") == 1.0
+    assert get_fixture("renewal").family().psi_of("b") == 1.0
 
 
 def test_make_family_rejects_nonpositive_psi():
@@ -84,10 +83,20 @@ def test_check_on_zero_cylinders_fails():
     assert not rep.passed
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_make_family_rejects_non_finite_h_and_psi(bad):
+    # a NaN h made every discrepancy NaN, which no "disc > worst" test records
+    g = get_fixture("golden-mean").graph()
+    with pytest.raises(ValueError, match="h must be positive and finite"):
+        make_family(g, bad, {"0": PHI, "1": 1.0})
+    with pytest.raises(ValueError, match="psi must be positive and finite"):
+        make_family(g, math.log(PHI), {"0": bad, "1": 1.0})
+
+
 def test_cylinder_measure_golden_identities():
     fam = golden_family()
-    m0 = cylinder_measure(fam, "0", ["0"]).value
-    m1 = cylinder_measure(fam, "0", ["1"]).value
+    m0 = cylinder_measure(fam, "0", ["0"])
+    m1 = cylinder_measure(fam, "0", ["1"])
     assert m0 == pytest.approx(1.0, abs=1e-15)          # e^-h phi = 1
     assert m1 == pytest.approx(1.0 / PHI, abs=1e-15)
     assert m0 + m1 == pytest.approx(PHI, abs=1e-15)     # children sum to psi(0)
@@ -96,20 +105,18 @@ def test_cylinder_measure_golden_identities():
 def test_cylinder_measure_full_shift():
     fam = get_fixture("full-2").family()
     for fut in (["0"], ["0", "1"], ["1", "1", "0"]):
-        assert cylinder_measure(fam, "0", fut).value == pytest.approx(0.5 ** len(fut))
+        assert cylinder_measure(fam, "0", fut) == pytest.approx(0.5 ** len(fut))
 
 
 def test_cylinder_measure_renewal_loop():
     fam = get_fixture("renewal").family()
     v = cylinder_measure(fam, "b", ["l(3,1)", "l(3,2)", "b"])
-    assert v.value == pytest.approx(1 / 8, abs=1e-16)
-    assert v.depth == 3
+    assert v == pytest.approx(1 / 8, abs=1e-16)
 
 
 def test_cylinder_measure_empty_future():
     fam = golden_family()
-    v = cylinder_measure(fam, "0")
-    assert v.value == pytest.approx(PHI) and v.depth == 0
+    assert cylinder_measure(fam, "0") == pytest.approx(PHI)
 
 
 def test_cylinder_measure_inadmissible():
@@ -117,18 +124,23 @@ def test_cylinder_measure_inadmissible():
         cylinder_measure(golden_family(), "1", ["1"])
 
 
-def test_cylinder_probability():
-    fam = golden_family()
-    p0 = cylinder_probability(fam, "0", ["0"])
-    p1 = cylinder_probability(fam, "0", ["1"])
+def test_cylinder_probability(capsys):
+    # the probability mu(cylinder) / psi(root) and the depth N are the CLI's
+    def measure(fixture, root, future):
+        assert cli.main(["measure", "cylinder", "--fixture", fixture, "--root", root,
+                         "--future", future]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    c0, c1 = measure("golden-mean", "0", "0"), measure("golden-mean", "0", "1")
+    p0, p1 = c0["probability"], c1["probability"]
     assert p0 == pytest.approx(1 / PHI, abs=1e-15)
     assert p1 == pytest.approx(1 / PHI ** 2, abs=1e-15)
     assert p0 + p1 == pytest.approx(1.0, abs=1e-15)
-    full = get_fixture("full-2").family()
-    assert cylinder_probability(full, "1", ["0", "0", "1"]) == pytest.approx(0.125)
-    renewal = get_fixture("renewal").family()
-    assert cylinder_probability(renewal, "b", ["l(4,1)", "l(4,2)", "l(4,3)", "b"]) \
-        == pytest.approx(2.0 ** -4)
+    assert measure("golden-mean", "0", "")["depth"] == 0
+    full = measure("full-2", "1", "0,0,1")
+    assert full["probability"] == pytest.approx(0.125) and full["depth"] == 3
+    renewal = measure("renewal", "b", "l(4,1),l(4,2),l(4,3),b")
+    assert renewal["probability"] == pytest.approx(2.0 ** -4) and renewal["depth"] == 4
 
 
 @pytest.mark.parametrize("name,depth", [("golden-mean", 6), ("full-2", 8), ("renewal", 6)])
@@ -189,7 +201,7 @@ def test_walk_masses_equal_cylinder_measure(name, monkeypatch):
         assert support_check(family, root, 6)
         assert symbolic_holonomy_check(family, root, root, 6).passed
     monkeypatch.undo()
-    expected = {(len(fut), fut[-1] if fut else r): cylinder_measure(family, r, fut).value
+    expected = {(len(fut), fut[-1] if fut else r): cylinder_measure(family, r, fut)
                 for root in roots for r, fut in _checked_cylinders(family, root, 6)}
     assert len(expected) > 10
     assert read == expected
@@ -331,9 +343,9 @@ def test_kolmogorov_consistency_random_cylinders(index):
     fam = golden_family()
     futures = [fut for fut in iter_cylinders(fam.graph, "0", 6)]
     fut = futures[index % len(futures)]
-    parent = cylinder_measure(fam, "0", fut).value
+    parent = cylinder_measure(fam, "0", fut)
     last = fut[-1] if fut else "0"
-    children = sum(cylinder_measure(fam, "0", fut + (s,)).value
+    children = sum(cylinder_measure(fam, "0", fut + (s,))
                    for s in fam.graph.successors(last))
     assert children == pytest.approx(parent, abs=1e-12)
 
@@ -342,10 +354,7 @@ def test_kolmogorov_consistency_random_cylinders(index):
 
 def test_global_leaf_full_shift_constant_arc_trace():
     fam = get_fixture("full-2").family()
-    # arc = everything over the root: both roots' unit cylinders
-    arc = [Cylinder("0", ())]
-    tr = global_leaf_measure(fam, ["0", "0", "0", "0"], arc, 3)
-    assert tr.arc_values == pytest.approx([1.0, 1.0, 1.0, 1.0], abs=1e-12)
+    tr = global_leaf_measure(fam, ["0", "0", "0", "0"], 3)
     assert tr.extension_counts == [1, 2, 4, 8]
     # e^{mh} psi plays against 2^m extensions: mass trace grows
     assert tr.mass_values == pytest.approx([1.0, 2.0, 4.0, 8.0], abs=1e-12)
@@ -353,10 +362,7 @@ def test_global_leaf_full_shift_constant_arc_trace():
 
 def test_global_leaf_golden_nondecreasing():
     fam = golden_family()
-    arc = [Cylinder("0", ())]
-    tr = global_leaf_measure(fam, ["0", "0", "0", "0"], arc, 3)
-    for a, b in zip(tr.arc_values, tr.arc_values[1:]):
-        assert b >= a - 1e-12
+    tr = global_leaf_measure(fam, ["0", "0", "0", "0"], 3)
     for a, b in zip(tr.mass_values, tr.mass_values[1:]):
         assert b >= a - 1e-12
     # extensions counted by admissible words into the truncated past
@@ -364,11 +370,21 @@ def test_global_leaf_golden_nondecreasing():
     assert tr.extension_counts[1] == 2   # 0->0, 0->1
 
 
+def test_global_leaf_mass_reads_the_past_backwards():
+    # the m-step extensions start at past[-1 - m]; on a non-constant past a
+    # wrong index reads the wrong psi
+    fam = golden_family()
+    past = ["0", "1", "0", "0", "1", "0"]
+    tr = global_leaf_measure(fam, past, len(past) - 1)
+    for m, mass in enumerate(tr.mass_values):
+        assert mass == pytest.approx(PHI ** m * fam.psi_of(past[-1 - m]), rel=1e-12)
+
+
 def test_global_leaf_renewal_mass_grows_unboundedly():
     fam = get_fixture("renewal").family()
     k = 6
     past = ["b"] * (k + 1)
-    tr = global_leaf_measure(fam, past, [Cylinder("b", ())], k)
+    tr = global_leaf_measure(fam, past, k)
     for m in range(k + 1):
         assert tr.mass_values[m] == pytest.approx(2.0 ** m, rel=1e-9)
 
@@ -376,18 +392,6 @@ def test_global_leaf_renewal_mass_grows_unboundedly():
 def test_global_leaf_rejects_inadmissible_past():
     fam = golden_family()
     with pytest.raises(ValueError, match="inadmissible past"):
-        global_leaf_measure(fam, ["1", "1", "0"], [Cylinder("0", ())], 1)
+        global_leaf_measure(fam, ["1", "1", "0"], 1)
     with pytest.raises(ValueError, match="past length"):
-        global_leaf_measure(fam, ["0", "0"], [Cylinder("0", ())], 5)
-
-
-def test_periodic_ray_mass():
-    full = get_fixture("full-2").family()
-    assert periodic_ray_mass(full, ["0", "0"], 10) == pytest.approx(2.0 ** 10)
-    golden = golden_family()
-    # two-edge loop at 0, five traversals: e^{5*2*h} psi(0) = phi^11
-    assert periodic_ray_mass(golden, ["0", "0", "0"], 5) == pytest.approx(PHI ** 11, rel=1e-12)
-    assert periodic_ray_mass(golden, ["0", "1", "0"], 5) == pytest.approx(PHI ** 11, rel=1e-12)
-    assert periodic_ray_mass(golden, ["0", "0"], 0) == pytest.approx(PHI)
-    with pytest.raises(ValueError, match="loop"):
-        periodic_ray_mass(golden, ["0", "1"], 2)
+        global_leaf_measure(fam, ["0", "0"], 5)

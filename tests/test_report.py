@@ -2,12 +2,12 @@ import json
 import subprocess
 import sys
 
-from margulis.report import Report, emit, trace_csv
+from margulis.report import Report, trace_csv, write_text
 
 
 def test_empty_report_is_valid_json(tmp_path):
     rep = Report("empty")
-    text = emit(rep, str(tmp_path / "r.json"))
+    text = write_text(rep.to_json(), str(tmp_path / "r.json"))
     payload = json.loads(text)
     assert payload["entries"] == []
     assert payload["exit_code"] == 0
@@ -16,8 +16,8 @@ def test_empty_report_is_valid_json(tmp_path):
 def test_emit_identical_bytes(tmp_path):
     rep = Report("s", environment={"seed": 1})
     rep.check_leq("a", 0.5, 1.0)
-    a = emit(rep, str(tmp_path / "a.json"))
-    b = emit(rep, str(tmp_path / "b.json"))
+    a = write_text(rep.to_json(), str(tmp_path / "a.json"))
+    b = write_text(rep.to_json(), str(tmp_path / "b.json"))
     assert a == b
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 

@@ -113,6 +113,18 @@ def test_geometric_tail_detected():
     assert v.limit_estimate == pytest.approx(exact, abs=1e-6)
 
 
+def test_geometric_tail_is_added_to_the_partial_sum():
+    # golden mean at h = 1: the loop series at 0 sums to 1/(1 - e^-1 - e^-2);
+    # at n = 20 the fitted tail is ~3.3e-5, far above the tolerance, so an
+    # estimate that drops or subtracts it fails
+    g = get_fixture("golden-mean").graph()
+    v = classify_recurrence(g, "0", 1.0, 20, threshold=15.0)
+    assert v.verdict == TRANSIENT_EVIDENCE
+    assert v.tail.tail_sum > 1e-5
+    exact = 1.0 / (1.0 - math.exp(-1.0) - math.exp(-2.0))
+    assert v.limit_estimate == pytest.approx(exact, abs=1e-8)
+
+
 def test_fit_tail_too_few_terms():
     assert fit_tail([1.0, 0.5, 0.25], 1.75) is None
 

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -96,6 +97,26 @@ def test_builtin_partition_validates(cat):
     assert rep.ok
     assert rep.area_total == pytest.approx(1.0, abs=1e-12)
     assert rep.max_u_cross_err < 1e-9 and rep.max_s_fit_err < 1e-9
+
+
+def test_builtin_partition_literals_match_closed_forms(cat):
+    # corner and u_extent: x-cuts times kappa_u |v_u|; s_extent: heights times
+    # kappa_s |v_u|, with kappa_u = phi/sqrt5 and kappa_s = (5+3 sqrt5)/10 in
+    # Q[sqrt5] and |v_u| = sqrt(1 + phi^-2)
+    mp = mpmath.mp.clone()  # a private 50-digit context
+    mp.dps = 50
+    s5 = mp.sqrt(5)
+    phi = (1 + s5) / 2
+    vu = mp.sqrt(1 + phi ** -2)
+    kappa_u, kappa_s = phi / s5, (5 + 3 * s5) / 10
+    x = [0, s5 - 2, (3 - s5) / 2, (s5 - 1) / 2, 3 - s5, 1]
+    y = [1, 1, 1, 1 / phi, 1 / phi]
+    for k, r in enumerate(cat.rectangles):
+        assert r.id == f"R{k + 1}" and r.corner[1] == 0.0
+        for literal, exact in ((r.corner[0], x[k] * kappa_u * vu),
+                               (r.u_extent, (x[k + 1] - x[k]) * kappa_u * vu),
+                               (r.s_extent, y[k] * kappa_s * vu)):
+            assert abs(mp.mpf(literal) - exact) <= 8 * math.ulp(literal)
 
 
 def test_builtin_partition_unknown_name():
