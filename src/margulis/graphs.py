@@ -240,10 +240,12 @@ def _renewal_graph(max_len: int = 64) -> ShiftGraph:
 
     The length-n loop (n >= 2) passes through fresh states l(n,1)..l(n,n-1).
     ``max_len`` truncates the loop family; every count of words with at most
-    ``max_len`` edges agrees exactly with the untruncated graph.
+    ``max_len`` edges agrees exactly with the untruncated graph.  It is at
+    most ``_PATH_CAP + 1``, so every state reaches ``b`` within the
+    ``_PATH_CAP`` edges that ``validate_graph`` searches.
     """
-    if max_len < 2:
-        raise ValueError("renewal needs max_len >= 2")
+    if not 2 <= max_len <= _PATH_CAP + 1:
+        raise ValueError(f"renewal needs 2 <= max_len <= {_PATH_CAP + 1}; got {max_len}")
 
     def parse(s: StateId) -> Optional[tuple[int, int]]:
         if s.startswith("l(") and s.endswith(")"):

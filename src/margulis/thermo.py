@@ -150,8 +150,6 @@ def fit_tail(terms: Sequence[float], total: float) -> Optional[TailFit]:
     if len(ts) < 8:
         return None
     K = max(min(20, len(ts) // 2), 6)
-    if K >= len(ts):
-        K = len(ts) - 1
     J = len(ts) - 1  # last index in the nonzero subsequence
     win = ts[-(K + 2):]
     rho = _richardson_rho(win, start=len(ts) - len(win))

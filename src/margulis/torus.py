@@ -657,6 +657,66 @@ class ArcMeasure:
         return 0.5 * (self.outer - self.inner)
 
 
+def _walk_cover(family: ConformalFamily, p: MarkovPartition, arc: UnstableArc, depth: int,
+                target: float) -> tuple[ArcMeasure, Optional[float]]:
+    """Walk the depth-``depth`` cylinder cover of ``arc`` in arc order.
+
+    The cover rule: within each plaque segment, a cylinder that the arc
+    covers to within 1e-12 is whole and adds its mass to inner and outer; a
+    cut cylinder is descended into its children (pieces of 1e-15 or less are
+    skipped), and at depth 0 it is a boundary cylinder that adds its mass to
+    outer only, so ``value`` counts it half.
+
+    The walk stops at the first arc parameter where the running value
+    reaches ``target`` and returns it with the measure walked so far; a whole
+    cylinder is descended only when its mass would reach the target.  With
+    ``target = inf`` it walks the full cover and returns None.
+    """
+    lam_u = p.auto.lam_u
+    wh = math.exp(-family.h)
+    rects, children, psi_of = p.by_id, p.children, family.psi_of
+    inner = outer = 0.0
+    boundary = 0
+
+    def visit(rid: StateId, lo: float, hi: float, d: int, weight: float) -> Optional[float]:
+        # the stop's coordinate on this cylinder's unstable side, or None
+        nonlocal inner, outer, boundary
+        ext = rects[rid].u_extent
+        lo, hi = max(lo, 0.0), min(hi, ext)
+        m = weight * psi_of(rid)
+        whole = hi - lo >= ext - 1e-12
+        if whole and 0.5 * (inner + outer) + m < target:
+            inner += m
+            outer += m
+            return None
+        if d == 0:
+            if 0.5 * (inner + outer + m) >= target:
+                return lo
+            if whole:
+                return hi
+            outer += m
+            boundary += 1
+            return None
+        for b, (c_lo, c_w) in children[rid].items():
+            c_hi = c_lo + c_w
+            ov_lo, ov_hi = max(lo, c_lo), min(hi, c_hi)
+            if ov_hi - ov_lo > 1e-15:
+                y = visit(b, (ov_lo - c_lo) * lam_u, (ov_hi - c_lo) * lam_u, d - 1, weight * wh)
+                if y is not None:
+                    return c_lo + y / lam_u
+        # the children stayed below the target: the cylinder reaches it once whole
+        return hi if whole else None
+
+    segs = _plaque_segments(p, arc)
+    stop = None
+    for rid, lo, hi, t_lo in segs:
+        y = visit(rid, lo, hi, depth, 1.0)
+        if y is not None:
+            stop = (t_lo - lo) + y
+            break
+    return ArcMeasure(inner, outer, depth, boundary, len(segs)), stop
+
+
 def leaf_arc_measure(family: ConformalFamily, p: MarkovPartition, arc: UnstableArc,
                      depth: int) -> ArcMeasure:
     """Measure of an unstable arc via depth-limited cylinder covers.
@@ -668,35 +728,7 @@ def leaf_arc_measure(family: ConformalFamily, p: MarkovPartition, arc: UnstableA
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    lam_u = p.auto.lam_u
-    wh = math.exp(-family.h)
-    acc = {"inner": 0.0, "outer": 0.0, "boundary": 0}
-
-    def descend(rid: StateId, lo: float, hi: float, d: int, weight: float) -> None:
-        r = p.rect(rid)
-        lo, hi = max(lo, 0.0), min(hi, r.u_extent)
-        if hi - lo <= 1e-15:
-            return
-        if hi - lo >= r.u_extent - 1e-12:
-            m = weight * family.psi_of(rid)
-            acc["inner"] += m
-            acc["outer"] += m
-            return
-        if d == 0:
-            acc["outer"] += weight * family.psi_of(rid)
-            acc["boundary"] += 1
-            return
-        for b, (c_lo, c_w) in p.children[rid].items():
-            c_hi = c_lo + c_w
-            ov_lo, ov_hi = max(lo, c_lo), min(hi, c_hi)
-            if ov_hi - ov_lo > 1e-15:
-                descend(b, (ov_lo - c_lo) * lam_u, (ov_hi - c_lo) * lam_u,
-                        d - 1, weight * wh)
-
-    segs = _plaque_segments(p, arc)
-    for rid, lo, hi, _ in segs:
-        descend(rid, lo, hi, depth, 1.0)
-    return ArcMeasure(acc["inner"], acc["outer"], depth, acc["boundary"], len(segs))
+    return _walk_cover(family, p, arc, depth, math.inf)[0]
 
 
 def stable_holonomy(p: MarkovPartition, arc: UnstableArc, target_xy: Vec) -> UnstableArc:
@@ -847,52 +879,11 @@ def _measure_crossing(family: ConformalFamily, p: MarkovPartition, base: tuple[f
     ``leaf_arc_measure`` for the arc of length a from ``base`` along +e_u
     first reaches ``target``; None if it stays below.
 
-    One descent of the plaques and the cylinder tree, applying the ``value``
-    rule: a whole cylinder counts its mass, an unresolved depth-0 cylinder half
-    of it.  A whole node whose mass keeps the running sum below the target is
-    skipped without descending.  Rounding and the measure's 1e-12/1e-15 slack
-    can move the answer by ~1e-15, so callers certify it with real measures.
+    It is where ``_walk_cover`` stops on the arc of length ``length``.
+    Rounding and the cover's 1e-12/1e-15 slack can move it by ~1e-15, so
+    callers certify it with real measures.
     """
-    segs = _plaque_segments(p, UnstableArc(base, 0.0, length))
-    lam_u = p.auto.lam_u
-    wh = math.exp(-family.h)
-    total = 0.0
-
-    def node(rid: StateId, y0: float, d: int, weight: float, org: float,
-             scale: float) -> Optional[float]:
-        # the arc covers [y0, y] of this node, at arc length org + y * scale
-        nonlocal total
-        ext = p.rect(rid).u_extent
-        m = weight * family.psi_of(rid)
-        y0 = max(y0, 0.0)
-        if ext - y0 <= 1e-15:
-            return None
-        whole = ext - y0 >= ext - 1e-12   # not cut by the arc's fixed end
-        if whole and total + m < target:
-            total += m
-            return None
-        if d == 0:
-            if total + 0.5 * m >= target:
-                return org + y0 * scale
-            if whole:
-                return org + ext * scale
-            total += 0.5 * m
-            return None
-        for b, (c_lo, c_w) in p.children[rid].items():
-            if c_lo + c_w - y0 <= 1e-15:
-                continue
-            a = node(b, (max(y0, c_lo) - c_lo) * lam_u, d - 1, weight * wh,
-                     org + c_lo * scale, scale / lam_u)
-            if a is not None:
-                return a
-        # the children stayed below the target; the node turns whole at its end
-        return org + ext * scale if whole else None
-
-    for rid, lo, _, t_lo in segs:
-        a = node(rid, lo, depth, 1.0, t_lo - lo, 1.0)
-        if a is not None:
-            return a if a <= length else None
-    return None
+    return _walk_cover(family, p, UnstableArc(base, 0.0, length), depth, target)[1]
 
 
 def _arc_length_solve(family: ConformalFamily, p: MarkovPartition, base: tuple[float, float],

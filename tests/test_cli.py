@@ -218,6 +218,20 @@ def test_graph_file_input(tmp_path):
     assert payload["transitive_on_ball"] is True
 
 
+@pytest.mark.parametrize("max_len, code", [(257, 0), (258, 2)])
+def test_shift_validate_renewal_max_len_limit(tmp_path, capsys, max_len, code):
+    # l(n,1) reaches b in n - 1 edges, and paths are searched within 256
+    gfile = tmp_path / "renewal.json"
+    gfile.write_text(json.dumps({"kind": "generator", "name": "renewal",
+                                 "params": {"max_len": max_len}}))
+    assert main(["shift", "validate", "--graph", str(gfile), "--radius", "2"]) == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert json.loads(out)["transitive_on_ball"] is True and err == ""
+    else:
+        assert out == "" and err == "error: renewal needs 2 <= max_len <= 257; got 258\n"
+
+
 def test_partition_export_and_validate_round_trip(tmp_path):
     pfile = tmp_path / "cat.json"
     r = run_cli("torus", "export", "--map", "cat-adler-weiss", "--out", str(pfile))

@@ -129,6 +129,16 @@ def test_fit_tail_too_few_terms():
     assert fit_tail([1.0, 0.5, 0.25], 1.75) is None
 
 
+def test_fit_tail_rejects_growing_terms():
+    # the ratio estimate rho = 1.05 lies outside (0, 1.02)
+    assert fit_tail([1.05 ** j for j in range(1, 41)], 0.0) is None
+
+
+def test_fit_tail_rejects_a_nonsummable_critical_tail():
+    # rho ~ 1 and 1/j decays at power p = 1 <= 1.05: the series diverges
+    assert fit_tail([1.0 / j for j in range(1, 41)], 0.0) is None
+
+
 # -- Ruelle operator ----------------------------------------------------------
 
 def test_ruelle_full_shift_constant():

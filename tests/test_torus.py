@@ -265,6 +265,62 @@ def test_inner_outer_bracket_and_bound(cat, cat_family):
         assert m.outer - m.inner <= m.boundary_cylinders * math.exp(-depth * cat_family.h) * psi_max + 1e-15
 
 
+def _descend_measure(family, p, arc, depth):
+    """(inner, outer, boundary_cylinders, segments) by a plain recursion over
+    the cover, which never stops early: the reference that
+    ``torus._walk_cover`` must match bit for bit."""
+    lam_u = p.auto.lam_u
+    wh = math.exp(-family.h)
+    acc = {"inner": 0.0, "outer": 0.0, "boundary": 0}
+
+    def descend(rid, lo, hi, d, weight):
+        r = p.rect(rid)
+        lo, hi = max(lo, 0.0), min(hi, r.u_extent)
+        if hi - lo <= 1e-15:
+            return
+        if hi - lo >= r.u_extent - 1e-12:
+            m = weight * family.psi_of(rid)
+            acc["inner"] += m
+            acc["outer"] += m
+            return
+        if d == 0:
+            acc["outer"] += weight * family.psi_of(rid)
+            acc["boundary"] += 1
+            return
+        for b, (c_lo, c_w) in p.children[rid].items():
+            c_hi = c_lo + c_w
+            ov_lo, ov_hi = max(lo, c_lo), min(hi, c_hi)
+            if ov_hi - ov_lo > 1e-15:
+                descend(b, (ov_lo - c_lo) * lam_u, (ov_hi - c_lo) * lam_u, d - 1, weight * wh)
+
+    segs = torus._plaque_segments(p, arc)
+    for rid, lo, hi, _ in segs:
+        descend(rid, lo, hi, depth, 1.0)
+    return acc["inner"], acc["outer"], acc["boundary"], len(segs)
+
+
+def _scaled_r1(p, family):
+    """``family`` with psi(R1) x 1.3: not harmonic."""
+    psi = dict(family.psi)
+    psi["R1"] *= 1.3
+    return make_family(p.graph, family.h, psi)
+
+
+def test_leaf_arc_measure_matches_the_descent_reference(cat, cat_family, stable_model):
+    p_inv, fam_s = stable_model
+    models = [(cat_family, cat), (fam_s, p_inv), (_scaled_r1(cat, cat_family), cat)]
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        base = rng.random(2)
+        t0 = float(rng.random()) - 0.5
+        arc = UnstableArc((float(base[0]), float(base[1])), t0, t0 + 1.5 * float(rng.random()) ** 2)
+        for family, p in models:
+            for depth in (0, 1, 4, 8, 12, 16):
+                m = leaf_arc_measure(family, p, arc, depth)
+                got = (m.inner, m.outer, m.boundary_cylinders, m.segments)
+                assert got == _descend_measure(family, p, arc, depth), (arc, depth)
+
+
 def test_stable_holonomy_identity_and_translation(cat):
     arc = UnstableArc((0.3, 0.4), 0.0, 0.1)
     same = stable_holonomy(cat, arc, np.array([0.3, 0.4]))
@@ -382,6 +438,18 @@ def test_conformality_on_leaves(cat, cat_family):
     for k in (1, 5):
         rep = conformality_on_leaves(cat_family, cat, generic, k, depth=16)
         assert rep.rel_err < 1e-5
+
+
+def test_conformality_rel_err_within_its_bound(cat, cat_family):
+    # at shallow depths rel_err is of the bound's order, so a bound too small shows
+    rng = np.random.default_rng(17)
+    for _ in range(150):
+        base = rng.random(2)
+        arc = UnstableArc((float(base[0]), float(base[1])), 0.0, 0.05 + 0.3 * float(rng.random()))
+        for k in range(4):
+            for depth in (2, 4, 6):
+                rep = conformality_on_leaves(cat_family, cat, arc, k, depth)
+                assert rep.rel_err <= rep.bound, (arc, k, depth)
 
 
 def test_periodic_ray_divergence(cat, cat_family):
@@ -537,12 +605,7 @@ def test_margulis_coordinates_certified_cell_for_nonharmonic_family(cat, cat_fam
     # R1's psi x 1.3 breaks harmonicity: the measure is no longer monotone in
     # the arc length, so only bisection's own invariant is asserted
     p_inv, fam_s = stable_model
-
-    def scaled(p, fam):
-        psi = dict(fam.psi)
-        psi["R1"] *= 1.3
-        return make_family(p.graph, fam.h, psi)
-    wrong_u, wrong_s = scaled(cat, cat_family), scaled(p_inv, fam_s)
+    wrong_u, wrong_s = _scaled_r1(cat, cat_family), _scaled_r1(p_inv, fam_s)
     tol = 1e-9
     w = _grid_step(tol)
     rng = np.random.default_rng(13)
