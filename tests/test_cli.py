@@ -2,6 +2,7 @@ import argparse
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -333,3 +334,37 @@ def test_partition_validate_area_failure_gets_a_verdict(tmp_path):
         assert r.returncode == 1
         assert json.loads(r.stdout)["ok"] is False
         assert "area of union" in r.stderr
+
+
+def test_partition_validate_long_rectangle_is_fast(tmp_path):
+    # a 1e6-long rectangle: the strip walk pulls its boxes back by A^k, so the
+    # cost no longer grows with the length (a walk over every column took ~15 s)
+    pfile = tmp_path / "long.json"
+    pfile.write_text(json.dumps({
+        "matrix": [[2, 1], [1, 1]],
+        "rectangles": [{"id": "A", "corner": [0, 0], "u_extent": 1e6, "s_extent": 9e-7}],
+    }))
+    start = time.perf_counter()
+    r = subprocess.run([sys.executable, "-m", "margulis.cli", "torus", "validate",
+                        "--partition", str(pfile)],
+                       capture_output=True, text=True, timeout=30)
+    assert time.perf_counter() - start < 1.0
+    assert r.returncode == 1
+    # the verdict and witnesses of the column-by-column walk, in its order
+    assert json.loads(r.stdout) == {"area": 0.8999999999999999, "edges": [],
+                                    "max_s_fit_err": 1.8351486923580245e-07,
+                                    "max_u_cross_err": 978121.6826351413, "ok": False}
+    assert r.stderr.splitlines() == [
+        "invalid Markov partition: area of union = 0.900000000000 != 1",
+        "invalid Markov partition: interiors of A and A+(-832040, -514229) overlap",
+        "invalid Markov partition: interiors of A and A+(-514229, -317811) overlap",
+        "invalid Markov partition: interiors of A and A+(514229, 317811) overlap",
+        "invalid Markov partition: interiors of A and A+(832040, 514229) overlap",
+        "invalid Markov partition: Markov violation A->A+(-832040, -514229): "
+        "u_err=9.781e+05 s_err=0.000e+00",
+        "invalid Markov partition: Markov violation A->A+(514229, 317811): "
+        "u_err=0.000e+00 s_err=1.835e-07",
+        "invalid Markov partition: Markov violation A->A+(2178309, 1346269): "
+        "u_err=9.427e+05 s_err=1.749e-07",
+        "invalid Markov partition: A->A: 2 crossings; refine the partition",
+    ]

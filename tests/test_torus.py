@@ -426,6 +426,206 @@ def test_intersection_count_growth_rate(cat):
     assert max(ratios) / min(ratios) < 3.0
 
 
+PAD = torus._PAD
+
+
+def _reference_strips(auto, U, S):
+    """The column-by-column strip walk that visits every integer x column of
+    the box: the reference that ``torus._lattice_in_strips`` must match bit
+    for bit and in order."""
+    Ei = auto.basis_inv
+    e00, e01 = float(Ei[0, 0]), float(Ei[0, 1])
+    e10, e11 = float(Ei[1, 0]), float(Ei[1, 1])
+    X, _ = torus._box_image(auto.to_xy, U, S)
+    for mm in range(math.floor(X[0]), math.ceil(X[1]) + 1):
+        nu = torus._strip_range(e01, U[0] - e00 * mm, U[1] - e00 * mm)
+        ns = torus._strip_range(e11, S[0] - e10 * mm, S[1] - e10 * mm)
+        lo = max(nu[0], ns[0])
+        hi = min(nu[1], ns[1])
+        if hi < lo:
+            continue
+        for nn in range(math.ceil(lo - PAD), math.floor(hi + PAD) + 1):
+            uT = e00 * mm + e01 * nn
+            sT = e10 * mm + e11 * nn
+            if U[0] - PAD <= uT <= U[1] + PAD and S[0] - PAD <= sT <= S[1] + PAD:
+                yield (mm, nn), uT, sT
+
+
+def _reference_count(auto, U, S):
+    """The walk's points under the half-open count test, one at a time."""
+    return sum(1 for _T, uT, sT in _reference_strips(auto, U, S)
+               if U[0] - PAD <= uT < U[1] - PAD and S[0] + PAD < sT <= S[1] + PAD)
+
+
+def _reference_box(p, arc, i, anchor_xy, anchor_symbol):
+    """The half-open box of ``intersection_count``, as it computes it."""
+    r = p.rect(anchor_symbol)
+    anchor_us = p.auto.to_eigen(np.asarray(anchor_xy, dtype=float) % 1.0)
+    u_a = torus._chart_of(p, r, float(anchor_us[0]), float(anchor_us[1]))[0]
+    base_us = p.auto.to_eigen(np.array(arc.base))
+    u_b, s_b = float(base_us[0]), float(base_us[1])
+    Lu, Ls = p.auto.lam_u ** i, p.auto.lam_s ** i
+    U = (Lu * (u_b + arc.t0) - u_a, Lu * (u_b + arc.t1) - u_a)
+    S = (Ls * s_b - (r.corner[1] + r.s_extent), Ls * s_b - r.corner[1])
+    return U, S
+
+
+def _reference_intersection_count(p, arc, i, anchor_xy, anchor_symbol):
+    """``intersection_count`` as a sum over the reference walk."""
+    return _reference_count(p.auto, *_reference_box(p, arc, i, anchor_xy, anchor_symbol))
+
+
+def test_intersection_count_matches_the_walk_reference(cat):
+    from margulis.measures import iter_cylinders
+    xy, rid = anchor(cat)
+    cases = []
+    rng = np.random.default_rng(23)
+    for _ in range(150):
+        base = rng.random(2)
+        t0 = float(rng.random()) - 0.5
+        length = 10.0 ** float(rng.uniform(-3, 0.5))
+        cases.append((UnstableArc((float(base[0]), float(base[1])), t0, t0 + length),
+                      int(rng.integers(0, 11))))
+    for s_frac in (0.3, 0.77):
+        for root in [r.id for r in cat.rectangles]:
+            for fut in iter_cylinders(cat.graph, root, 3):
+                arc = cylinder_image_arc(cat, root, fut, s_frac=s_frac)
+                cases.extend((arc, i) for i in range(len(fut), 10))
+    for arc, i in cases:
+        assert intersection_count(cat, arc, i, xy, rid) == \
+            _reference_intersection_count(cat, arc, i, xy, rid), (arc, i)
+
+
+def _first_change(g, lo, hi):
+    """The first float in (lo, hi] where the monotone step function g differs
+    from g(lo)."""
+    g_lo = g(lo)
+    while math.nextafter(lo, hi) != hi:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            mid = math.nextafter(lo, hi)
+        lo, hi = (mid, hi) if g(mid) == g_lo else (lo, mid)
+    return hi
+
+
+def _floats_around(x, reach):
+    xs = [x]
+    for _ in range(reach):
+        xs = [math.nextafter(xs[0], -math.inf)] + xs + [math.nextafter(xs[-1], math.inf)]
+    return xs
+
+
+def _tie_boxes(auto, U, S, uT, sT):
+    """Copies of U x S with one end moved so that (uT, sT) sits exactly on,
+    or 1 ulp either side of, a threshold of the count test or of the walk's
+    padded test (U[0] - PAD, U[1] -+ PAD, S[0] +- PAD, S[1] + PAD), and
+    around the end values where the walk's n-range or column range lets
+    the reference count change."""
+    def moved(end, x):
+        b = [list(U), list(S)]
+        b[end // 2][end % 2] = x
+        return tuple(b[0]), tuple(b[1])
+
+    for end, pad in ((0, -PAD), (1, -PAD), (1, PAD), (2, PAD), (2, -PAD), (3, PAD)):
+        t = (uT, sT)[end // 2]
+        x = _first_change(lambda x: x + pad >= t, t - pad - 1e-6, t - pad + 1e-6)
+        for x in _floats_around(x, 1):
+            yield moved(end, x)
+    for end in range(4):
+        # where the reference count first changes as this end moves across
+        # the point: the walk's n-range and column range decide it there
+        t = (uT, sT)[end // 2]
+        g = lambda x: _reference_count(auto, *moved(end, x))
+        x = _first_change(g, t - 1e-6, t + 1e-6)
+        for x in _floats_around(x, 1):
+            yield moved(end, x)
+
+
+def test_count_and_walk_match_the_reference_at_boundary_ties(cat):
+    auto = cat.auto
+    # intersection-count shaped boxes (long, about one high) and thin ones
+    boxes = [((-0.3, 0.2 * auto.lam_u ** i - 0.3), (-1.2, 0.17)) for i in (2, 4, 6)]
+    boxes += [((3.1, 60.4), (-0.0123, 0.0277)), ((-40.0, 80.0), (0.0031, 0.0231))]
+    # far out, where the round-off of u(T) and s(T) is ~1e-7, far above PAD
+    boxes += [((1e9 - 0.3, 1e9 + 60.0), (-1.2, 0.17)), ((-5e8, -5e8 + 120.0), (0.0031, 0.0231))]
+    ties = 0
+    for U, S in boxes:
+        pts = list(_reference_strips(auto, U, S))
+        assert pts
+        for _T, uT, sT in pts[:: max(1, len(pts) // 3)]:
+            for U2, S2 in _tie_boxes(auto, U, S, uT, sT):
+                ties += 1
+                assert torus._count_in_box(auto, U2, S2) == _reference_count(auto, U2, S2), (U2, S2)
+                assert list(torus._lattice_in_strips(auto, U2, S2)) == \
+                    list(_reference_strips(auto, U2, S2)), (U2, S2)
+    assert ties > 250
+
+
+def test_intersection_count_matches_the_reference_across_arc_ends_and_heights(cat):
+    # the arc's ends and the plaque's height moved a float at a time across
+    # the values where the reference count changes
+    import copy
+    from dataclasses import replace
+    xy, rid = anchor(cat)
+    r = cat.rect(rid)
+    arc = cylinder_image_arc(cat, "R1", ["R2"], s_frac=0.4)
+    i = 6
+
+    def with_end(k, t):
+        ends = [arc.t0, arc.t1]
+        ends[k] = t
+        return cat, UnstableArc(arc.base, *ends)
+
+    def with_height(h):
+        q = copy.copy(cat)
+        q.by_id = dict(cat.by_id, **{rid: replace(r, s_extent=h)})
+        return q, arc
+
+    for knob, lo, hi in ((lambda t: with_end(0, t), arc.t0, arc.t1),
+                         (lambda t: with_end(1, t), arc.t1, arc.t0),
+                         (with_height, r.s_extent, 0.9 * r.s_extent)):
+        x = _first_change(lambda x: _reference_intersection_count(*knob(x), i, xy, rid), lo, hi)
+        counts = set()
+        for x in _floats_around(x, 3):
+            q, a = knob(x)
+            c = intersection_count(q, a, i, xy, rid)
+            assert c == _reference_intersection_count(q, a, i, xy, rid), (a, q.rect(rid))
+            counts.add(c)
+        assert len(counts) == 2
+
+
+def test_strip_walk_matches_the_reference_in_order(cat, monkeypatch):
+    pulled = []
+    real = torus._pullback
+    monkeypatch.setattr(torus, "_pullback", lambda *a, **kw: pulled.append(a[3]) or real(*a, **kw))
+    rng = np.random.default_rng(13)
+    direct = 0
+    for auto in (cat.auto, torus.inverse_automorphism(cat.auto)):
+        for _ in range(150):
+            length, height = 10.0 ** float(rng.uniform(-1, 4)), 10.0 ** float(rng.uniform(-4, 0))
+            u0, s0 = float(rng.uniform(-20, 20)), float(rng.uniform(-1, 1))
+            U, S = (u0, u0 + length), (s0, s0 + height)
+            calls = len(pulled)
+            got = list(torus._lattice_in_strips(auto, U, S))
+            direct += len(pulled) == calls
+            assert got == list(_reference_strips(auto, U, S)), (U, S)
+    assert direct >= 10 and len(pulled) >= 200 and max(pulled) >= 8
+
+
+def test_intersection_count_equals_word_count_deep(cat):
+    from margulis.counting import count_words
+    xy, rid = anchor(cat)
+    cylinders = [(r.id, ()) for r in cat.rectangles]
+    cylinders += [(r.id, (b,)) for r in cat.rectangles for b in cat.graph.successors(r.id)]
+    assert len(cylinders) == 18
+    for root, fut in cylinders:
+        arc = cylinder_image_arc(cat, root, fut, s_frac=1 / math.sqrt(2))
+        last = fut[-1] if fut else root
+        counts = count_words(cat.graph, last, rid, 18 - len(fut)).counts
+        for i in (14, 16, 18):
+            assert intersection_count(cat, arc, i, xy, rid) == counts[i - len(fut)], (root, fut, i)
+
+
 # -- conformal scaling and rays ------------------------------------------------------
 
 def test_conformality_on_leaves(cat, cat_family):
