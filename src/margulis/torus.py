@@ -431,86 +431,87 @@ def inverse_partition(p: MarkovPartition) -> MarkovPartition:
 # ---------------------------------------------------------------------------
 
 def _lattice_in_strips(auto: TorusAutomorphism, U: tuple[float, float],
-                       S: tuple[float, float]):
-    """Integer vectors T with u(T) in U and s(T) in S (both padded by ``_PAD``),
-    in (m, then n) order, as (T, u(T), s(T)).
+                       S: tuple[float, float]) -> list[tuple[tuple[int, int], float, float]]:
+    """Integer vectors T in the closed box padded by ``_PAD``: u(T) in
+    [U[0] - _PAD, U[1] + _PAD] and s(T) in [S[0] - _PAD, S[1] + _PAD], with
+    u(T), s(T) the rows of ``basis_inv`` times T in floats.  In (m, then n)
+    order, as (T, u(T), s(T)).
 
-    The admission rule (``_strip_rule``) walks the integer x-range of the
-    box's parallelogram in xy and solves the two strip conditions for each
-    column's y-range.  A long, thin box has mostly empty columns, so it is
-    pulled back first (``_pullback``): A^k Z^2 = Z^2 since det A = 1, and
-    A^-k scales eigen coordinates by (lam_u^-k, lam_s^-k), so the lattice
-    points of U x S are A^k applied to those of (U/lam_u^k) x (S/lam_s^k),
-    which is about square.  Every lattice point of the pulled-back box,
-    widened by a margin above all round-off, is mapped back through the
-    exact integer A^k and kept if the admission rule takes it, then sorted,
-    so the points and their coordinates are those of the direct walk.  A box
-    already about square has k = 0 and is walked directly, and so is a box
-    with more points than columns, where the pull-back saves nothing.
+    That padded test is the whole admission rule: ``_columns`` lists a
+    superset of the points that pass it, and each one is tested.  A long,
+    sparse box is pulled back by A^k (``_pullback_power``), so its points
+    come out of column order and are sorted; a box with at least as many
+    points as columns is walked directly (k = 0), where the pull-back saves
+    nothing.
     """
-    walk, admit = _strip_rule(auto, U, S)
     k = _pullback_power(auto, U, S)
-    wu, ws = U[1] - U[0], S[1] - S[0]
     (b00, b01), (b10, b11) = auto.basis.tolist()
-    # points cost more pulled back (a rule test each, then a sort), so pull
-    # back only a box whose direct walk has more columns than points
-    if k == 0 or wu * ws * abs(b00 * b11 - b01 * b10) >= abs(b00) * wu + abs(b01) * ws:
-        yield from walk()
-        return
-    _, band = _pullback(auto, U, S, k, count_inner=False)
-    yield from sorted((hit for T in band if (hit := admit(*T)) is not None), key=lambda hit: hit[0])
+    wu, ws = U[1] - U[0], S[1] - S[0]
+    if wu * ws * abs(b00 * b11 - b01 * b10) >= abs(b00) * wu + abs(b01) * ws:
+        k = 0
+    P, eps, columns = _columns(auto, U, S, k)
+    (p00, p01), (p10, p11) = P
+    (e00, e01), (e10, e11) = auto.basis_inv.tolist()
+    u_lo, u_hi, s_lo, s_hi = U[0] - _PAD, U[1] + _PAD, S[0] - _PAD, S[1] + _PAD
+    hits = []
+    for m, lo, hi in columns(eps):
+        for n in range(lo, hi + 1):
+            T0, T1 = p00 * m + p01 * n, p10 * m + p11 * n
+            uT, sT = e00 * T0 + e01 * T1, e10 * T0 + e11 * T1
+            if u_lo <= uT <= u_hi and s_lo <= sT <= s_hi:
+                hits.append(((T0, T1), uT, sT))
+    return sorted(hits) if k else hits
 
 
-def _strip_rule(auto: TorusAutomorphism, U: tuple[float, float], S: tuple[float, float]):
-    """The admission rule of the strip walk over U x S, as (walk, admit).
+def _columns(auto: TorusAutomorphism, U: tuple[float, float], S: tuple[float, float], k: int):
+    """The lattice points of U x S column by column, as (P, eps, columns).
 
-    A point T = (m, n) is admitted when m lies in the integer x-range of the
-    box's parallelogram in xy, n in that column's y-range solved from the
-    two strip conditions, widened by ``_PAD``, and u(T), s(T) in U, S padded
-    by ``_PAD``.  ``walk()`` visits the columns in order and yields every
-    admitted (T, u(T), s(T)); ``admit(m, n)`` returns that triple or None.
+    A^k Z^2 = Z^2 since det A = 1, and A^-k scales eigen coordinates by
+    (lam_u^-k, lam_s^-k), so the lattice points of U x S are P = A^k (exact
+    ints) applied to those of (U/lam_u^k) x (S/lam_s^k).  u and s of P(m, n)
+    are linear forms in (m, n), so column m's n-range solves two strip
+    conditions whose ends, computed once, are each a constant minus r * m.
+    ``columns(d)`` yields (m, lo, hi) for every column m of the pulled-back
+    box widened by eps, where P(m, n) for n in lo..hi are the lattice points
+    of U x S widened by d on each side (shrunk for d < 0; lo > hi if none).
+
+    ``eps`` exceeds ``_PAD`` plus the round-off of every float that decides
+    a point: u(T) and s(T), the forms' coefficients, the strip ends and the
+    corners behind the column range, each a few ulp of terms no larger than
+    the box's extent or ||A^k|| times the pulled-back box's.  So the box
+    widened by eps holds every point of the box padded by ``_PAD``, and
+    every point of the box shrunk by eps lies inside it by more than ``_PAD``
+    plus round-off.  At k = 0 all of it comes from the box's own coordinates.
     """
     (e00, e01), (e10, e11) = auto.basis_inv.tolist()
-    (b00, b01), _ = auto.basis.tolist()
-    # a column beyond the corners' x-range by more than round-off holds no
-    # admitted point, so the last bit of these corners changes nothing
-    xs = [b00 * u + b01 * s for u in U for s in S]
-    columns = range(math.floor(min(xs)), math.ceil(max(xs)) + 1)
+    (b00, b01), (b10, b11) = auto.basis.tolist()
+    norm_e = max(abs(e00) + abs(e01), abs(e10) + abs(e11))
+    # a lattice point near the box has |T| <= extent: the basis columns are unit vectors
+    extent = max(abs(U[0]), abs(U[1])) + max(abs(S[0]), abs(S[1])) + 1.0
+    if k:
+        P, (au, bu, as_, bs), pulled_extent = _pullback(auto, U, S, k)
+    else:
+        P, (au, bu, as_, bs), pulled_extent = ((1, 0), (0, 1)), (e00, e01, e10, e11), extent
+    (p00, p01), (p10, p11) = P
+    norm_p = max(abs(p00) + abs(p01), abs(p10) + abs(p11))
+    eps = 8 * _PAD + 2.0 ** -46 * norm_e * (extent + norm_p * pulled_extent)
+    # x of the widened box's corners under A^-k = [[p11, -p01], [-p10, p00]], each within r
+    xs = [p11 * (b00 * u + b01 * s) - p01 * (b10 * u + b11 * s)
+          for u in (U[0] - eps, U[1] + eps) for s in (S[0] - eps, S[1] + eps)]
+    r = 2.0 ** -46 * norm_e * norm_p * extent
+    ms = range(math.floor(min(xs) - r), math.ceil(max(xs) + r) + 1)
+    ru, rs = au / bu, as_ / bs
 
-    def n_range(mm: int) -> range:
-        nu = _strip_range(e01, U[0] - e00 * mm, U[1] - e00 * mm)
-        ns = _strip_range(e11, S[0] - e10 * mm, S[1] - e10 * mm)
-        lo = max(nu[0], ns[0])
-        hi = min(nu[1], ns[1])
-        if hi < lo:
-            return range(0)
-        return range(math.ceil(lo - _PAD), math.floor(hi + _PAD) + 1)
+    def columns(d: float):
+        # ordered by the sign of the divisor, so a box shrunk past empty stays empty
+        u_ends, s_ends = ((U[0] - d) / bu, (U[1] + d) / bu), ((S[0] - d) / bs, (S[1] + d) / bs)
+        lo_u, hi_u = u_ends if bu > 0 else u_ends[::-1]
+        lo_s, hi_s = s_ends if bs > 0 else s_ends[::-1]
+        for m in ms:
+            du, ds = ru * m, rs * m
+            yield m, math.ceil(max(lo_u - du, lo_s - ds)), math.floor(min(hi_u - du, hi_s - ds))
 
-    def point(mm: int, nn: int):
-        uT = e00 * mm + e01 * nn
-        sT = e10 * mm + e11 * nn
-        if U[0] - _PAD <= uT <= U[1] + _PAD and S[0] - _PAD <= sT <= S[1] + _PAD:
-            return (mm, nn), uT, sT
-        return None
-
-    def walk():
-        for mm in columns:
-            for nn in n_range(mm):
-                hit = point(mm, nn)
-                if hit is not None:
-                    yield hit
-
-    def admit(mm: int, nn: int):
-        return point(mm, nn) if mm in columns and nn in n_range(mm) else None
-
-    return walk, admit
-
-
-def _strip_range(coef: float, lo: float, hi: float) -> tuple[float, float]:
-    # coef is an eigen-basis entry, nonzero: a zero entry needs an axis-parallel
-    # eigenvector, i.e. eigenvalues +-1, which is not hyperbolic
-    a, b = lo / coef, hi / coef
-    return (min(a, b), max(a, b))
+    return P, eps, columns
 
 
 def _int_power(matrix, k: int) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -534,75 +535,15 @@ def _pullback_power(auto: TorusAutomorphism, U: tuple[float, float], S: tuple[fl
     return max(0, min(k, int(16 * math.log(2) / log_lam)))
 
 
-def _pullback(auto: TorusAutomorphism, U: tuple[float, float], S: tuple[float, float], k: int,
-              count_inner: bool) -> tuple[int, list[tuple[int, int]]]:
-    """Candidates T = A^k (m, n) for the lattice points of U x S, found column
-    by column in the box pulled back by A^k, as (inner, band).
-
-    Every point that the strip rule admits is a candidate.  With
-    ``count_inner``, the candidates of each column's inner n-range surely
-    pass the strip rule and the half-open count test of
-    ``intersection_count``: ``inner`` is their number and ``band`` lists
-    the others.  Without it, ``inner`` is 0 and ``band`` lists them all.
-
-    u and s of A^k (m, n) are linear forms in (m, n) whose coefficients are
-    u and s of the columns of A^k, so each column's n-range solves two strip
-    conditions as the direct walk does.  The candidates are those of the box
-    widened by ``eps`` on each side, the inner ones those of the box shrunk
-    by ``eps``.  ``eps`` exceeds ``_PAD`` plus the round-off of every float
-    that decides a point: the products and sums behind u(T) and s(T), the
-    rule's n-range and column range, and the forms' coefficients and strip
-    solutions here, each a few ulp of terms no larger than the box's xy
-    extent or ||A^k|| times the pulled-back box's.  So no point the rule
-    admits lies outside the widened box, and no inner point lies within
-    reach of a threshold of the rule or of the half-open test.
-    """
-    (p00, p01), (p10, p11) = _int_power(auto.matrix, k)
+def _pullback(auto: TorusAutomorphism, U: tuple[float, float], S: tuple[float, float], k: int):
+    """P = A^k in exact ints, the linear forms (au, bu, as, bs) with
+    u(P(m, n)) = au m + bu n and s(P(m, n)) = as m + bs n, and a bound on
+    |(m, n)| over the pulled-back box (U/lam_u^k) x (S/lam_s^k)."""
+    P = (p00, p01), (p10, p11) = _int_power(auto.matrix, k)
     (e00, e01), (e10, e11) = auto.basis_inv.tolist()
-    (b00, b01), (b10, b11) = auto.basis.tolist()
-    au, bu = e00 * p00 + e01 * p10, e00 * p01 + e01 * p11
-    as_, bs = e10 * p00 + e11 * p10, e10 * p01 + e11 * p11
-
-    def pulled_corners(box_u, box_s):
-        # xy corners of a box and their images under A^-k = [[p11, -p01], [-p10, p00]]
-        xy = [(b00 * u + b01 * s, b10 * u + b11 * s) for u in box_u for s in box_s]
-        return xy, [(p11 * x - p01 * y, p00 * y - p10 * x) for x, y in xy]
-
-    def n_ends(box_u, box_s):
-        # column m's n-range is [max(lo_u - ru*m, lo_s - rs*m), min(hi_u - ru*m, hi_s - rs*m)]
-        return _strip_range(bu, *box_u) + _strip_range(bs, *box_s)
-
-    xy, pulled = pulled_corners(U, S)
-    extent = max(abs(v) for c in xy for v in c) + 1.0
-    pulled_extent = max(abs(v) for c in pulled for v in c) + 1.0
-    norm_e = max(abs(e00) + abs(e01), abs(e10) + abs(e11))
-    norm_p = max(abs(p00) + abs(p01), abs(p10) + abs(p11))
-    eps = 8 * _PAD + 2.0 ** -46 * norm_e * (extent + norm_p * pulled_extent)
-    Uw, Sw = (U[0] - eps, U[1] + eps), (S[0] - eps, S[1] + eps)
-    Ui, Si = (U[0] + eps, U[1] - eps), (S[0] + eps, S[1] - eps)
-    count_inner = count_inner and Ui[0] <= Ui[1] and Si[0] <= Si[1]
-    ru, rs = au / bu, as_ / bs
-    lo_u, hi_u, lo_s, hi_s = n_ends(Uw, Sw)
-    ilo_u, ihi_u, ilo_s, ihi_s = n_ends(Ui, Si)
-    xs = [x for x, _ in pulled_corners(Uw, Sw)[1]]
-    inner = 0
-    band: list[tuple[int, int]] = []
-    for m in range(math.floor(min(xs)) - 1, math.ceil(max(xs)) + 2):
-        du, ds = ru * m, rs * m
-        lo = math.ceil(max(lo_u - du, lo_s - ds))
-        hi = math.floor(min(hi_u - du, hi_s - ds))
-        if lo > hi:
-            continue
-        if count_inner:
-            i_lo = max(math.ceil(max(ilo_u - du, ilo_s - ds)), lo)
-            i_hi = min(math.floor(min(ihi_u - du, ihi_s - ds)), hi)
-            if i_lo <= i_hi:
-                inner += i_hi - i_lo + 1
-                band.extend((p00 * m + p01 * n, p10 * m + p11 * n)
-                            for n in chain(range(lo, i_lo), range(i_hi + 1, hi + 1)))
-                continue
-        band.extend((p00 * m + p01 * n, p10 * m + p11 * n) for n in range(lo, hi + 1))
-    return inner, band
+    lam = auto.lam_u ** k     # = lam_s^-k
+    forms = (e00 * p00 + e01 * p10, e00 * p01 + e01 * p11, e10 * p00 + e11 * p10, e10 * p01 + e11 * p11)
+    return P, forms, max(abs(U[0]), abs(U[1])) / lam + max(abs(S[0]), abs(S[1])) * lam + 1.0
 
 
 def _chart_of(p: MarkovPartition, r: Rectangle, u: float, s: float) -> Optional[tuple[float, float]]:
@@ -935,10 +876,11 @@ def intersection_count(p: MarkovPartition, arc: UnstableArc, i: int,
     The plaque is the full stable side of the anchor's rectangle; the anchor
     must be an interior (periodic) point.  Intersections are transversal for
     a linear map: each one is a lattice translate T whose u(T) and s(T) lie
-    in the half-open box below, so the count is that box's number of lattice
-    points, admitted as ``_lattice_in_strips`` admits them.  The box is
-    lam_u^i long and about one high, so it is pulled back to an about square
-    box (``_pullback``); each column of that box adds the length of its safe
+    in the box U x S below.  The count is the number of lattice points T with
+    u(T) in [U[0] - _PAD, U[1] - _PAD) and s(T) in (S[0] + _PAD, S[1] + _PAD],
+    half-open so that an end point counts once (``_count_in_box``).  The box
+    is lam_u^i long and about one high, so it is pulled back by A^k to an
+    about square box; each column of that box adds the length of its safe
     inner n-range with one subtraction, and only the few candidates near the
     box's sides are tested one at a time.  That is ~sqrt(count) steps.
 
@@ -964,8 +906,7 @@ def intersection_count(p: MarkovPartition, arc: UnstableArc, i: int,
     u_b, s_b = float(base_us[0]), float(base_us[1])
     Lu = p.auto.lam_u ** i
     Ls = p.auto.lam_s ** i
-    # conditions on the lattice translate T, half-open so that an end point
-    # counts once:
+    # the box of the lattice translates T, before the _PAD shift:
     #   u(T) in [Lu*(u_b + t0) - u_a, Lu*(u_b + t1) - u_a)   (t in [t0, t1))
     #   s(T) in (Ls*s_b - s_hi, Ls*s_b - s_lo]
     U = (Lu * (u_b + arc.t0) - u_a, Lu * (u_b + arc.t1) - u_a)
@@ -974,12 +915,29 @@ def intersection_count(p: MarkovPartition, arc: UnstableArc, i: int,
 
 
 def _count_in_box(auto: TorusAutomorphism, U: tuple[float, float], S: tuple[float, float]) -> int:
-    """The number of points T that the strip rule admits with u(T) in
-    [U[0] - _PAD, U[1] - _PAD) and s(T) in (S[0] + _PAD, S[1] + _PAD]."""
-    _, admit = _strip_rule(auto, U, S)
-    inner, band = _pullback(auto, U, S, _pullback_power(auto, U, S), count_inner=True)
-    return inner + sum(1 for T in band if (hit := admit(*T)) is not None
-                       and U[0] - _PAD <= hit[1] < U[1] - _PAD and S[0] + _PAD < hit[2] <= S[1] + _PAD)
+    """The number of lattice points T with u(T) in [U[0] - _PAD, U[1] - _PAD)
+    and s(T) in (S[0] + _PAD, S[1] + _PAD], u(T) and s(T) computed as
+    ``_lattice_in_strips`` computes them.
+
+    Each column of the box shrunk by ``_columns``' margin lies inside that
+    half-open box, so it adds its n-range with one subtraction; only the
+    points between the shrunk and the widened box are tested one at a time.
+    """
+    P, eps, columns = _columns(auto, U, S, _pullback_power(auto, U, S))
+    (p00, p01), (p10, p11) = P
+    (e00, e01), (e10, e11) = auto.basis_inv.tolist()
+    u_lo, u_hi, s_lo, s_hi = U[0] - _PAD, U[1] - _PAD, S[0] + _PAD, S[1] + _PAD
+    count = 0
+    for (m, lo, hi), (_, i_lo, i_hi) in zip(columns(eps), columns(-eps)):
+        rest = range(lo, hi + 1)
+        if i_lo <= i_hi:
+            count += i_hi - i_lo + 1
+            rest = chain(range(lo, i_lo), range(i_hi + 1, hi + 1))
+        for n in rest:
+            T0, T1 = p00 * m + p01 * n, p10 * m + p11 * n
+            uT, sT = e00 * T0 + e01 * T1, e10 * T0 + e11 * T1
+            count += u_lo <= uT < u_hi and s_lo < sT <= s_hi
+    return count
 
 
 @dataclass
@@ -1062,6 +1020,8 @@ def _arc_length_solve(family: ConformalFamily, p: MarkovPartition, base: tuple[f
     """
     if not 0.0 <= target < math.inf:
         raise ValueError(f"coordinates must be finite and >= 0; got {target!r}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite; got {tol!r}")
     if target == 0:
         return 0.0
 

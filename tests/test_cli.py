@@ -75,28 +75,33 @@ def test_unknown_state_message_is_unquoted():
     assert r.stdout == ""
 
 
-def test_measure_verify_rejects_bad_families(tmp_path):
-    r = run_cli("measure", "verify", "--fixture", "renewal", "--root", "zzz")
-    assert r.returncode == 2
-    assert "unknown state 'zzz'" in r.stderr
+def test_measure_verify_rejects_bad_families(tmp_path, capsys):
+    # in process: each bad family makes main return its exit code without raising
+    def verify(*args):
+        code = main(["measure", *args])
+        return code, capsys.readouterr().err
+
+    code, err = verify("verify", "--fixture", "renewal", "--root", "zzz")
+    assert code == 2
+    assert "unknown state 'zzz'" in err
     golden = {"kind": "finite", "states": ["0", "1"],
               "edges": [["0", "0"], ["0", "1"], ["1", "0"]]}
     renewal = {"kind": "generator", "name": "renewal", "params": {"max_len": 64}}
     # a psi that misses a state of a finite graph is bad input
     fam = tmp_path / "golden.json"
     fam.write_text(json.dumps({"graph": golden, "h": 0.48121182505960347, "psi": {"0": 7.0}}))
-    r = run_cli("measure", "verify", "--family", str(fam))
-    assert r.returncode == 2
-    assert "psi has no value for state '1'" in r.stderr
+    code, err = verify("verify", "--family", str(fam))
+    assert code == 2
+    assert "psi has no value for state '1'" in err
     # on a generated graph, a psi whose walk checks no cylinder verifies nothing
     fam = tmp_path / "renewal.json"
     fam.write_text(json.dumps({"graph": renewal, "h": 0.6931471805599453, "psi": {"b": 1.0}}))
-    assert run_cli("measure", "verify", "--family", str(fam)).returncode == 1
+    assert verify("verify", "--family", str(fam))[0] == 1
     # a root psi does not cover is bad input, named as the constructor names it
     for cmd in ("verify", "cylinder"):
-        r = run_cli("measure", cmd, "--family", str(fam), "--root", "l(3,1)")
-        assert r.returncode == 2
-        assert "error: psi has no value for state 'l(3,1)'" in r.stderr
+        code, err = verify(cmd, "--family", str(fam), "--root", "l(3,1)")
+        assert code == 2
+        assert "error: psi has no value for state 'l(3,1)'" in err
 
 
 GOLDEN = {"kind": "finite", "states": ["0", "1"], "edges": [["0", "0"], ["0", "1"], ["1", "0"]]}
@@ -292,9 +297,10 @@ def test_partition_validate_names_missing_key(tmp_path):
     assert 'partition file lacks "rectangles"' in r.stderr
 
 
-def test_partition_validate_malformed_file_exit_2(tmp_path):
+def test_partition_validate_malformed_file_exit_2(tmp_path, capsys):
+    # in process: main returns 2 for each malformed file without raising
     pfile = tmp_path / "malformed.json"
-    assert run_cli("torus", "export", "--out", str(pfile)).returncode == 0
+    assert main(["torus", "export", "--out", str(pfile)]) == 0
     cat = json.loads(pfile.read_text())
     duplicate = json.loads(json.dumps(cat))
     duplicate["rectangles"][1]["id"] = "R1"
@@ -309,13 +315,13 @@ def test_partition_validate_malformed_file_exit_2(tmp_path):
                             ([[float("nan"), 1], [1, 1]], "matrix entries must be finite integers"),
                             ([[2, 1], [1, float("inf")]], "matrix entries must be finite integers")):
         cases.append((dict(cat, matrix=matrix), message))
+    capsys.readouterr()
     for spec, message in cases:
         pfile.write_text(json.dumps(spec))
-        r = run_cli("torus", "validate", "--partition", str(pfile))
-        assert r.returncode == 2
-        assert "Traceback" not in r.stderr
+        assert main(["torus", "validate", "--partition", str(pfile)]) == 2
+        err = capsys.readouterr().err
         if message is not None:
-            assert message in r.stderr
+            assert message in err
 
 
 def test_partition_validate_area_failure_gets_a_verdict(tmp_path):

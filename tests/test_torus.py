@@ -430,21 +430,21 @@ PAD = torus._PAD
 
 
 def _reference_strips(auto, U, S):
-    """The column-by-column strip walk that visits every integer x column of
-    the box: the reference that ``torus._lattice_in_strips`` must match bit
-    for bit and in order."""
+    """Every lattice point of the closed box padded by PAD, in (m, then n)
+    order: the reference that ``torus._lattice_in_strips`` must match bit
+    for bit and in order.  It walks a superset, every integer x column of
+    the box and each column's n-range one wider on each side, and keeps the
+    points that pass the padded test."""
     Ei = auto.basis_inv
     e00, e01 = float(Ei[0, 0]), float(Ei[0, 1])
     e10, e11 = float(Ei[1, 0]), float(Ei[1, 1])
     X, _ = torus._box_image(auto.to_xy, U, S)
-    for mm in range(math.floor(X[0]), math.ceil(X[1]) + 1):
-        nu = torus._strip_range(e01, U[0] - e00 * mm, U[1] - e00 * mm)
-        ns = torus._strip_range(e11, S[0] - e10 * mm, S[1] - e10 * mm)
+    for mm in range(math.floor(X[0]) - 1, math.ceil(X[1]) + 2):
+        nu = sorted(((U[0] - e00 * mm) / e01, (U[1] - e00 * mm) / e01))
+        ns = sorted(((S[0] - e10 * mm) / e11, (S[1] - e10 * mm) / e11))
         lo = max(nu[0], ns[0])
         hi = min(nu[1], ns[1])
-        if hi < lo:
-            continue
-        for nn in range(math.ceil(lo - PAD), math.floor(hi + PAD) + 1):
+        for nn in range(math.ceil(lo) - 1, math.floor(hi) + 2):
             uT = e00 * mm + e01 * nn
             sT = e10 * mm + e11 * nn
             if U[0] - PAD <= uT <= U[1] + PAD and S[0] - PAD <= sT <= S[1] + PAD:
@@ -785,6 +785,16 @@ def test_margulis_coordinates_reject_nan_and_negative(cat, cat_family, stable_mo
     p_inv, fam_s = stable_model
     with pytest.raises(ValueError, match="must be finite and >= 0"):
         margulis_coordinates(cat_family, cat, fam_s, p_inv, (0.0, 0.0), x, y)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf])
+def test_margulis_coordinates_reject_a_tol_not_positive_and_finite(cat, cat_family, stable_model, tol):
+    # the grid search divides by tol = 0, halves forever below a negative tol
+    # and skips the solve on nan
+    p_inv, fam_s = stable_model
+    for x in (0.1, 0.0):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            margulis_coordinates(cat_family, cat, fam_s, p_inv, (0.1, 0.1), x, x, tol=tol)
 
 
 @pytest.mark.parametrize("shift", [-3e-6, -2.5e-7, 4e-9, 2e-6, None])
