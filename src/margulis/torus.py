@@ -704,30 +704,54 @@ def _plaque_segments(p: MarkovPartition, arc: UnstableArc) -> list[tuple[StateId
     Membership along the stable coordinate is half-open ([0, s_extent)), so a
     leaf lying exactly on a rectangle boundary is assigned deterministically.
     """
-    tol = _MEMBER_TOL
-    if arc.length <= tol:
+    return _clip_tiling(_plaque_tiling(p, arc), arc.t0, arc.t1)
+
+
+def _plaque_tiling(p: MarkovPartition, arc: UnstableArc) -> list[tuple[StateId, float, float]]:
+    """The plaque translates that can meet ``arc``: (rect id, u_lo_t,
+    u_extent), u_lo_t the arc parameter where the translate's unstable side
+    starts, in rectangle order and then lattice order.
+
+    A translate admitted for an arc is admitted for every longer arc from the
+    same base and t0, with the same u_lo_t: u(T) is computed from the exact
+    integer T, and the box only grows.  So one tiling of [t0, H] serves every
+    [t0, a] with a <= H through ``_clip_tiling``, bit for bit; a translate
+    the longer box adds starts past a + ~``_PAD`` and the clip drops it.
+    """
+    if arc.length <= _MEMBER_TOL:
         return []
     base_us = p.auto.to_eigen(np.array(arc.base))
     u_b, s_b = float(base_us[0]), float(base_us[1])
-    segs = []
+    tiles = []
     for r in p.rectangles:
         cu, cs = r.corner
         U = (u_b + arc.t0 - cu - r.u_extent, u_b + arc.t1 - cu)
         S = (s_b - cs - r.s_extent, s_b - cs)
         for _T, uT, sT in _lattice_in_strips(p.auto, U, S):
-            s_rel = s_b - sT - cs
-            if not (-tol <= s_rel < r.s_extent - tol):
-                continue
-            u_lo_t = cu + uT - u_b
-            lo = max(arc.t0, u_lo_t)
-            hi = min(arc.t1, u_lo_t + r.u_extent)
-            if hi - lo > tol:
-                segs.append((r.id, lo - u_lo_t, hi - u_lo_t, lo))
+            if -_MEMBER_TOL <= s_b - sT - cs < r.s_extent - _MEMBER_TOL:
+                tiles.append((r.id, cu + uT - u_b, r.u_extent))
+    return tiles
+
+
+def _clip_tiling(tiles: list[tuple[StateId, float, float]], t0: float,
+                 t1: float) -> list[tuple[StateId, float, float, float]]:
+    """The plaque segments of the arc [t0, t1] of a ``_plaque_tiling``, as
+    ``_plaque_segments`` returns them; raises if they do not tile it."""
+    tol = _MEMBER_TOL
+    length = t1 - t0
+    if length <= tol:
+        return []
+    segs = []
+    for rid, u_lo_t, ext in tiles:
+        lo = max(t0, u_lo_t)
+        hi = min(t1, u_lo_t + ext)
+        if hi - lo > tol:
+            segs.append((rid, lo - u_lo_t, hi - u_lo_t, lo))
     segs.sort(key=lambda s: s[3])
     covered = sum(s[2] - s[1] for s in segs)
-    if abs(covered - arc.length) > 1e-7 * (1.0 + arc.length):
+    if abs(covered - length) > 1e-7 * (1.0 + length):
         raise StructuralViolation(
-            f"arc not tiled by plaques: covered {covered:.12f} of {arc.length:.12f}"
+            f"arc not tiled by plaques: covered {covered:.12f} of {length:.12f}"
         )
     return segs
 
@@ -749,9 +773,11 @@ class ArcMeasure:
         return 0.5 * (self.outer - self.inner)
 
 
-def _walk_cover(family: ConformalFamily, p: MarkovPartition, arc: UnstableArc, depth: int,
+def _walk_cover(family: ConformalFamily, p: MarkovPartition,
+                segs: list[tuple[StateId, float, float, float]], depth: int,
                 target: float) -> tuple[ArcMeasure, Optional[float]]:
-    """Walk the depth-``depth`` cylinder cover of ``arc`` in arc order.
+    """Walk the depth-``depth`` cylinder cover of an arc's plaque segments
+    (``_plaque_segments``) in arc order.
 
     The cover rule: within each plaque segment, a cylinder that the arc
     covers to within 1e-12 is whole and adds its mass to inner and outer; a
@@ -764,6 +790,8 @@ def _walk_cover(family: ConformalFamily, p: MarkovPartition, arc: UnstableArc, d
     cylinder is descended only when its mass would reach the target.  With
     ``target = inf`` it walks the full cover and returns None.
     """
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
     lam_u = p.auto.lam_u
     wh = math.exp(-family.h)
     rects, children, psi_of = p.by_id, p.children, family.psi_of
@@ -799,7 +827,6 @@ def _walk_cover(family: ConformalFamily, p: MarkovPartition, arc: UnstableArc, d
         # the children stayed below the target: the cylinder reaches it once whole
         return hi if whole else None
 
-    segs = _plaque_segments(p, arc)
     stop = None
     for rid, lo, hi, t_lo in segs:
         y = visit(rid, lo, hi, depth, 1.0)
@@ -818,9 +845,7 @@ def leaf_arc_measure(family: ConformalFamily, p: MarkovPartition, arc: UnstableA
     segment are descended; the inner/outer gap is the sum of the unresolved
     boundary cylinders' masses, at most (#boundary) * e^{-depth h} * max psi.
     """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    return _walk_cover(family, p, arc, depth, math.inf)[0]
+    return _walk_cover(family, p, _plaque_segments(p, arc), depth, math.inf)[0]
 
 
 def stable_holonomy(p: MarkovPartition, arc: UnstableArc, target_xy: Vec) -> UnstableArc:
@@ -850,15 +875,18 @@ def holonomy_invariance_check(family: ConformalFamily, p: MarkovPartition,
     """Measures of holonomy-related arcs agree within the truncation bounds.
 
     The certified bound (sum of both arcs' inner/outer gaps) decays like
-    e^{-depth h} because the boundary-cylinder masses do.
+    e^{-depth h} because the boundary-cylinder masses do.  Each arc is tiled
+    by plaques once, and that tiling serves the ``leaf_arc_measure`` walk of
+    every depth.
     """
     if not depths:
         raise ValueError("depths must be non-empty")
     image = stable_holonomy(p, arc, target_xy)
+    segs1, segs2 = _plaque_segments(p, arc), _plaque_segments(p, image)
     discrepancies, bounds = [], []
     for d in depths:
-        m1 = leaf_arc_measure(family, p, arc, d)
-        m2 = leaf_arc_measure(family, p, image, d)
+        m1 = _walk_cover(family, p, segs1, d, math.inf)[0]
+        m2 = _walk_cover(family, p, segs2, d, math.inf)[0]
         discrepancies.append(abs(m1.value - m2.value))
         bounds.append(m1.error_bound + m2.error_bound)
     passed = all(d <= b + 1e-15 for d, b in zip(discrepancies, bounds))
@@ -994,17 +1022,18 @@ def periodic_ray_divergence(family: ConformalFamily, p: MarkovPartition,
     return [math.exp(k * family.h) * m0 for k in range(K + 1)]
 
 
-def _measure_crossing(family: ConformalFamily, p: MarkovPartition, base: tuple[float, float],
-                      length: float, target: float, depth: int) -> Optional[float]:
-    """The arc length a <= ``length`` at which the ``value`` of
-    ``leaf_arc_measure`` for the arc of length a from ``base`` along +e_u
-    first reaches ``target``; None if it stays below.
+def _measure_crossing(family: ConformalFamily, p: MarkovPartition,
+                      segs: list[tuple[StateId, float, float, float]],
+                      target: float, depth: int) -> Optional[float]:
+    """The arc length a at which the ``value`` of ``leaf_arc_measure`` for
+    the arc [0, a] first reaches ``target``, searched along the arc from 0
+    whose plaque segments are ``segs``; None if that whole arc stays below.
 
-    It is where ``_walk_cover`` stops on the arc of length ``length``.
-    Rounding and the cover's 1e-12/1e-15 slack can move it by ~1e-15, so
-    callers certify it with real measures.
+    It is where ``_walk_cover`` stops on that arc.  Rounding and the cover's
+    1e-12/1e-15 slack can move it by ~1e-15, so callers certify it with real
+    measures.
     """
-    return _walk_cover(family, p, UnstableArc(base, 0.0, length), depth, target)[1]
+    return _walk_cover(family, p, segs, depth, target)[1]
 
 
 def _arc_length_solve(family: ConformalFamily, p: MarkovPartition, base: tuple[float, float],
@@ -1017,6 +1046,9 @@ def _arc_length_solve(family: ConformalFamily, p: MarkovPartition, base: tuple[f
     The grid is that of bisecting [0, H], H the first power of two whose arc
     reaches the target.  ``_measure_crossing`` picks the cell and two real
     measures certify it; if they do not, plain bisection of [0, H] finds it.
+    The arc [0, H] is tiled by plaques once (``_plaque_tiling``), and that
+    tiling, clipped, serves the crossing search and every measure of an arc
+    no longer than H; a longer arc is tiled afresh.
     """
     if not 0.0 <= target < math.inf:
         raise ValueError(f"coordinates must be finite and >= 0; got {target!r}")
@@ -1025,15 +1057,21 @@ def _arc_length_solve(family: ConformalFamily, p: MarkovPartition, base: tuple[f
     if target == 0:
         return 0.0
 
-    def value(a: float) -> float:
-        return leaf_arc_measure(family, p, UnstableArc(base, 0.0, a), depth).value
-
     exceeds = f"coordinate {target} exceeds the measurable leaf mass within length {_MAX_ARC_LEN}"
-    length = 1.0
-    while (b := _measure_crossing(family, p, base, length, target, depth)) is None:
+    length = 0.5
+    b = None
+    while b is None:
         length *= 2.0
         if length > _MAX_ARC_LEN:
             raise ValueError(exceeds)
+        tiles = _plaque_tiling(p, UnstableArc(base, 0.0, length))
+        b = _measure_crossing(family, p, _clip_tiling(tiles, 0.0, length), target, depth)
+
+    def value(a: float) -> float:
+        segs = (_clip_tiling(tiles, 0.0, a) if a <= length
+                else _plaque_segments(p, UnstableArc(base, 0.0, a)))
+        return _walk_cover(family, p, segs, depth, math.inf)[0].value
+
     w = length
     while w > tol:
         w *= 0.5
@@ -1082,9 +1120,11 @@ def margulis_coordinates(family_u: ConformalFamily, p: MarkovPartition,
     length, constant while the arc ends inside one depth-``depth`` cylinder,
     so one descent of the cylinder tree locates the step that crosses the
     target and two real measures certify its cell (plain bisection takes
-    over if they do not).  The certified inequality holds for every family;
-    where the measure is monotone in the arc length (a harmonic psi) that
-    cell is the only one, so the result is the one plain bisection returns.
+    over if they do not).  Per axis, one plaque tiling of the arc [0, H]
+    serves the descent and both certificates.  The certified inequality
+    holds for every family; where the measure is monotone in the arc length
+    (a harmonic psi) that cell is the only one, so the result is the one
+    plain bisection returns.
     """
     fp = np.asarray(fixed_xy, dtype=float) % 1.0
     base = tuple(fp.tolist())

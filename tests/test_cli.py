@@ -153,7 +153,7 @@ def test_measure_verify_verdict_ignores_the_scale_of_psi(tmp_path):
     for psi, code in (({"0": 1.618033988749895e-14, "1": 1.3e-14}, 1),
                       ({"0": 1618033.988749895, "1": 1e6}, 0)):
         fam.write_text(json.dumps({"graph": golden, "h": 0.4812118250596035, "psi": psi}))
-        assert run_cli("measure", "verify", "--family", str(fam), "--depth", "8").returncode == code
+        assert main(["measure", "verify", "--family", str(fam), "--depth", "8"]) == code
 
 
 def test_flags_only_where_read():
@@ -238,16 +238,15 @@ def test_shift_validate_renewal_max_len_limit(tmp_path, capsys, max_len, code):
         assert out == "" and err == "error: renewal needs 2 <= max_len <= 257; got 258\n"
 
 
-def test_partition_export_and_validate_round_trip(tmp_path):
+def test_partition_export_and_validate_round_trip(tmp_path, capsys):
     pfile = tmp_path / "cat.json"
-    r = run_cli("torus", "export", "--map", "cat-adler-weiss", "--out", str(pfile))
-    assert r.returncode == 0
+    assert main(["torus", "export", "--map", "cat-adler-weiss", "--out", str(pfile)]) == 0
     payload = json.loads(pfile.read_text())
     assert payload["matrix"] == [[2, 1], [1, 1]]
     assert len(payload["rectangles"]) == 5
-    r = run_cli("torus", "validate", "--partition", str(pfile))
-    assert r.returncode == 0
-    check = json.loads(r.stdout)
+    capsys.readouterr()
+    assert main(["torus", "validate", "--partition", str(pfile)]) == 0
+    check = json.loads(capsys.readouterr().out)
     assert check["ok"] is True
     assert abs(check["area"] - 1.0) < 1e-12
 
@@ -263,18 +262,19 @@ def test_partition_validate_rejects_bad_file(tmp_path):
     assert r.returncode != 0
 
 
-def test_partition_validate_reports_invalid_partition(tmp_path):
+def test_partition_validate_reports_invalid_partition(tmp_path, capsys):
     pfile = tmp_path / "cat.json"
-    assert run_cli("torus", "export", "--out", str(pfile)).returncode == 0
+    assert main(["torus", "export", "--out", str(pfile)]) == 0
     payload = json.loads(pfile.read_text())
     payload["rectangles"][0]["u_extent"] *= 1.01
     pfile.write_text(json.dumps(payload))
-    r = run_cli("torus", "validate", "--partition", str(pfile))
-    assert r.returncode == 1
-    check = json.loads(r.stdout)
+    capsys.readouterr()
+    assert main(["torus", "validate", "--partition", str(pfile)]) == 1
+    out, err = capsys.readouterr()
+    check = json.loads(out)
     assert check["ok"] is False
     assert abs(check["area"] - 1.0) > 1e-4
-    assert "invalid Markov partition" in r.stderr
+    assert "invalid Markov partition" in err
 
 
 def test_partition_validate_rejects_negative_eigenvalue(tmp_path):

@@ -321,6 +321,42 @@ def test_leaf_arc_measure_matches_the_descent_reference(cat, cat_family, stable_
                 assert got == _descend_measure(family, p, arc, depth), (arc, depth)
 
 
+def _clip_lengths(tiles, H, rng):
+    """Arc lengths in (0, H] for clipping a tiling of [0, H]: H itself, a
+    length below ``_MEMBER_TOL``, random lengths, and lengths within
+    ``_MEMBER_TOL`` and within ``_PAD`` of each translate's ends."""
+    lengths = [H, 0.5 * torus._MEMBER_TOL, *(H * rng.random(4))]
+    for _, u_lo_t, ext in tiles:
+        for end in (u_lo_t, u_lo_t + ext):
+            for d in (0.0, 0.5e-12, 2e-12, 0.5e-9, 2e-9):
+                lengths += [end - d, end + d]
+    return sorted({a for a in lengths if 0.0 < a <= H})
+
+
+def test_clipped_tiling_matches_plaque_segments_bit_for_bit(cat, cat_family, stable_model):
+    # one tiling of [0, H] clipped to [0, a] must give _plaque_segments of
+    # [0, a]: same tuples, same order, and the same walks at every depth
+    p_inv, fam_s = stable_model
+    rng = np.random.default_rng(77)
+    bases = [(0.0, 0.0)] + [tuple(float(v) for v in rng.random(2)) for _ in range(5)]
+    checked = 0
+    for family, p in ((cat_family, cat), (fam_s, p_inv)):
+        for base in bases:
+            for H in (1.0, 0.25 + float(rng.random())):
+                tiles = torus._plaque_tiling(p, UnstableArc(base, 0.0, H))
+                for a in _clip_lengths(tiles, H, rng):
+                    arc = UnstableArc(base, 0.0, a)
+                    segs = torus._clip_tiling(tiles, 0.0, a)
+                    assert segs == torus._plaque_segments(p, arc), (base, H, a)
+                    for depth in (0, 6, 16):
+                        m = torus._walk_cover(family, p, segs, depth, math.inf)[0]
+                        ref = leaf_arc_measure(family, p, arc, depth)
+                        assert ((m.inner, m.outer, m.boundary_cylinders, m.segments)
+                                == (ref.inner, ref.outer, ref.boundary_cylinders, ref.segments))
+                    checked += 1
+    assert checked > 500
+
+
 def test_stable_holonomy_identity_and_translation(cat):
     arc = UnstableArc((0.3, 0.4), 0.0, 0.1)
     same = stable_holonomy(cat, arc, np.array([0.3, 0.4]))
@@ -377,6 +413,13 @@ def test_holonomy_invariance_check_rejects_no_depths(cat, cat_family):
     arc = UnstableArc((0.3, 0.4), 0.0, 0.1)
     with pytest.raises(ValueError, match="depths"):
         holonomy_invariance_check(cat_family, cat, arc, (0.9, 0.05), depths=())
+
+
+@pytest.mark.parametrize("depths", [(-1,), (4, -1)])
+def test_holonomy_invariance_check_rejects_a_negative_depth(cat, cat_family, depths):
+    arc = UnstableArc((0.3, 0.4), 0.0, 0.1)
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        holonomy_invariance_check(cat_family, cat, arc, (0.9, 0.05), depths=depths)
 
 
 # -- intersection counts ------------------------------------------------------------
@@ -738,15 +781,20 @@ def stable_model(cat):
 
 def test_margulis_coordinates_match_bisection_on_grid(cat, cat_family, stable_model, monkeypatch):
     p_inv, fam_s = stable_model
-    calls = []
-    real = torus.leaf_arc_measure
-    monkeypatch.setattr(torus, "leaf_arc_measure", lambda *a: calls.append(1) or real(*a))
+    # a certificate is a full walk (target inf); the crossing walk stops at its target
+    calls, tilings = [], []
+    real_walk, real_tiling = torus._walk_cover, torus._plaque_tiling
+    monkeypatch.setattr(torus, "_walk_cover",
+                        lambda *a: calls.append(a[4]) or real_walk(*a))
+    monkeypatch.setattr(torus, "_plaque_tiling", lambda *a: tilings.append(1) or real_tiling(*a))
     grid = np.linspace(0.3 / 5, 0.3, 5)
     for x in grid:
         for y in grid:
             calls.clear()
+            tilings.clear()
             mp = margulis_coordinates(cat_family, cat, fam_s, p_inv, (0.0, 0.0), float(x), float(y))
-            assert len(calls) == 4  # the two certificate measures per axis
+            assert calls.count(math.inf) == 4  # the two certificate measures per axis
+            assert len(tilings) == 2  # one plaque tiling per axis
             point, alpha, gamma = _bisection_coordinates(cat_family, cat, fam_s, p_inv,
                                                          (0.0, 0.0), float(x), float(y))
             assert (mp.alpha, mp.gamma, mp.point) == (alpha, gamma, point)
@@ -801,13 +849,33 @@ def test_margulis_coordinates_reject_a_tol_not_positive_and_finite(cat, cat_fami
 def test_certificate_repairs_a_wrong_crossing(cat, cat_family, monkeypatch, shift):
     # a descent that misses the step must cost measures, never the answer
     real = torus._measure_crossing
+    hints = []
 
     def wrong(*args):
         b = real(*args)
+        hints.append(b)
         return 0.0 if shift is None else b + shift
     monkeypatch.setattr(torus, "_measure_crossing", wrong)
     for base, target in (((0.0, 0.0), 0.1234567), ((0.31, 0.47), 0.25)):
+        hints.clear()
         got = torus._arc_length_solve(cat_family, cat, base, target, 1e-9, 16)
+        assert hints and hints[-1] is not None  # the solver took its hint from the stub
+        assert got == _bisection(_arc_value(cat_family, cat, base), target, 1e-9)
+
+
+def test_certificate_past_the_tiled_arc_is_tiled_afresh(cat, cat_family, monkeypatch):
+    # a hint beyond H puts the certificate's arc past the one tiling of
+    # [0, H]; that arc must be tiled afresh, not clipped from the shorter one
+    real = torus._measure_crossing
+    lengths = []
+    real_tiling = torus._plaque_tiling
+    monkeypatch.setattr(torus, "_measure_crossing", lambda *a: real(*a) + 2.0)
+    monkeypatch.setattr(torus, "_plaque_tiling",
+                        lambda p, arc: lengths.append(arc.length) or real_tiling(p, arc))
+    for base, target in (((0.0, 0.0), 0.1234567), ((0.31, 0.47), 0.25)):
+        lengths.clear()
+        got = torus._arc_length_solve(cat_family, cat, base, target, 1e-9, 16)
+        assert lengths[0] == 1.0 and max(lengths) > 2.0
         assert got == _bisection(_arc_value(cat_family, cat, base), target, 1e-9)
 
 
