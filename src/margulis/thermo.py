@@ -38,6 +38,7 @@ UNDECIDED = "Undecided"
 
 _POWER_TOL = 1e-14        # sup-norm step that ends the Perron power iteration
 _POWER_MAX_ITER = 200_000
+_GREEN_ROUNDOFF = 1e-12   # relative size of a negative Green's entry taken as round-off
 
 
 class NumericalFailure(RuntimeError):
@@ -358,41 +359,35 @@ def _adjacency(graph: ShiftGraph, states: Sequence[StateId]) -> tuple[dict[State
     return idx, A
 
 
-def _green_functions(graph: ShiftGraph, h: float, targets: Sequence[StateId],
-                     region: Sequence[StateId]) -> tuple[dict[StateId, int], dict[StateId, np.ndarray]]:
+def _green_function(graph: ShiftGraph, h: float, w: StateId,
+                    region: Sequence[StateId]) -> tuple[dict[StateId, int], np.ndarray]:
     """G(R, w) = sum_i exp(-i h) Z_i(R, w) restricted to paths inside region.
 
-    Computed exactly (all path lengths at once) as a resolvent solve
+    Computed exactly (all path lengths at once) as one resolvent solve
     (I - e^-h A) g = e_w on the region, with Dirichlet truncation at its
     boundary; valid when the truncated operator has spectral radius < e^h,
     which holds on proper finite subgraphs of a transient chain.  Returns the
-    region's row index and the Green's function column of each target.
+    region's row index and the Green's function column of w.
     """
     idx, A = _adjacency(graph, sorted(region))
-    n = len(idx)
-    M = np.eye(n) - math.exp(-h) * A
-    out: dict[StateId, np.ndarray] = {}
-    for w in targets:
-        if w not in idx:
-            raise ValueError(f"ray state {w!r} outside the solve region")
-        e = np.zeros(n)
-        e[idx[w]] = 1.0
-        try:
-            g = np.linalg.solve(M, e)  # g[R] = ((I - xA)^-1)[R, w] = G(R, w)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailure(f"resolvent solve failed: {exc}") from exc
-        out[w] = g
-    return idx, out
+    e = np.zeros(len(idx))
+    e[idx[w]] = 1.0
+    try:
+        g = np.linalg.solve(np.eye(len(idx)) - math.exp(-h) * A, e)  # g[R] = G(R, w)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"resolvent solve failed: {exc}") from exc
+    return idx, g
 
 
 def harmonic_cyr(graph: ShiftGraph, a0: StateId, ray: Sequence[StateId], h: float,
                  radius: int = 4) -> HarmonicFunction:
     """Harmonic function on a transient shift via Green's-function ratios.
 
-    For each ray index k, psi_k(R) = G(R, w_k) / G(a0, w_k); the report keeps
-    the successive sup-differences on the evaluation ball.  The ray must be an
-    admissible injective forward path; the solve region is the ball of
-    radius ``radius + len(ray) + 10`` around a0.
+    psi(R) = G(R, w) / G(a0, w) at the ray's last state w, from one resolvent
+    solve on the ball of radius ``radius + len(ray) + 10`` around a0.  The
+    ray must be an admissible injective forward path inside that ball.  A
+    column that is not positive means h lies below the critical value of the
+    truncated region, and raises ValueError.
     """
     ray = [graph.check_state(s) for s in ray]
     if len(set(ray)) != len(ray):
@@ -403,27 +398,21 @@ def harmonic_cyr(graph: ShiftGraph, a0: StateId, ray: Sequence[StateId], h: floa
     graph.check_state(a0)
     if not ray:
         raise ValueError("empty ray")
-    k_max = len(ray) - 1
     region = ball(graph, a0, radius + len(ray) + 10)
-    eval_states = sorted(ball(graph, a0, radius + 1))
-    idx, greens = _green_functions(graph, h, ray, region)
-
-    diffs: list[float] = []
-    prev: Optional[dict[StateId, float]] = None
-    values: dict[StateId, float] = {}
-    for k in range(k_max + 1):
-        g = greens[ray[k]]
-        den = g[idx[a0]]
-        if den <= 0.0:
-            raise ValueError(f"ray state {ray[k]!r} unreachable from {a0!r}: zero denominator")
-        cur = {s: float(g[idx[s]] / den) for s in eval_states
-               if s in idx and g[idx[s]] > 0.0}
-        if prev is not None:
-            common = set(cur) & set(prev)
-            diffs.append(max((abs(cur[s] - prev[s]) for s in common), default=math.inf))
-        prev = cur
-        values = cur
+    for s in ray:
+        if s not in region:
+            raise ValueError(f"ray state {s!r} outside the solve region")
+    w = ray[-1]
+    idx, g = _green_function(graph, h, w, region)
+    den = g[idx[a0]]
+    if den < 0.0 or g.min() < -_GREEN_ROUNDOFF * np.abs(g).max():
+        raise ValueError(f"truncated resolvent is not positive (G({a0!r}, {w!r}) = {den:.6g}, "
+                         f"least entry {g.min():.6g}): h = {h!r} is below the critical value "
+                         f"of the solve region")
+    if den == 0.0:
+        raise ValueError(f"ray state {w!r} unreachable from {a0!r}: zero denominator")
+    values = {s: float(g[idx[s]] / den) for s in sorted(ball(graph, a0, radius + 1))
+              if g[idx[s]] > 0.0}
     rep = check_harmonic(graph, values, h, center=a0, radius=radius, tol=math.inf)
     return HarmonicFunction(values, h, rep.max_residual, "cyr",
-                            meta={"a0": a0, "ray_index": k_max, "radius": radius,
-                                  "successive_diffs": diffs})
+                            meta={"a0": a0, "ray_index": len(ray) - 1, "radius": radius})

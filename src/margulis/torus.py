@@ -34,6 +34,8 @@ Vec = np.ndarray
 _PAD = 1e-9               # slack of the lattice-strip enumeration
 _VALID_TOL = 1e-9         # round-off slack of partition validation
 _MEMBER_TOL = 1e-12       # boundary slack of membership, coding and plaques
+_CODE_ROUNDING = 2.0 ** -49  # bound on the rounding of a coordinate code_point rescales
+_CODE_UNDECIDED_FRAC = 1e-3  # share of a cylinder that code_point's rounding may cover
 _MAX_ARC_LEN = 64.0       # longest arc the coordinate solver brackets
 _RAY_SEED_LEN = 0.3       # length of the seed segment of a periodic ray
 _MAX_RAY_PERIOD = 12      # longest period searched for a ray's base point
@@ -600,15 +602,23 @@ def code_point(p: MarkovPartition, xy: Vec, n: int) -> list[Itinerary]:
     and the stable interval only on its past, so the search descends the
     cylinder tree in each direction keeping the (at most two per level)
     children whose interval still contains x.  Interior orbits yield a single
-    itinerary; boundary points several.
+    itinerary; boundary points several.  Each level rescales x, and with it
+    its rounding, so the slack of a comparison is ``_MEMBER_TOL`` plus that
+    rounding; past the depth ``_code_depth_limit`` names, the rounding
+    covers too much of a cylinder to decide, and ValueError is raised.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
+    limit = _code_depth_limit(p)
+    if n > limit:
+        raise ValueError(f"code_point decides codings only for n <= {limit}: deeper, the "
+                         f"rounding of the rescaled coordinate covers more than "
+                         f"{_CODE_UNDECIDED_FRAC} of the narrowest cylinder; got n = {n}")
     out = []
     lam_u, lam_s = p.auto.lam_u, p.auto.lam_s
     for rid, u_rel, s_rel in memberships(p, xy):
-        futures = _containing(p.children, lambda v: v * lam_u, rid, u_rel, n)
-        pasts = _containing(p.parents, lambda v: v / lam_s, rid, s_rel, n)
+        futures = _containing(p.children, lambda v: v * lam_u, rid, u_rel, _CODE_ROUNDING, n)
+        pasts = _containing(p.parents, lambda v: v / lam_s, rid, s_rel, _CODE_ROUNDING, n)
         for past in pasts:
             for fut in futures:
                 symbols = tuple(reversed(past)) + (rid,) + tuple(fut)
@@ -618,17 +628,31 @@ def code_point(p: MarkovPartition, xy: Vec, n: int) -> list[Itinerary]:
     return out
 
 
-def _containing(table: dict, rescale, rid: StateId, x: float, n: int) -> list[tuple[StateId, ...]]:
+def _code_depth_limit(p: MarkovPartition) -> int:
+    """The largest n at which ``code_point``'s rounding bound, rescaled n - 1
+    times, stays within ``_CODE_UNDECIDED_FRAC`` of the narrowest child
+    interval it is compared with: the narrowest extent / lam_u on the
+    unstable side, lam_s times it on the stable side."""
+    return min(math.floor(math.log(_CODE_UNDECIDED_FRAC * min(extents) / _CODE_ROUNDING)
+                          / math.log(growth))
+               for extents, growth in (([r.u_extent for r in p.rectangles], p.auto.lam_u),
+                                       ([r.s_extent for r in p.rectangles], 1.0 / p.auto.lam_s)))
+
+
+def _containing(table: dict, rescale, rid: StateId, x: float, err: float,
+                n: int) -> list[tuple[StateId, ...]]:
     """Words w_1..w_n, read through ``table`` (``children`` for the future,
     ``parents`` for the past, w_-1..w_-n in that order), whose nested
-    intervals contain x; ``rescale`` maps a child's relative coordinate to
+    intervals contain x within ``_MEMBER_TOL + err``; ``rescale`` maps a
+    child's relative coordinate, and the bound ``err`` on its rounding, to
     the child rectangle's."""
     if n == 0:
         return [()]
     words = []
+    tol = _MEMBER_TOL + err
     for b, (start, width) in table[rid].items():
-        if start - _MEMBER_TOL <= x <= start + width + _MEMBER_TOL:
-            for rest in _containing(table, rescale, b, rescale(x - start), n - 1):
+        if start - tol <= x <= start + width + tol:
+            for rest in _containing(table, rescale, b, rescale(x - start), rescale(err), n - 1):
                 words.append((b,) + rest)
     return words
 

@@ -29,28 +29,25 @@ def test_unknown_fixture_exit_2():
 
 def test_shift_count_decimal_strings(tmp_path):
     out = tmp_path / "counts.json"
-    r = run_cli("--out", str(out), "shift", "count", "--fixture", "golden-mean",
-                "--origin", "0", "--target", "0", "--n", "6")
-    assert r.returncode == 0
+    assert main(["--out", str(out), "shift", "count", "--fixture", "golden-mean",
+                 "--origin", "0", "--target", "0", "--n", "6"]) == 0
     payload = json.loads(out.read_text())
     assert payload["counts"] == ["1", "1", "2", "3", "5", "8", "13"]
 
 
-def test_thermo_entropy_command():
-    r = run_cli("thermo", "entropy", "--fixture", "golden-mean", "--base", "0",
-                "--n", "40", "--method", "ratio")
-    assert r.returncode == 0
-    payload = json.loads(r.stdout)
+def test_thermo_entropy_command(capsys):
+    assert main(["thermo", "entropy", "--fixture", "golden-mean", "--base", "0",
+                 "--n", "40", "--method", "ratio"]) == 0
+    payload = json.loads(capsys.readouterr().out)
     assert abs(payload["value"] - 0.4812118250596035) < 1e-8
 
 
-def test_thermo_classify_with_csv(tmp_path):
+def test_thermo_classify_with_csv(tmp_path, capsys):
     csv = tmp_path / "trace.csv"
-    r = run_cli("thermo", "classify", "--fixture", "ladder", "--base", "(0,1)",
-                "--h", "1.0397207708399179", "--n", "60", "--threshold", "15",
-                "--csv", str(csv))
-    assert r.returncode == 0
-    payload = json.loads(r.stdout)
+    assert main(["thermo", "classify", "--fixture", "ladder", "--base", "(0,1)",
+                 "--h", "1.0397207708399179", "--n", "60", "--threshold", "15",
+                 "--csv", str(csv)]) == 0
+    payload = json.loads(capsys.readouterr().out)
     assert payload["verdict"] == "TransientEvidence"
     assert abs(payload["tail"]["limit_estimate"] - 2.0) < 0.01
     lines = csv.read_text().splitlines()
@@ -58,10 +55,9 @@ def test_thermo_classify_with_csv(tmp_path):
     assert len(lines) == 62
 
 
-def test_measure_verify():
-    r = run_cli("measure", "verify", "--fixture", "golden-mean", "--depth", "6")
-    assert r.returncode == 0
-    payload = json.loads(r.stdout)
+def test_measure_verify(capsys):
+    assert main(["measure", "verify", "--fixture", "golden-mean", "--depth", "6"]) == 0
+    payload = json.loads(capsys.readouterr().out)
     assert payload["conformality_max_err"] < 1e-12
     assert payload["support_ok"] is True
     assert payload["consistency_max_err"] == 0.0
@@ -185,10 +181,9 @@ def test_torus_verify_is_the_cat_suite():
     assert "invalid choice: 'golden-mean'" in r.stderr
 
 
-def test_suite_run_golden_mean(tmp_path):
+def test_suite_run_golden_mean(tmp_path, capsys):
     out = tmp_path / "report.json"
-    r = run_cli("suite", "run", "--fixture", "golden-mean", "--out", str(out))
-    assert r.returncode == 0
+    assert main(["suite", "run", "--fixture", "golden-mean", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["exit_code"] == 0
     assert all(e["passed"] for e in payload["entries"])
@@ -203,24 +198,34 @@ def test_determinism_identical_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_harmonic_cyr_cli():
+def test_harmonic_cyr_cli(capsys):
     ray = ",".join(f"({k},1)" for k in range(10))
-    r = run_cli("thermo", "harmonic", "--fixture", "ladder", "--method", "cyr",
-                "--base", "(0,1)", "--h", "1.0397207708399179", "--ray", ray,
-                "--radius", "3")
-    assert r.returncode == 0
-    payload = json.loads(r.stdout)
+    assert main(["thermo", "harmonic", "--fixture", "ladder", "--method", "cyr",
+                 "--base", "(0,1)", "--h", "1.0397207708399179", "--ray", ray,
+                 "--radius", "3"]) == 0
+    payload = json.loads(capsys.readouterr().out)
     assert payload["residual"] < 1e-3
     assert payload["values"]["(0,1)"] == 1.0
 
 
-def test_graph_file_input(tmp_path):
+def test_harmonic_cyr_below_the_critical_h_exits_2(capsys):
+    # at h - 0.01 the truncated resolvent is not positive: input error, no traceback
+    ray = ",".join(f"({k},1)" for k in range(13))
+    assert main(["thermo", "harmonic", "--fixture", "ladder", "--method", "cyr",
+                 "--base", "(0,1)", "--h", "1.0297207708399179", "--ray", ray,
+                 "--radius", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: truncated resolvent is not positive (G('(0,1)', '(12,1)') = -115.")
+    assert "h = 1.0297207708399179 is below the critical value of the solve region" in err
+
+
+def test_graph_file_input(tmp_path, capsys):
     gfile = tmp_path / "graph.json"
     gfile.write_text(json.dumps({"kind": "finite", "states": ["a", "b"],
                                  "edges": [["a", "a"], ["a", "b"], ["b", "a"]]}))
-    r = run_cli("shift", "validate", "--graph", str(gfile))
-    assert r.returncode == 0
-    payload = json.loads(r.stdout)
+    assert main(["shift", "validate", "--graph", str(gfile)]) == 0
+    payload = json.loads(capsys.readouterr().out)
     assert payload["transitive_on_ball"] is True
 
 

@@ -311,6 +311,25 @@ def test_conformality_detects_scaled_renewal_psi():
     assert rep.max_discrepancy > 1e-3
 
 
+def _ladder_table(max_n=15):
+    # psi(n, c) = (n + 1) 2^(-n/2), the ladder's harmonic function at (3/2) log 2
+    return {f"({n},{c})": (n + 1) * 2.0 ** (-n / 2) for n in range(max_n + 1) for c in (1, 2)}
+
+
+def test_ladder_family_is_conformal_and_its_perturbations_fail():
+    # the transient case: from (0,1) the walk to depth 12 stays at n <= 12,
+    # and the table to n = 15 covers every successor it reads
+    fx = get_fixture("ladder")
+    h, psi = fx.entropy, _ladder_table()
+    rep = conformality_check(make_family(fx.graph(), h, psi), "(0,1)", 12)
+    assert rep.passed and rep.max_discrepancy <= 1e-15
+    assert rep.cylinders_checked == 417_257
+    scaled = dict(psi, **{"(3,1)": psi["(3,1)"] * 1.001})
+    for fam in (make_family(fx.graph(), h, scaled), make_family(fx.graph(), h + 1e-3, psi)):
+        bad = conformality_check(fam, "(0,1)", 12)
+        assert not bad.passed and bad.max_discrepancy > 5e-5
+
+
 def test_full_support():
     for name in ("golden-mean", "full-2", "renewal"):
         fx = get_fixture(name)

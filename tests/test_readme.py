@@ -1,8 +1,11 @@
 import ast
+import json
 import math
 from pathlib import Path
 
 import pytest
+
+from margulis.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -27,3 +30,19 @@ def test_readme_python_block_runs_and_its_comments_hold():
     assert entropy == pytest.approx(math.log((1 + math.sqrt(5)) / 2), abs=1e-12)
     assert verdict == "Recurrent"
     assert measure == ns["fam"].psi_of("R1")
+
+
+def test_readme_ladder_family_is_the_closed_form(tmp_path, capsys):
+    text = README.read_text(encoding="utf-8")
+    start = text.index("```json\n", text.index("The ladder's family")) + len("```json\n")
+    doc = json.loads(text[start:text.index("```", start)])
+    assert doc["graph"] == {"kind": "generator", "name": "ladder", "params": {}}
+    assert doc["h"] == 1.5 * math.log(2.0)
+    assert doc["psi"] == {f"({n},{c})": (n + 1) * 2.0 ** (-n / 2)
+                          for n in range(12) for c in (1, 2)}
+    family = tmp_path / "L.json"
+    family.write_text(json.dumps(doc))
+    assert main(["measure", "verify", "--family", str(family), "--depth", "8"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "conformality_max_err": 2.220446049250313e-16, "consistency_max_err": 0.0,
+        "support_ok": True}

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from margulis.counting import NeumaierSum, count_words_to, exp_weighted
@@ -320,6 +321,78 @@ def test_harmonic_cyr_rejects_inadmissible_ray():
     g = get_fixture("3-cycle").graph()
     with pytest.raises(ValueError, match="admissible"):
         harmonic_cyr(g, "0", ["0", "2"], 0.5)
+
+
+def test_harmonic_cyr_rejects_a_ray_outside_the_solve_region():
+    g = build_finite_graph(["a", "b"], [("a", "a"), ("b", "b")])
+    with pytest.raises(ValueError, match="'b' outside the solve region"):
+        harmonic_cyr(g, "a", ["b"], LOG2)
+
+
+def test_harmonic_cyr_makes_one_solve(monkeypatch):
+    calls = []
+    solve = np.linalg.solve
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    fx = get_fixture("ladder")
+    harmonic_cyr(fx.graph(), "(0,1)", [f"({k},1)" for k in range(13)], fx.entropy, radius=3)
+    assert len(calls) == 1
+
+
+def test_harmonic_cyr_reads_only_the_rays_end():
+    # (0,2) has no incoming edge, so G((0,1), (0,2)) = 0; psi reads only the
+    # last state, and a ray of the same length gives the same solve bit for bit
+    fx = get_fixture("ladder")
+    g = fx.graph()
+    h1 = harmonic_cyr(g, "(0,1)", ["(0,2)", "(1,1)", "(2,1)"], fx.entropy, radius=3)
+    h2 = harmonic_cyr(g, "(0,1)", ["(0,1)", "(1,1)", "(2,1)"], fx.entropy, radius=3)
+    assert list(h1.values.items()) == list(h2.values.items())
+    assert h1.residual == h2.residual
+
+
+def test_harmonic_cyr_zero_denominator_is_unreachable():
+    # c reaches a, but a never reaches c: G(a, c) = 0
+    g = build_finite_graph(["a", "c"], [("a", "a"), ("c", "a")])
+    with pytest.raises(ValueError, match="'c' unreachable from 'a': zero denominator"):
+        harmonic_cyr(g, "a", ["c"], LOG2)
+
+
+def test_harmonic_cyr_below_the_critical_h_names_the_resolvent():
+    # at h - 0.01 the truncated resolvent has lost positivity: every entry of
+    # the column at (12,1) is negative, G((0,1), (12,1)) = -115.1
+    fx = get_fixture("ladder")
+    ray = [f"({k},1)" for k in range(13)]
+    with pytest.raises(ValueError, match=r"truncated resolvent is not positive .*"
+                                         r"below the critical value of the solve region"):
+        harmonic_cyr(fx.graph(), "(0,1)", ray, fx.entropy - 0.01, radius=3)
+
+
+def _ladder_psi(state):
+    # the only h-harmonic function of the ladder at h = (3/2) log 2, up to scale
+    n, _ = map(int, state[1:-1].split(","))
+    return (n + 1) * 2.0 ** (-n / 2)
+
+
+LADDER_RAYS = {
+    "colour-1": [f"({k},1)" for k in range(48)],
+    "colour-2": ["(0,1)"] + [f"({k},2)" for k in range(1, 48)],
+    "alternating": [f"({k},{1 + k % 2})" for k in range(48)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(LADDER_RAYS))
+def test_harmonic_cyr_is_the_ladder_closed_form(name):
+    fx = get_fixture("ladder")
+    hc = harmonic_cyr(fx.graph(), "(0,1)", LADDER_RAYS[name], fx.entropy, radius=3)
+    assert len(hc.values) == 10
+    assert max(abs(v - _ladder_psi(s)) for s, v in hc.values.items()) <= 2e-15
+    # above the critical h the ratio is harmonic still, but another function
+    off = harmonic_cyr(fx.graph(), "(0,1)", LADDER_RAYS[name], fx.entropy + 0.05, radius=3)
+    assert max(abs(v - _ladder_psi(s)) for s, v in off.values.items()) >= 0.5
 
 
 def test_check_harmonic_reports():

@@ -1,10 +1,12 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
 from margulis import torus
+from margulis.counting import count_periodic
 from margulis.measures import make_family
 from margulis.thermo import gurevich_entropy, harmonic_finite
 from margulis.torus import (
@@ -225,6 +227,87 @@ def test_inverse_partition_codes_reversed(cat):
 def test_decode_radius_shrinks(cat):
     its = code_point(cat, np.array([0.3, 0.4]), 25)
     assert its[0].radius < 1e-8  # lam_u^-25 scale
+
+
+def test_code_point_names_the_deepest_n_it_decides(cat):
+    with pytest.raises(ValueError, match=r"only for n <= 25: .*got n = 26"):
+        code_point(cat, np.array([0.3, 0.4]), 26)
+
+
+def test_origin_keeps_its_three_codings_at_depth(cat):
+    # the origin lies in R4 at u_rel = -2.2e-16, which lam_u^9 rescales past
+    # a fixed 1e-12 slack; the fixed codings R1^oo, R3^oo, R4^oo all stay
+    for n in (9, 10, 11, 12, 25):
+        its = code_point(cat, np.array([0.0, 0.0]), n)
+        assert [set(it.symbols) for it in its] == [{"R1"}, {"R3"}, {"R4"}], n
+
+
+def test_interior_points_keep_one_coding_at_the_deepest_n(cat):
+    # the slack grows only with the rounding: a fixed 1e-12 in the root chart
+    # gave a second coding to about a quarter of interior points at n = 24
+    rng = np.random.default_rng(8)
+    doubled = sum(len(code_point(cat, rng.random(2), 25)) > 1 for _ in range(100))
+    assert doubled <= 5
+
+
+def test_boundary_points_keep_both_codings_at_depth(cat):
+    # the points fiber_bound_check puts on unstable sides, at depths past
+    # where the stable side's rounding outgrew a fixed slack
+    count, k = torus._FIBER_BOUNDARY_POINTS, len(cat.rectangles)
+    for j in range(count):
+        r = cat.rectangles[j % k]
+        side = 0.0 if (j // k) % 2 == 0 else r.s_extent
+        xy = cat.auto.to_xy(np.array([r.corner[0] + (j + 0.5) / count * r.u_extent,
+                                      r.corner[1] + side])) % 1.0
+        for n in (9, 15, 25):
+            assert len(code_point(cat, xy, n)) == 2, (j, n)
+
+
+def _fixed_points(matrix, n):
+    """The fixed points of A^n on the torus, (A^n - I)^-1 Z^2 / Z^2, exactly.
+
+    (i, j) with 0 <= i < g, 0 <= j < |det| / g, g = gcd of the first row of
+    M = A^n - I, runs over Z^2 / M Z^2 (M Z^2 has the basis (g, *), (0, det / g))."""
+    (a, b), (c, d) = torus._int_power(matrix, n)
+    m00, m01, m10, m11 = a - 1, b, c, d - 1
+    det = m00 * m11 - m01 * m10
+    g = math.gcd(m00, m01)
+    points = {(Fraction(m11 * i - m01 * j, det) % 1, Fraction(m00 * j - m10 * i, det) % 1)
+              for i in range(g) for j in range(abs(det) // g)}
+    assert len(points) == abs(det) == abs(a + d - 2)
+    return points
+
+
+def _periodic_codings(p, n, code=code_point):
+    """Codings of the fixed points of A^n, each checked to be n-periodic."""
+    total = 0
+    for x, y in _fixed_points(p.auto.matrix, n):
+        for it in code(p, np.array([float(x), float(y)]), n):
+            assert all(it.symbols[i] == it.symbols[i + n] for i in range(n + 1)), it.symbols
+            total += 1
+    return total
+
+
+def _trace(p, n):
+    """tr(M^n): the n-periodic words of the partition graph."""
+    return sum(count_periodic(p.graph, a, n).counts[n] for a in p.graph.states)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_periodic_points_counted_two_ways(cat, n):
+    # the map has |tr(A^n) - 2| fixed points of A^n, each coded once but the
+    # origin, a corner of R1, R3 and R4, coded three times
+    trace = _trace(cat, n)
+    assert trace == len(_fixed_points(cat.auto.matrix, n)) + 2
+    assert _periodic_codings(cat, n) == trace
+
+
+def test_periodic_count_misses_a_dropped_coding(cat):
+    def drop_one(p, xy, n):
+        its = code_point(p, xy, n)
+        return its[1:] if not xy.any() else its
+
+    assert _periodic_codings(cat, 4, drop_one) == _trace(cat, 4) - 1
 
 
 def test_decode_rejects_inadmissible(cat):
