@@ -61,7 +61,6 @@ from .torus import (
     margulis_coordinates,
     memberships,
     partition_family,
-    periodic_ray_divergence,
     stable_holonomy,
     validate_partition,
 )

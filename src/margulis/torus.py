@@ -37,8 +37,6 @@ _MEMBER_TOL = 1e-12       # boundary slack of membership, coding and plaques
 _CODE_ROUNDING = 2.0 ** -49  # bound on the rounding of a coordinate code_point rescales
 _CODE_UNDECIDED_FRAC = 1e-3  # share of a cylinder that code_point's rounding may cover
 _MAX_ARC_LEN = 64.0       # longest arc the coordinate solver brackets
-_RAY_SEED_LEN = 0.3       # length of the seed segment of a periodic ray
-_MAX_RAY_PERIOD = 12      # longest period searched for a ray's base point
 _FIBER_BOUNDARY_POINTS = 24
 
 
@@ -90,8 +88,7 @@ def make_automorphism(matrix: Sequence[Sequence[int]]) -> TorusAutomorphism:
     if disc <= 0:  # only possible for det = +1, |trace| <= 2
         raise ValueError(f"matrix is not hyperbolic; trace = {tr}, det = {det}")
     sq = math.sqrt(disc)
-    roots = ((tr + sq) / 2.0, (tr - sq) / 2.0)
-    lam_u = max(roots, key=abs)
+    lam_u = (tr + sq) / 2.0
     lam_s = det / lam_u
     if not (lam_u > 1.0 and 0.0 < lam_s < 1.0):
         raise ValueError(
@@ -189,6 +186,10 @@ class MarkovPartition:
     that f(R_a) covers, relative to R_b's corner, in s order.
     ``charts[a]``: eigen coordinates of the translates T for which R_a + T
     can meet [0,1)^2.
+    ``_code_depth_limit``: the largest n at which ``code_point``'s rounding
+    bound, rescaled n - 1 times, stays within ``_CODE_UNDECIDED_FRAC`` of the
+    narrowest child interval it is compared with: the narrowest extent /
+    lam_u on the unstable side, lam_s times it on the stable side.
     """
 
     auto: TorusAutomorphism
@@ -199,6 +200,7 @@ class MarkovPartition:
     children: dict = field(init=False, repr=False)
     parents: dict = field(init=False, repr=False)
     charts: dict = field(init=False, repr=False)
+    _code_depth_limit: int = field(init=False, repr=False)
 
     def __post_init__(self, crossings):
         self.by_id = {r.id: r for r in self.rectangles}
@@ -215,6 +217,11 @@ class MarkovPartition:
                 tuple(self.auto.to_eigen(np.array(T, dtype=float)).tolist())
                 for T, _, _ in _lattice_in_strips(self.auto, (U[0] - r.u_range[1], U[1] - r.u_range[0]),
                                                   (S[0] - r.s_range[1], S[1] - r.s_range[0]))]
+        self._code_depth_limit = min(
+            math.floor(math.log(_CODE_UNDECIDED_FRAC * min(extents) / _CODE_ROUNDING)
+                       / math.log(growth))
+            for extents, growth in (([r.u_extent for r in self.rectangles], self.auto.lam_u),
+                                    ([r.s_extent for r in self.rectangles], 1.0 / self.auto.lam_s)))
 
     @property
     def h(self) -> float:
@@ -604,12 +611,12 @@ def code_point(p: MarkovPartition, xy: Vec, n: int) -> list[Itinerary]:
     children whose interval still contains x.  Interior orbits yield a single
     itinerary; boundary points several.  Each level rescales x, and with it
     its rounding, so the slack of a comparison is ``_MEMBER_TOL`` plus that
-    rounding; past the depth ``_code_depth_limit`` names, the rounding
+    rounding; past the partition's ``_code_depth_limit``, the rounding
     covers too much of a cylinder to decide, and ValueError is raised.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    limit = _code_depth_limit(p)
+    limit = p._code_depth_limit
     if n > limit:
         raise ValueError(f"code_point decides codings only for n <= {limit}: deeper, the "
                          f"rounding of the rescaled coordinate covers more than "
@@ -626,17 +633,6 @@ def code_point(p: MarkovPartition, xy: Vec, n: int) -> list[Itinerary]:
                 out.append(Itinerary(symbols, n, dec[0], dec[1]))
     out.sort(key=lambda it: it.symbols)
     return out
-
-
-def _code_depth_limit(p: MarkovPartition) -> int:
-    """The largest n at which ``code_point``'s rounding bound, rescaled n - 1
-    times, stays within ``_CODE_UNDECIDED_FRAC`` of the narrowest child
-    interval it is compared with: the narrowest extent / lam_u on the
-    unstable side, lam_s times it on the stable side."""
-    return min(math.floor(math.log(_CODE_UNDECIDED_FRAC * min(extents) / _CODE_ROUNDING)
-                          / math.log(growth))
-               for extents, growth in (([r.u_extent for r in p.rectangles], p.auto.lam_u),
-                                       ([r.s_extent for r in p.rectangles], 1.0 / p.auto.lam_s)))
 
 
 def _containing(table: dict, rescale, rid: StateId, x: float, err: float,
@@ -1019,33 +1015,6 @@ def conformality_on_leaves(family: ConformalFamily, p: MarkovPartition,
     return LeafConformalityReport(k, ratio, expected, rel_err, bound)
 
 
-def periodic_ray_divergence(family: ConformalFamily, p: MarkovPartition,
-                            point_xy: Vec, direction: int, K: int,
-                            depth: int = 12) -> list[float]:
-    """trace[k] = measure(f^k(seed ray segment)) = e^{k h} * trace[0].
-
-    The base point must be periodic; conformality makes the growth exact on
-    the formula path, so the trace exceeds any bound for k large.
-    """
-    q = np.asarray(point_xy, dtype=float) % 1.0
-    A = np.array(p.auto.matrix, dtype=float)
-    z = q.copy()
-    period = 0
-    for t in range(1, _MAX_RAY_PERIOD + 1):
-        z = (A @ z) % 1.0
-        d = np.abs(z - q)
-        if np.max(np.minimum(d, 1.0 - d)) < 1e-9:
-            period = t
-            break
-    if period == 0:
-        raise ValueError(f"point {point_xy} is not periodic up to period {_MAX_RAY_PERIOD}")
-    if direction not in (1, -1):
-        raise ValueError("direction must be +1 or -1")
-    t0, t1 = (0.0, _RAY_SEED_LEN) if direction == 1 else (-_RAY_SEED_LEN, 0.0)
-    m0 = leaf_arc_measure(family, p, UnstableArc(tuple(q.tolist()), t0, t1), depth).value
-    return [math.exp(k * family.h) * m0 for k in range(K + 1)]
-
-
 def _measure_crossing(family: ConformalFamily, p: MarkovPartition,
                       segs: list[tuple[StateId, float, float, float]],
                       target: float, depth: int) -> Optional[float]:
@@ -1168,11 +1137,12 @@ class FiberReport:
     bound: int
     samples: int
     boundary_max: int
+    boundary_min: int
     interior_unique_fraction: float
 
     @property
     def passed(self) -> bool:
-        return self.max_fiber <= self.bound
+        return self.max_fiber <= self.bound and self.boundary_min >= 2
 
 
 def fiber_bound_check(p: MarkovPartition, samples: int, seed: int = 0,
@@ -1181,7 +1151,8 @@ def fiber_bound_check(p: MarkovPartition, samples: int, seed: int = 0,
 
     The bound is (degree_bound + 1)^2 - 1 for the partition's transition
     graph.  Boundary points are placed on unstable-side boundaries and must
-    be multiply coded.
+    be multiply coded: the check fails if one of them has fewer than two
+    codings.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -1202,9 +1173,7 @@ def fiber_bound_check(p: MarkovPartition, samples: int, seed: int = 0,
         k = len(code_point(p, q, n))
         max_fiber = max(max_fiber, k)
         unique += k == 1
-    boundary_max = 0
-    for q in extra:
-        k = len(code_point(p, q, n))
-        boundary_max = max(boundary_max, k)
-        max_fiber = max(max_fiber, k)
-    return FiberReport(max_fiber, bound, samples, boundary_max, unique / samples)
+    boundary = [len(code_point(p, q, n)) for q in extra]
+    max_fiber = max(max_fiber, *boundary)
+    return FiberReport(max_fiber, bound, samples, max(boundary), min(boundary),
+                       unique / samples)

@@ -27,7 +27,6 @@ from margulis import (
     inverse_partition,
     memberships,
     partition_family,
-    periodic_ray_divergence,
     validate_partition,
 )
 from margulis.counting import count_words
@@ -190,10 +189,10 @@ def test_criterion_10_coordinate_linearity(cat, cat_family):
 
 
 def test_criterion_11_ray_divergence(cat, cat_family):
-    c = Criterion(11, "ray trace: e^{kh} exact on the formula path, > 1e3 at k = 8", 1.0)
-    trace = periodic_ray_divergence(cat_family, cat, (0.0, 0.0), +1, K=8)
-    h = cat_family.h
+    c = Criterion(11, "ray: m(f^k seed) / m(seed) brackets e^{kh}, k <= 8, > 1e3 at k = 8", 1.0)
+    seed = UnstableArc((0.0, 0.0), 0.0, 0.3)   # from the fixed point 0 along +e_u
     for k in range(9):
-        assert trace[k] == math.exp(k * h) * trace[0]
-    assert trace[8] > 1e3 * trace[0]
+        rep = conformality_on_leaves(cat_family, cat, seed, k, depth=12)
+        assert rep.rel_err <= rep.bound, (k, rep.rel_err, rep.bound)
+    assert rep.ratio > 1e3
     c.done()

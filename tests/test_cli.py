@@ -63,12 +63,13 @@ def test_measure_verify(capsys):
     assert payload["consistency_max_err"] == 0.0
 
 
-def test_unknown_state_message_is_unquoted():
-    r = run_cli("thermo", "harmonic", "--fixture", "renewal", "--method", "sarig",
-                "--base", "zzz", "--h", "0.6931471805599453", "--n", "60", "--radius", "6")
-    assert r.returncode == 2
-    assert r.stderr == "error: unknown state 'zzz'\n"
-    assert r.stdout == ""
+def test_unknown_state_message_is_unquoted(capsys):
+    assert main(["thermo", "harmonic", "--fixture", "renewal", "--method", "sarig",
+                 "--base", "zzz", "--h", "0.6931471805599453", "--n", "60",
+                 "--radius", "6"]) == 2
+    out, err = capsys.readouterr()
+    assert err == "error: unknown state 'zzz'\n"
+    assert out == ""
 
 
 def test_measure_verify_rejects_bad_families(tmp_path, capsys):
@@ -152,11 +153,12 @@ def test_measure_verify_verdict_ignores_the_scale_of_psi(tmp_path):
         assert main(["measure", "verify", "--family", str(fam), "--depth", "8"]) == code
 
 
-def test_flags_only_where_read():
-    r = run_cli("shift", "count", "--fixture", "golden-mean", "--origin", "0",
-                "--target", "0", "--n", "6", "--tol", "1e-3")
-    assert r.returncode == 2
-    assert "unrecognized arguments: --tol" in r.stderr
+def test_flags_only_where_read(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["shift", "count", "--fixture", "golden-mean", "--origin", "0",
+              "--target", "0", "--n", "6", "--tol", "1e-3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
     def subparsers(parser):
         return next(a.choices for a in parser._actions
@@ -263,8 +265,7 @@ def test_partition_validate_rejects_bad_file(tmp_path):
         "rectangles": [{"id": "Q", "corner": [0.0, 0.0],
                         "u_extent": 1.2, "s_extent": 1.2}],
     }))
-    r = run_cli("torus", "validate", "--partition", str(pfile))
-    assert r.returncode != 0
+    assert main(["torus", "validate", "--partition", str(pfile)]) != 0
 
 
 def test_partition_validate_reports_invalid_partition(tmp_path, capsys):
@@ -282,24 +283,23 @@ def test_partition_validate_reports_invalid_partition(tmp_path, capsys):
     assert "invalid Markov partition" in err
 
 
-def test_partition_validate_rejects_negative_eigenvalue(tmp_path):
+def test_partition_validate_rejects_negative_eigenvalue(tmp_path, capsys):
     pfile = tmp_path / "neg.json"
     pfile.write_text(json.dumps({
         "matrix": [[0, 1], [1, 1]],
         "rectangles": [{"id": "Q", "corner": [0.0, 0.0],
                         "u_extent": 1.0, "s_extent": 1.0}],
     }))
-    r = run_cli("torus", "validate", "--partition", str(pfile))
-    assert r.returncode == 2
-    assert "lam_s = -0.618" in r.stderr and "lam_u = 1.618" in r.stderr
+    assert main(["torus", "validate", "--partition", str(pfile)]) == 2
+    err = capsys.readouterr().err
+    assert "lam_s = -0.618" in err and "lam_u = 1.618" in err
 
 
-def test_partition_validate_names_missing_key(tmp_path):
+def test_partition_validate_names_missing_key(tmp_path, capsys):
     pfile = tmp_path / "nokey.json"
     pfile.write_text(json.dumps({"matrix": [[2, 1], [1, 1]]}))
-    r = run_cli("torus", "validate", "--partition", str(pfile))
-    assert r.returncode == 2
-    assert 'partition file lacks "rectangles"' in r.stderr
+    assert main(["torus", "validate", "--partition", str(pfile)]) == 2
+    assert 'partition file lacks "rectangles"' in capsys.readouterr().err
 
 
 def test_partition_validate_malformed_file_exit_2(tmp_path, capsys):

@@ -27,7 +27,6 @@ from margulis.torus import (
     margulis_coordinates,
     memberships,
     partition_family,
-    periodic_ray_divergence,
     stable_holonomy,
     validate_partition,
 )
@@ -57,8 +56,9 @@ def test_make_automorphism_cat():
 
 
 def test_make_automorphism_rejects_negative_eigenvalues():
-    # det -1 (lam_s = -1/phi) and trace -3 (both eigenvalues negative)
-    for m in ([[1, 1], [1, 0]], [[-2, 1], [1, -1]]):
+    # det -1 (lam_s = -1/phi), trace -3 (both eigenvalues negative) and det -1
+    # with trace -1
+    for m in ([[1, 1], [1, 0]], [[-2, 1], [1, -1]], [[-1, 1], [1, 0]]):
         with pytest.raises(ValueError, match=r"use the square of the map"):
             make_automorphism(m)
 
@@ -779,13 +779,13 @@ def test_conformality_rel_err_within_its_bound(cat, cat_family):
 
 
 def test_periodic_ray_divergence(cat, cat_family):
-    tr = periodic_ray_divergence(cat_family, cat, (0.0, 0.0), +1, K=8)
-    assert tr[8] / tr[0] == pytest.approx(math.exp(8 * cat_family.h), rel=1e-12)
-    assert tr[8] > 1e3 * tr[0]
-    tr_neg = periodic_ray_divergence(cat_family, cat, (0.0, 0.0), -1, K=8)
-    assert tr_neg[8] / tr_neg[0] == pytest.approx(tr[8] / tr[0], rel=1e-12)
-    with pytest.raises(ValueError, match="periodic"):
-        periodic_ray_divergence(cat_family, cat, (0.123, 0.456), +1, K=3)
+    # the unstable ray of the fixed point 0, seeded on either side of it:
+    # the measured m(f^k seed) / m(seed) brackets e^{kh} and passes 1e3 at k = 8
+    for seed in (UnstableArc((0.0, 0.0), 0.0, 0.3), UnstableArc((0.0, 0.0), -0.3, 0.0)):
+        for k in range(9):
+            rep = conformality_on_leaves(cat_family, cat, seed, k, depth=12)
+            assert rep.rel_err <= rep.bound, (seed, k)
+        assert rep.ratio > 1e3
 
 
 # -- coordinates and fibers ------------------------------------------------------------
@@ -1011,4 +1011,16 @@ def test_fiber_bound(cat):
     assert rep.bound == 15  # (3+1)^2 - 1
     assert rep.max_fiber <= rep.bound
     assert rep.boundary_max >= 2
+    assert rep.boundary_min == 2
     assert rep.interior_unique_fraction > 0.99
+    assert rep.passed
+
+
+def test_fiber_bound_fails_on_a_lost_boundary_coding(cat, monkeypatch):
+    # with a rounding bound that does not grow with the rescaling, 5 of the 24
+    # boundary points keep only one coding at n = 9, and the check must say so
+    monkeypatch.setattr(torus, "_CODE_ROUNDING", 1e-300)
+    rep = fiber_bound_check(cat, samples=50, seed=0, n=9)
+    assert rep.max_fiber <= rep.bound
+    assert rep.boundary_min == 1
+    assert not rep.passed
