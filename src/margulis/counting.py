@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .graphs import ShiftGraph, StateId
 
@@ -49,13 +49,21 @@ def _frontiers(step: Callable[[StateId], Sequence[StateId]], frontier: Mapping[S
                n_max: int) -> Iterator[Mapping[StateId, int]]:
     """For n = 0..n_max, the number of walks along ``step`` ending at each
     state, weighted by ``frontier`` at their start: n-edge walks from a state
-    ``a`` when ``frontier`` is ``{a: 1}`` (states with no walk are absent)."""
+    ``a`` when ``frontier`` is ``{a: 1}`` (states with no walk are absent).
+    ``step`` runs once per distinct state; the call keeps its results."""
+    steps: dict[StateId, Sequence[StateId]] = {}
     yield frontier
     for _ in range(n_max):
         nxt: dict[StateId, int] = {}
         for s, c in frontier.items():
-            for t in step(s):
-                nxt[t] = nxt.get(t, 0) + c
+            out = steps.get(s)
+            if out is None:
+                out = steps[s] = step(s)
+            for t in out:
+                if t in nxt:
+                    nxt[t] += c
+                else:
+                    nxt[t] = c
         frontier = nxt
         yield frontier
 
@@ -86,7 +94,7 @@ def count_periodic(graph: ShiftGraph, a: StateId, n_max: int) -> CountTable:
 
 def count_words_to(graph: ShiftGraph, target: StateId, n_max: int) -> list[Mapping[StateId, int]]:
     """tables[n][s] = Z_n(s, target) for n = 0..n_max, via backward DP over
-    predecessors.
+    predecessors (looked up once per state each time the memo grows).
 
     One pass serves every source state at once; used by the harmonic-function
     constructions which need Z_n(R, a0) for all R in a ball, and by
@@ -112,28 +120,43 @@ def count_words_to(graph: ShiftGraph, target: StateId, n_max: int) -> list[Mappi
 
 def exp_weighted(count: int, n: int, h: float) -> float:
     """exp(-n h) * count with exact integer input, safe for huge counts."""
-    if count == 0:
-        return 0.0
+    return _discounted(count, n, h, math.exp(-n * h)) if count else 0.0
+
+
+def _discounted(count: int, n: int, h: float, discount: float) -> float:
+    """:func:`exp_weighted` of a nonzero ``count``, given ``discount`` =
+    exp(-n h) by a caller that weighs many counts of one length."""
     if count.bit_length() > _BIG_FLOAT_BITS:
         return math.exp(math.log(count) - n * h)
-    return float(count) * math.exp(-n * h)
+    return float(count) * discount
 
 
 class NeumaierSum:
-    """Compensated accumulator; deterministic for a fixed addition order."""
+    """Compensated accumulator, started from ``xs`` added in order;
+    deterministic for a fixed addition order."""
 
-    def __init__(self) -> None:
+    def __init__(self, xs: Iterable[float] = ()) -> None:
         self._s = 0.0
         self._c = 0.0
+        self._extend(xs)
 
     def add(self, x: float) -> float:
-        t = self._s + x
-        if abs(self._s) >= abs(x):
-            self._c += (self._s - t) + x
-        else:
-            self._c += (x - t) + self._s
-        self._s = t
-        return self.value
+        return self._extend((x,))[-1]
+
+    def _extend(self, xs: Iterable[float]) -> list[float]:
+        """Add each of ``xs`` in order; the value after each."""
+        s, c = self._s, self._c
+        values = []
+        for x in xs:
+            t = s + x
+            if abs(s) >= abs(x):
+                c += (s - t) + x
+            else:
+                c += (x - t) + s
+            s = t
+            values.append(s + c)
+        self._s, self._c = s, c
+        return values
 
     @property
     def value(self) -> float:
@@ -144,11 +167,5 @@ def weighted_loop_sum(graph: ShiftGraph, a: StateId, h: float, n_max: int) -> We
     """Partial sums of the entropy-discounted loop series at ``a``."""
     if h <= 0:
         raise ValueError("h must be positive")
-    acc = NeumaierSum()
-    terms: list[float] = []
-    partial: list[float] = []
-    for n, z in enumerate(count_periodic(graph, a, n_max).counts):
-        t = exp_weighted(z, n, h)
-        terms.append(t)
-        partial.append(acc.add(t))
-    return WeightedSumTrace(h=h, partial_sums=partial, terms=terms)
+    terms = [exp_weighted(z, n, h) for n, z in enumerate(count_periodic(graph, a, n_max).counts)]
+    return WeightedSumTrace(h=h, partial_sums=NeumaierSum()._extend(terms), terms=terms)

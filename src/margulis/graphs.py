@@ -36,10 +36,10 @@ class ShiftGraph:
     Finite graphs carry their state list; generated graphs have none and are
     explored through their successor/predecessor functions.  Explored
     neighborhoods are memoized under a lock so concurrent callers see
-    bitwise-identical results.  A state is checked once, when its memo entry
-    is filled; a memo hit skips the check.  ``_into_memo`` holds, per target,
-    the backward walk-count frontiers that ``counting.count_words_to`` fills
-    and extends under the same lock.
+    bitwise-identical results.  Each state is checked once per graph (a
+    state that passes joins ``_checked``); a non-state fails every time.
+    ``_into_memo`` holds, per target, the backward walk-count frontiers that
+    ``counting.count_words_to`` fills and extends under the same lock.
     """
 
     def __init__(
@@ -63,7 +63,8 @@ class ShiftGraph:
         self._succ_memo: dict[StateId, tuple[StateId, ...]] = {}
         self._pred_memo: dict[StateId, tuple[StateId, ...]] = {}
         self._into_memo: dict[StateId, tuple[Mapping[StateId, int], ...]] = {}
-        self._lock = threading.Lock()
+        self._checked: set[StateId] = set()
+        self._lock = threading.RLock()  # _fill holds it while check_state takes it
 
     # -- basic queries ------------------------------------------------------
 
@@ -85,8 +86,11 @@ class ShiftGraph:
         return True
 
     def check_state(self, s: StateId) -> StateId:
-        if not self.contains(s):
-            raise KeyError(f"unknown state {s!r}")
+        if s not in self._checked:
+            if not self.contains(s):
+                raise KeyError(f"unknown state {s!r}")
+            with self._lock:
+                self._checked.add(s)
         return s
 
     def successors(self, s: StateId) -> tuple[StateId, ...]:

@@ -25,9 +25,9 @@ import numpy as np
 from .counting import (
     NeumaierSum,
     WeightedSumTrace,
+    _discounted,
     count_periodic,
     count_words_to,
-    exp_weighted,
     weighted_loop_sum,
 )
 from .graphs import ShiftGraph, StateId, ball
@@ -124,6 +124,7 @@ class RecurrenceVerdict:
     trace: WeightedSumTrace
     threshold: float
     tail: Optional[TailFit] = None
+    reason: str = ""  # why the verdict is Undecided; neither the CLI nor the suite prints it
 
     @property
     def limit_estimate(self) -> Optional[float]:
@@ -147,15 +148,20 @@ def fit_tail(terms: Sequence[float], total: float) -> Optional[TailFit]:
     Returns None when the terms are too few, not decaying, or not summable
     (power <= 1 at the critical radius).
     """
+    return _fit_tail(terms, total)[0]
+
+
+def _fit_tail(terms: Sequence[float], total: float) -> tuple[Optional[TailFit], str]:
+    """:func:`fit_tail`, with the reason it returns None ("" for a fit)."""
     ts = [t for t in terms if t > 0.0]
     if len(ts) < 8:
-        return None
+        return None, "too few terms"
     K = max(min(20, len(ts) // 2), 6)
     J = len(ts) - 1  # last index in the nonzero subsequence
     win = ts[-(K + 2):]
     rho = _richardson_rho(win, start=len(ts) - len(win))
     if not (0.0 < rho < 1.02):
-        return None
+        return None, "rho out of range"
 
     js = np.arange(J - K + 1, J + 1, dtype=float)
     ys = np.log(np.array(ts[-K:]))
@@ -167,7 +173,7 @@ def fit_tail(terms: Sequence[float], total: float) -> Optional[TailFit]:
         a, logrho, negp = coef
         rho_f, p, c = math.exp(logrho), -negp, math.exp(a)
         if rho_f >= 1.0:
-            return None
+            return None, "fitted rho >= 1"
         rms = float(np.sqrt(np.mean((A @ coef - ys) ** 2)))
         tail = NeumaierSum()
         j = J + 1
@@ -178,7 +184,7 @@ def fit_tail(terms: Sequence[float], total: float) -> Optional[TailFit]:
                 break
             j += 1
         est = total + tail.value
-        return TailFit(rho_f, p, tail.value, est, rms, K)
+        return TailFit(rho_f, p, tail.value, est, rms, K), ""
 
     # critical regime rho ~ 1: log t = a - p log(j) + b/j, zeta tail
     A = np.column_stack([np.ones(K), np.log(js), 1.0 / js])
@@ -187,11 +193,11 @@ def fit_tail(terms: Sequence[float], total: float) -> Optional[TailFit]:
     p, c = -negp, math.exp(a)
     rms = float(np.sqrt(np.mean((A @ coef - ys) ** 2)))
     if p <= 1.05:
-        return None
+        return None, "power <= 1.05"
     import mpmath
 
     tail = c * (float(mpmath.zeta(p, J + 1)) + b * float(mpmath.zeta(p + 1, J + 1)))
-    return TailFit(1.0, p, tail, total + tail, rms, K)
+    return TailFit(1.0, p, tail, total + tail, rms, K), ""
 
 
 def classify_recurrence(graph: ShiftGraph, base: StateId, h: float, n_max: int,
@@ -200,15 +206,16 @@ def classify_recurrence(graph: ShiftGraph, base: StateId, h: float, n_max: int,
 
     Recurrent only when the partial sums actually exceed ``threshold``;
     transience is reported as evidence with a fitted tail exponent and an
-    extrapolated limit, never as a proof.
+    extrapolated limit, never as a proof.  An ``Undecided`` verdict names
+    its reason: the tail fit's rejection, or a fit rms of 0.05 or more.
     """
     trace = weighted_loop_sum(graph, base, h, n_max)
     if trace.total > threshold:
         return RecurrenceVerdict(RECURRENT, trace, threshold)
-    fit = fit_tail(trace.terms, trace.total)
+    fit, reason = _fit_tail(trace.terms, trace.total)
     if fit is not None and fit.fit_rms < 0.05:
         return RecurrenceVerdict(TRANSIENT_EVIDENCE, trace, threshold, fit)
-    return RecurrenceVerdict(UNDECIDED, trace, threshold, fit)
+    return RecurrenceVerdict(UNDECIDED, trace, threshold, fit, reason or "rms >= 0.05")
 
 
 # ---------------------------------------------------------------------------
@@ -319,23 +326,19 @@ def harmonic_sarig(graph: ShiftGraph, a0: StateId, h: float, n_max: int,
     graph.check_state(a0)
     m0 = n_max // 2
     tables = count_words_to(graph, a0, n_max)
+    window = [(i, tables[i], math.exp(-i * h)) for i in range(m0 + 1, n_max + 1)]
     # a state whose first path into a0 is longer than the window start has a
     # transient prefix inside the window, contaminating its ratio: drop it
     sums: dict[StateId, float] = {}
     dropped = 0
     for s in sorted(ball(graph, a0, radius + 1)):
-        acc = NeumaierSum()
-        first_hit = None
-        for i, table in enumerate(tables):
-            z = table.get(s, 0)
-            if z:
-                if first_hit is None:
-                    first_hit = i
-                if i > m0:
-                    acc.add(exp_weighted(z, i, h))
+        first_hit = next((i for i, table in enumerate(tables) if s in table), None)
         if first_hit is not None and first_hit > m0:
             dropped += 1
-        elif acc.value > 0.0:
+            continue
+        acc = NeumaierSum(_discounted(z, i, h, w) for i, table, w in window
+                          if (z := table.get(s, 0)))
+        if acc.value > 0.0:
             sums[s] = acc.value
     if a0 not in sums:
         raise ValueError(f"no loops at {a0!r} within n_max={n_max}; denominator is zero")

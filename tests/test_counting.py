@@ -1,18 +1,22 @@
 import math
 import sys
 import threading
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from margulis.counting import (
+    _frontiers,
     count_periodic,
     count_words,
     count_words_to,
     weighted_loop_sum,
 )
 from margulis.fixtures import FIXTURES, get_fixture
+from margulis.graphs import build_graph
+from margulis.measures import make_family
 
 
 def brute_count(g, a, b, n):
@@ -31,6 +35,54 @@ def test_count_words_matches_brute_force(name):
             table = count_words(g, a, b, 12)
             for n in range(13):
                 assert table.counts[n] == brute_count(g, a, b, n)
+
+
+def naive_frontiers(step, start, n_max):
+    """Oracle: every walk of n <= n_max steps from ``start``, one by one,
+    tallied by its last state."""
+    walks, out = [[start]], []
+    for n in range(n_max + 1):
+        if n:
+            walks = [w + [t] for w in walks for t in step(w[-1])]
+        out.append(Counter(w[-1] for w in walks))
+    return out
+
+
+def _renewal6():
+    return build_graph({"kind": "generator", "name": "renewal", "params": {"max_len": 6}})
+
+
+@pytest.mark.parametrize("case", ["renewal-forward", "renewal-backward", "ladder", "psi-filtered"])
+def test_frontiers_match_a_naive_walk_count(case):
+    if case == "ladder":
+        g = get_fixture("ladder").graph()
+        step, start = g.successors, "(0,1)"
+    elif case == "psi-filtered":
+        # psi misses the loops of length 5 and 6, so the step drops their entries
+        g = _renewal6()
+        psi = {"b": 1.0, **{f"l({n},{k})": 2.0 ** (k - n) for n in range(2, 5) for k in range(1, n)}}
+        step, start = make_family(g, math.log(2), psi).successors, "b"
+    else:
+        g = _renewal6()
+        step, start = (g.successors if case == "renewal-forward" else g.predecessors), "b"
+    got = list(_frontiers(step, {start: 1}, 10))
+    assert [dict(f) for f in got] == [dict(c) for c in naive_frontiers(step, start, 10)]
+
+
+def test_frontiers_step_each_distinct_state_once():
+    g = get_fixture("renewal").graph()
+    calls = Counter()
+
+    def step(s):
+        calls[s] += 1
+        return g.predecessors(s)
+
+    frontiers = list(_frontiers(step, {"b": 1}, 40))
+    assert set(calls.values()) == {1}
+    assert set(calls) == set().union(*frontiers[:40])
+    # the levels revisit states: one call per (state, level) would be far more
+    assert sum(map(len, frontiers[:40])) > 5 * len(calls)
+    assert frontiers == list(_frontiers(g.predecessors, {"b": 1}, 40))
 
 
 def test_full_shift_counts():

@@ -201,6 +201,24 @@ def test_concurrent_exploration_deterministic():
     assert not any(t.is_alive() for t in threads) and len(results) == 8
     fresh = build_graph({"kind": "generator", "name": "renewal", "params": {"max_len": 24}})
     assert all(r == ball(fresh, "b", 5) for r in results)
+    # a lost update of the checked set would leave out a memoized state
+    memos = (g._succ_memo, g._pred_memo)
+    assert g._checked == set().union(*memos, *(v for m in memos for v in m.values()))
+
+
+def test_each_state_is_checked_once_per_graph():
+    # validate_graph explores the whole renewal graph both ways and
+    # count_words_to walks it again at every level: contains runs once a state
+    from margulis.counting import count_words_to
+    from margulis.fixtures import get_fixture
+
+    g = get_fixture("renewal").graph()
+    contains, calls = g._contains_fn, []
+    g._contains_fn = lambda s: calls.append(s) or contains(s)
+    validate_graph(g, radius=6)
+    count_words_to(g, "b", 40)
+    assert len(calls) == len(set(calls)) == 1 + 63 * 64 // 2
+    assert set(calls) == set(g._succ_memo) | set(g._pred_memo)
 
 
 def test_memo_fill_validates_every_state():

@@ -1,10 +1,13 @@
-"""Mutation matrix, keyed on report entry names: each perturbation of the cat
-map's conformal family must flip the named suite entries to FAIL, while the
-unperturbed family passes them."""
+"""Mutation matrix, keyed on report entry names: each perturbation of a
+fixture's conformal family must flip the named suite entries to FAIL, while
+the unperturbed family passes them."""
+
+import dataclasses
 
 import pytest
 
 from margulis import torus
+from margulis.fixtures import FIXTURES
 from margulis.measures import make_family
 from margulis.suite import SuiteConfig, run_suite
 
@@ -12,6 +15,7 @@ CONFIG = SuiteConfig(depth=4, samples=50)
 
 
 def _perturbed(dh: float = 0.0, psi_r1_scale: float = 1.0):
+    """Patch the cat map's conformal family: h shifted by ``dh``, psi(R1) scaled."""
     partition_family = torus.partition_family
 
     def family(p):
@@ -19,33 +23,43 @@ def _perturbed(dh: float = 0.0, psi_r1_scale: float = 1.0):
         psi = dict(fam.psi)
         psi["R1"] *= psi_r1_scale
         return make_family(fam.graph, fam.h + dh, psi)
-    return family
+    return lambda monkeypatch: monkeypatch.setattr(torus, "partition_family", family)
 
 
-def _verdicts(monkeypatch, family) -> dict:
-    monkeypatch.setattr(torus, "partition_family", family)
-    return {e.name: e.passed for e in run_suite("cat", CONFIG).entries}
+def _renewal(dh: float):
+    """Patch the renewal fixture's entropy, and so its family's h, by ``dh``."""
+    fx = FIXTURES["renewal"]
+    return lambda monkeypatch: monkeypatch.setitem(
+        FIXTURES, "renewal", dataclasses.replace(fx, entropy=fx.entropy + dh))
 
 
-# mutation -> (the family it builds, the entries it must flip to FAIL)
+def _verdicts(suite: str) -> dict:
+    return {e.name: e.passed for e in run_suite(suite, CONFIG).entries}
+
+
+# mutation -> (the suite it runs, its patch, the entries it must flip to FAIL)
 CONFORMAL = ("cat/ray_divergence", "cat/leaf_conformality")
+RENEWAL = ("renewal/entropy_ratio_err", "renewal/conformality")
 MATRIX = {
-    "h+1e-3": (_perturbed(dh=1e-3), CONFORMAL),
-    "h-1e-3": (_perturbed(dh=-1e-3), CONFORMAL),
-    "psi(R1)x1.3": (_perturbed(psi_r1_scale=1.3), CONFORMAL),
+    "h+1e-3": ("cat", _perturbed(dh=1e-3), CONFORMAL),
+    "h-1e-3": ("cat", _perturbed(dh=-1e-3), CONFORMAL),
+    "psi(R1)x1.3": ("cat", _perturbed(psi_r1_scale=1.3), CONFORMAL),
+    "renewal h+1e-3": ("renewal", _renewal(1e-3), RENEWAL),
+    "renewal h-1e-3": ("renewal", _renewal(-1e-3), RENEWAL),
 }
 
 
-def test_unperturbed_family_passes_every_mutated_entry(monkeypatch):
-    verdicts = _verdicts(monkeypatch, torus.partition_family)
-    for _, names in MATRIX.values():
+def test_unperturbed_family_passes_every_mutated_entry():
+    verdicts = {suite: _verdicts(suite) for suite in sorted({row[0] for row in MATRIX.values()})}
+    for suite, _, names in MATRIX.values():
         for name in names:
-            assert verdicts[name], name
+            assert verdicts[suite][name], name
 
 
 @pytest.mark.parametrize("mutation", sorted(MATRIX))
 def test_mutation_flips_its_entries(monkeypatch, mutation):
-    family, names = MATRIX[mutation]
-    verdicts = _verdicts(monkeypatch, family)
+    suite, patch, names = MATRIX[mutation]
+    patch(monkeypatch)
+    verdicts = _verdicts(suite)
     for name in names:
         assert verdicts[name] is False, (mutation, name)

@@ -9,6 +9,7 @@ from margulis.graphs import ball, build_finite_graph
 from margulis.thermo import (
     RECURRENT,
     TRANSIENT_EVIDENCE,
+    UNDECIDED,
     check_harmonic,
     classify_recurrence,
     fit_tail,
@@ -124,6 +125,40 @@ def test_geometric_tail_is_added_to_the_partial_sum():
     assert v.tail.tail_sum > 1e-5
     exact = 1.0 / (1.0 - math.exp(-1.0) - math.exp(-2.0))
     assert v.limit_estimate == pytest.approx(exact, abs=1e-8)
+
+
+# reason -> (graph, base, h, n_max, threshold) that classify_recurrence leaves Undecided
+UNDECIDED_CASES = {
+    # no loop at a: the only positive term is Z_0
+    "too few terms": (lambda: build_finite_graph(["a", "b"], [("a", "b"), ("b", "b")]),
+                      "a", LOG2, 20, 15.0),
+    # h far below the entropy log 2: the terms grow like (2 e^-h)^n
+    "rho out of range": (lambda: get_fixture("full-2").graph(), "0", 0.05, 40, 1e300),
+    # first returns of lengths 2 and 3 (Z_n = Z_{n-2} + Z_{n-3}): at n = 10 the
+    # ratios still oscillate, and the least-squares rate disagrees with Richardson's
+    "fitted rho >= 1": (lambda: build_finite_graph(
+        ["0", "1", "2"], [("0", "1"), ("0", "2"), ("1", "0"), ("2", "1")]), "0", 0.5, 10, 15.0),
+    # one self-loop just above h = 0: the terms e^(-n h) look like j^-p with p ~ 0
+    "power <= 1.05": (lambda: build_finite_graph(["0"], [("0", "0")]), "0", 1e-3, 40, 1e3),
+    # first returns of odd lengths 3, 5, 7, ...: at n = 12 no tail model fits the terms
+    "rms >= 0.05": (lambda: build_finite_graph(
+        ["0", "1", "2"], [("0", "1"), ("1", "2"), ("2", "0"), ("2", "1")]), "0", 0.5, 12, 15.0),
+}
+
+
+@pytest.mark.parametrize("reason", sorted(UNDECIDED_CASES))
+def test_undecided_verdict_names_its_reason(reason):
+    graph, base, h, n_max, threshold = UNDECIDED_CASES[reason]
+    v = classify_recurrence(graph(), base, h, n_max, threshold=threshold)
+    assert v.verdict == UNDECIDED
+    assert v.reason == reason
+    assert (v.tail is not None) == (reason == "rms >= 0.05")
+
+
+def test_decided_verdicts_carry_no_reason():
+    assert classify_recurrence(get_fixture("renewal").graph(), "b", LOG2, 40).reason == ""
+    v = classify_recurrence(get_fixture("ladder").graph(), "(0,1)", 1.5 * LOG2, 60)
+    assert v.verdict == TRANSIENT_EVIDENCE and v.reason == ""
 
 
 def test_fit_tail_too_few_terms():
@@ -277,6 +312,18 @@ def test_harmonic_sarig_matches_the_table_first_loop_bit_for_bit(name):
             assert list(hs.values.items()) == list(values.items()), (n_max, radius)
             assert hs.residual == residual
             assert hs.meta == meta
+
+
+def test_harmonic_sarig_matches_the_table_first_loop_past_900_bits():
+    # golden-mean counts pass 900 bits near n = 1300 and overflow a float
+    # near n = 1480: the top of the window (750, 1500] needs exp_weighted's
+    # exp(log) branch, and must give its bits
+    fx = get_fixture("golden-mean")
+    assert count_words_to(fx.graph(), "0", 1500)[1500]["0"].bit_length() > 1024
+    hs = harmonic_sarig(fx.graph(), "0", fx.entropy, n_max=1500, radius=1)
+    values, residual, meta = _table_first_sarig(fx.graph(), "0", fx.entropy, 1500, 1)
+    assert list(hs.values.items()) == list(values.items())
+    assert hs.residual == residual and hs.meta == meta
 
 
 def test_harmonic_cyr_ladder():
