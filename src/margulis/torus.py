@@ -814,16 +814,21 @@ def _walk_cover(family: ConformalFamily, p: MarkovPartition,
         raise ValueError("depth must be >= 0")
     lam_u = p.auto.lam_u
     wh = math.exp(-family.h)
-    rects, children, psi_of = p.by_id, p.children, family.psi_of
+    # per rectangle: (u_extent, psi, ((child, c_lo, c_hi), ...) in u order)
+    table = {r.id: (r.u_extent, family.psi_of(r.id),
+                    tuple((b, c_lo, c_lo + c_w) for b, (c_lo, c_w) in p.children[r.id].items()))
+             for r in p.rectangles}
     inner = outer = 0.0
     boundary = 0
 
     def visit(rid: StateId, lo: float, hi: float, d: int, weight: float) -> Optional[float]:
         # the stop's coordinate on this cylinder's unstable side, or None
         nonlocal inner, outer, boundary
-        ext = rects[rid].u_extent
-        lo, hi = max(lo, 0.0), min(hi, ext)
-        m = weight * psi_of(rid)
+        ext, psi, kids = table[rid]
+        # max/min as `b if b > a else a` / `b if b < a else a`: same order, so -0.0, ties, NaN agree
+        lo = 0.0 if 0.0 > lo else lo
+        hi = ext if ext < hi else hi
+        m = weight * psi
         whole = hi - lo >= ext - 1e-12
         if whole and 0.5 * (inner + outer) + m < target:
             inner += m
@@ -837,11 +842,12 @@ def _walk_cover(family: ConformalFamily, p: MarkovPartition,
             outer += m
             boundary += 1
             return None
-        for b, (c_lo, c_w) in children[rid].items():
-            c_hi = c_lo + c_w
-            ov_lo, ov_hi = max(lo, c_lo), min(hi, c_hi)
+        cw = weight * wh
+        for b, c_lo, c_hi in kids:
+            ov_lo = c_lo if c_lo > lo else lo
+            ov_hi = c_hi if c_hi < hi else hi
             if ov_hi - ov_lo > 1e-15:
-                y = visit(b, (ov_lo - c_lo) * lam_u, (ov_hi - c_lo) * lam_u, d - 1, weight * wh)
+                y = visit(b, (ov_lo - c_lo) * lam_u, (ov_hi - c_lo) * lam_u, d - 1, cw)
                 if y is not None:
                     return c_lo + y / lam_u
         # the children stayed below the target: the cylinder reaches it once whole

@@ -393,12 +393,21 @@ def test_leaf_arc_measure_matches_the_descent_reference(cat, cat_family, stable_
     p_inv, fam_s = stable_model
     models = [(cat_family, cat), (fam_s, p_inv), (_scaled_r1(cat, cat_family), cat)]
     rng = np.random.default_rng(31)
+    depths = (0, 1, 4, 8, 12, 16)
+    rows = []
     for _ in range(40):
         base = rng.random(2)
         t0 = float(rng.random()) - 0.5
         arc = UnstableArc((float(base[0]), float(base[1])), t0, t0 + 1.5 * float(rng.random()) ** 2)
+        rows.append((arc, depths))
+    # edge arcs: a first plaque segment that ends exactly at R2's end, where
+    # the boundary count goes from 2 to 3 at depth 10 (the fixed 1e-12 slack),
+    # and the solver's arcs from the fixed point 0, where lo is exactly 0.0
+    rows.append((UnstableArc((0.5891949595567362, 0.28268491002435914), 0.0, 0.3), range(9, 17)))
+    rows += [(UnstableArc((0.0, 0.0), 0.0, a), depths) for a in (0.1, 0.3, 1.0, 2.0)]
+    for arc, arc_depths in rows:
         for family, p in models:
-            for depth in (0, 1, 4, 8, 12, 16):
+            for depth in arc_depths:
                 m = leaf_arc_measure(family, p, arc, depth)
                 got = (m.inner, m.outer, m.boundary_cylinders, m.segments)
                 assert got == _descend_measure(family, p, arc, depth), (arc, depth)
@@ -883,13 +892,19 @@ def test_margulis_coordinates_match_bisection_on_grid(cat, cat_family, stable_mo
             assert (mp.alpha, mp.gamma, mp.point) == (alpha, gamma, point)
 
 
-def test_margulis_coordinates_match_bisection_at_random_bases(cat, cat_family, stable_model):
+def test_margulis_coordinates_match_bisection_at_random_bases(cat, cat_family, stable_model,
+                                                             monkeypatch):
     p_inv, fam_s = stable_model
+    calls = []
+    real_walk = torus._walk_cover
+    monkeypatch.setattr(torus, "_walk_cover", lambda *a: calls.append(a[4]) or real_walk(*a))
     rng = np.random.default_rng(2024)
     for _ in range(100):
         base = rng.random(2)
         x, y = 0.6 * (1.0 - rng.random(2))
+        calls.clear()
         mp = margulis_coordinates(cat_family, cat, fam_s, p_inv, base, float(x), float(y))
+        assert calls.count(math.inf) == 4, base  # certified: no fallback to bisection
         point, alpha, gamma = _bisection_coordinates(cat_family, cat, fam_s, p_inv,
                                                      base, float(x), float(y))
         assert (mp.alpha, mp.gamma, mp.point) == (alpha, gamma, point)
