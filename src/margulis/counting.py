@@ -5,13 +5,19 @@ symbols, and the empty word at a state counts once (Z_0(a,a) = 1).  Counts are
 Python integers, so they never overflow; weighted sums convert each exact
 integer term to a float and accumulate with a compensated (Neumaier) running
 sum so classifier verdicts never hinge on rounding.
+
+Walks from one state (``count_words``, and the walks of ``measures``) run
+forward through ``_frontiers`` with no memo.  Walks into one target from
+every state at once (``counts_into``: loop counts, and the Sarig solver's
+Z_n(R, a)) run backward, memoized on the graph per target, and keep counts
+only for the target and the states whose out-degree is not one: a state
+with one successor has that successor's counts one edge later.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .graphs import ShiftGraph, StateId
@@ -85,37 +91,167 @@ def count_words(graph: ShiftGraph, a: StateId, b: StateId, n_max: int) -> CountT
 def count_periodic(graph: ShiftGraph, a: StateId, n_max: int) -> CountTable:
     """P_n(a): loops of n edges at ``a`` (periodic chains of period n).
 
-    Read off :func:`count_words_to`, whose frontiers are memoized per graph
-    and target (O(n_max * frontier size) entries), so entropy, recurrence and
-    the Sarig solver on one graph share one DP into ``a``.
+    Read off the target's row of :func:`counts_into`, whose memo on the graph
+    lets entropy, recurrence and the Sarig solver share one DP into ``a``.
     """
-    return CountTable(a, a, [t.get(a, 0) for t in count_words_to(graph, a, n_max)])
+    return CountTable(a, a, counts_into(graph, a, n_max).row(a))
 
 
-def count_words_to(graph: ShiftGraph, target: StateId, n_max: int) -> list[Mapping[StateId, int]]:
-    """tables[n][s] = Z_n(s, target) for n = 0..n_max, via backward DP over
-    predecessors (looked up once per state each time the memo grows).
+class CountsInto:
+    """Z_m(s, target) for every state s and m = 0..n_max, read off the
+    graph's backward memo for ``target`` (see :func:`counts_into`)."""
 
-    One pass serves every source state at once; used by the harmonic-function
-    constructions which need Z_n(R, a0) for all R in a ball, and by
-    :func:`count_periodic`.  The frontiers are memoized on the graph per
-    target and extended from the last stored one when a longer horizon is
-    asked for, so the memo holds O(n_max * frontier size) entries for the
-    life of the graph.  The tables are read-only views of the memo.
+    def __init__(self, memo: _IntoMemo, n_max: int) -> None:
+        self._memo = memo
+        self.n_max = n_max
+
+    def locate(self, s: StateId) -> tuple[StateId, int]:
+        """(anchor, offset) with Z_m(s, target) = Z_{m-offset}(anchor, target)
+        for every m <= n_max (zero for m < offset).  An out-degree-one state
+        whose successor chain reaches the first state of out-degree other
+        than one (or the target) within n_max edges has that state as anchor;
+        every other state is its own anchor at offset 0."""
+        found = self._memo.alias.get(s)
+        return found if found is not None and found[1] <= self.n_max else (s, 0)
+
+    def row(self, s: StateId) -> list[int]:
+        """[Z_0(s, target), ..., Z_n_max(s, target)], the caller's own list."""
+        anchor, offset = self.locate(s)
+        tables = self._memo.tables
+        return [0] * offset + [t.get(anchor, 0) for t in tables[:self.n_max + 1 - offset]]
+
+
+def counts_into(graph: ShiftGraph, target: StateId, n_max: int) -> CountsInto:
+    """Walks of n <= n_max edges into ``target`` from every state at once, by
+    a backward DP memoized on the graph per target.
+
+    The DP keeps counts only for the target and the states whose out-degree
+    is not one (the explicit states).  An out-degree-one state is an alias
+    of the explicit state its successor chain reaches first, at the length
+    of that chain; each explicit state pushes its count at length m to its
+    explicit predecessors at length m + delay, the delay being the length of
+    the alias chain between them plus one (delay-1 pushes go straight into
+    the next table).  Alias chains are walked back no further than the
+    horizon, so an infinite out-degree-one chain ends.  A longer horizon
+    extends the memo from its last table, under the graph's lock.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     graph.check_state(target)
-    tables = graph._into_memo.get(target, ())
-    if len(tables) <= n_max:
-        tables = tables or (MappingProxyType({target: 1}),)
-        more = _frontiers(graph.predecessors, tables[-1], n_max + 1 - len(tables))
-        next(more)  # the stored frontier it starts from
-        tables = (*tables, *map(MappingProxyType, more))
+    memo = graph._into_memo.get(target)
+    if memo is None or len(memo.tables) <= n_max:
         with graph._lock:
-            if len(graph._into_memo.get(target, ())) < len(tables):
-                graph._into_memo[target] = tables
-    return list(tables[:n_max + 1])
+            memo = graph._into_memo.get(target)
+            if memo is None:
+                memo = graph._into_memo[target] = _IntoMemo(target)
+            try:
+                memo.extend(graph, n_max)
+            except BaseException:
+                # a failed extension leaves the memo half built: drop it
+                del graph._into_memo[target]
+                raise
+    return CountsInto(memo, n_max)
+
+
+class _IntoMemo:
+    """One target's backward walk counts, up to the horizon len(tables) - 1.
+
+    ``tables[m]`` maps each explicit state with a walk of m edges into the
+    target to Z_m(state, target).  ``alias`` maps each out-degree-one state
+    met so far to (anchor, offset).  An explicit state e whose counts have
+    been pushed has its explicit predecessors at delay 1 in ``near[e]`` and,
+    when it has any, those at delay >= 2 in ``far[e]`` as (state, delay)
+    pairs in increasing delay.  Its alias chains are walked back to the
+    horizon; those still open there wait in ``tips[e]`` as (aliases at that
+    offset, offset).  Pushes from the last table, and pushes from earlier
+    tables that land past it, are made when the memo is extended.
+    """
+
+    def __init__(self, target: StateId) -> None:
+        self.target = target
+        self.tables: list[dict[StateId, int]] = [{target: 1}]
+        self.alias: dict[StateId, tuple[StateId, int]] = {}
+        self.near: dict[StateId, tuple[StateId, ...]] = {}
+        self.far: dict[StateId, tuple[tuple[StateId, int], ...]] = {}
+        self.tips: dict[StateId, tuple[list[StateId], int]] = {}
+
+    def _walk_back(self, graph: ShiftGraph, anchor: StateId, level: list[StateId], k: int,
+                   n_max: int) -> None:
+        """Walk back from ``level``, the aliases of ``anchor`` at offset k,
+        to offset ``n_max``: record the aliases met, and append the explicit
+        predecessors met to ``far[anchor]``."""
+        target, alias = self.target, self.alias
+        found = []
+        while level and k < n_max:
+            k += 1
+            nxt = []
+            for s in level:
+                for p in graph.predecessors(s):
+                    if p != target and len(graph.successors(p)) == 1:
+                        alias[p] = (anchor, k)
+                        nxt.append(p)
+                    else:
+                        found.append((p, k))
+            level = nxt
+        if found:
+            self.far[anchor] = self.far.get(anchor, ()) + tuple(found)
+        if level:
+            self.tips[anchor] = (level, k)
+        else:
+            self.tips.pop(anchor, None)
+
+    def _first_pushes(self, graph: ShiftGraph, e: StateId, n_max: int) -> tuple[StateId, ...]:
+        """Find the predecessors ``e`` pushes to; its delay-1 ones."""
+        target, succ = self.target, graph.successors
+        preds = graph.predecessors(e)
+        level = [p for p in preds if p != target and len(succ(p)) == 1]
+        if level:
+            for p in level:
+                self.alias[p] = (e, 1)
+            preds = tuple(p for p in preds if p not in self.alias)
+            self._walk_back(graph, e, level, 1, n_max)
+        self.near[e] = preds
+        return preds
+
+    def extend(self, graph: ShiftGraph, n_max: int) -> None:
+        """Fill the tables up to length ``n_max``."""
+        tables, near_of, far_of = self.tables, self.near, self.far
+        top = len(tables) - 1
+        if n_max <= top:
+            return
+        # chains still open at the old horizon go on to the new one
+        for e, (level, k) in list(self.tips.items()):
+            self._walk_back(graph, e, level, k, n_max)
+        # delayed pushes from tables 0..top-1 that land past the old horizon
+        later: dict[int, dict[StateId, int]] = {}
+        for e, far in far_of.items():
+            for p, d in far:
+                for j in range(max(0, top + 1 - d), min(top, n_max + 1 - d)):
+                    c = tables[j].get(e)
+                    if c:
+                        bucket = later.setdefault(j + d, {})
+                        bucket[p] = bucket.get(p, 0) + c
+        frontier = tables[top]
+        for m in range(top, n_max):
+            nxt = later.pop(m + 1, None) or {}
+            for s, c in frontier.items():
+                near = near_of.get(s)
+                if near is None:
+                    near = self._first_pushes(graph, s, n_max)
+                for t in near:
+                    if t in nxt:
+                        nxt[t] += c
+                    else:
+                        nxt[t] = c
+            if far_of:
+                for s, c in frontier.items():
+                    for t, d in far_of.get(s, ()):
+                        if m + d > n_max:
+                            break
+                        bucket = later.setdefault(m + d, {})
+                        bucket[t] = bucket.get(t, 0) + c
+            tables.append(nxt)
+            frontier = nxt
 
 
 def exp_weighted(count: int, n: int, h: float) -> float:

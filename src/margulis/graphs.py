@@ -38,8 +38,11 @@ class ShiftGraph:
     neighborhoods are memoized under a lock so concurrent callers see
     bitwise-identical results.  Each state is checked once per graph (a
     state that passes joins ``_checked``); a non-state fails every time.
-    ``_into_memo`` holds, per target, the backward walk-count frontiers that
-    ``counting.count_words_to`` fills and extends under the same lock.
+    ``_into_memo`` holds, per target, the backward walk counts of
+    ``counting.counts_into``: one count per length for the target and each
+    state of out-degree other than one, and each out-degree-one state as an
+    (anchor, offset) alias of one of them.  A longer horizon extends it from
+    its last length under the same lock.
     """
 
     def __init__(
@@ -62,7 +65,7 @@ class ShiftGraph:
         self._state_set = frozenset(self._states or ())
         self._succ_memo: dict[StateId, tuple[StateId, ...]] = {}
         self._pred_memo: dict[StateId, tuple[StateId, ...]] = {}
-        self._into_memo: dict[StateId, tuple[Mapping[StateId, int], ...]] = {}
+        self._into_memo: dict = {}  # target -> counting._IntoMemo
         self._checked: set[StateId] = set()
         self._lock = threading.RLock()  # _fill holds it while check_state takes it
 

@@ -27,7 +27,7 @@ from .counting import (
     WeightedSumTrace,
     _discounted,
     count_periodic,
-    count_words_to,
+    counts_into,
     weighted_loop_sum,
 )
 from .graphs import ShiftGraph, StateId, ball
@@ -325,21 +325,26 @@ def harmonic_sarig(graph: ShiftGraph, a0: StateId, h: float, n_max: int,
         raise ValueError("n_max must be >= 4")
     graph.check_state(a0)
     m0 = n_max // 2
-    tables = count_words_to(graph, a0, n_max)
-    window = [(i, tables[i], math.exp(-i * h)) for i in range(m0 + 1, n_max + 1)]
+    into = counts_into(graph, a0, n_max)
+    window = [(i, math.exp(-i * h)) for i in range(m0 + 1, n_max + 1)]
     # a state whose first path into a0 is longer than the window start has a
-    # transient prefix inside the window, contaminating its ratio: drop it
+    # transient prefix inside the window, contaminating its ratio: drop it.
+    # States with one (anchor, offset) have one row, so one sum (None: dropped)
     sums: dict[StateId, float] = {}
+    by_row: dict[tuple[StateId, int], Optional[float]] = {}
     dropped = 0
     for s in sorted(ball(graph, a0, radius + 1)):
-        first_hit = next((i for i, table in enumerate(tables) if s in table), None)
-        if first_hit is not None and first_hit > m0:
+        key = into.locate(s)
+        if key not in by_row:
+            row = into.row(s)
+            first_hit = next((i for i, z in enumerate(row) if z), None)
+            by_row[key] = None if first_hit is not None and first_hit > m0 else NeumaierSum(
+                _discounted(z, i, h, w) for i, w in window if (z := row[i])).value
+        total = by_row[key]
+        if total is None:
             dropped += 1
-            continue
-        acc = NeumaierSum(_discounted(z, i, h, w) for i, table, w in window
-                          if (z := table.get(s, 0)))
-        if acc.value > 0.0:
-            sums[s] = acc.value
+        elif total > 0.0:
+            sums[s] = total
     if a0 not in sums:
         raise ValueError(f"no loops at {a0!r} within n_max={n_max}; denominator is zero")
     den = sums[a0]

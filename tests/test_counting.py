@@ -11,12 +11,13 @@ from margulis.counting import (
     _frontiers,
     count_periodic,
     count_words,
-    count_words_to,
+    counts_into,
     weighted_loop_sum,
 )
 from margulis.fixtures import FIXTURES, get_fixture
-from margulis.graphs import build_graph
+from margulis.graphs import ShiftGraph, ball, build_finite_graph, build_graph
 from margulis.measures import make_family
+from margulis.torus import builtin_partition
 
 
 def brute_count(g, a, b, n):
@@ -155,19 +156,127 @@ def test_chapman_kolmogorov(n, m):
             assert lhs == rhs
 
 
-def test_count_words_to_matches_forward():
+def test_counts_into_matches_forward():
     g = get_fixture("renewal").graph()
-    tables = count_words_to(g, "b", 12)
+    into = counts_into(g, "b", 12)
     for s in ("b", "l(3,1)", "l(5,2)"):
-        fwd = count_words(g, s, "b", 12).counts
-        for i in range(13):
-            assert tables[i].get(s, 0) == fwd[i]
+        assert into.row(s) == count_words(g, s, "b", 12).counts
+
+
+def _assert_rows_are_forward_counts(make_graph, targets, states, horizons):
+    """On one graph per target, whose memo is filled to each of ``horizons``
+    in turn, every row equals the forward count on another graph."""
+    reference, top = make_graph(), max(horizons)
+    for target in targets:
+        forward = {s: count_words(reference, s, target, top).counts for s in states}
+        g = make_graph()
+        for n in horizons:
+            into = counts_into(g, target, n)
+            for s in states:
+                assert into.row(s) == forward[s][:n + 1], (target, s, n)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_counts_into_is_a_naive_walk_count_at_every_state(name):
+    fx = get_fixture(name)
+    # renewal's loops are cut to 6 edges, so that its naive walks stay few
+    g = _renewal6() if name == "renewal" else fx.graph()
+    states = g.states if g.is_finite else sorted(ball(g, fx.base, 8))
+    for target in (states if g.is_finite else [fx.base]):
+        into = counts_into(g, target, 8)
+        for s in states:
+            naive = naive_frontiers(g.successors, s, 8)
+            assert into.row(s) == [f[target] for f in naive], (target, s)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_counts_into_matches_forward_at_every_state_and_length(name):
+    fx = get_fixture(name)
+    g = fx.graph()
+    if g.is_finite:
+        _assert_rows_are_forward_counts(fx.graph, g.states, g.states, (40, 13, 60))
+    else:
+        radius, n = (6, 20) if name == "renewal" else (8, 40)
+        _assert_rows_are_forward_counts(fx.graph, [fx.base], sorted(ball(g, fx.base, radius)),
+                                        (n // 2, n))
+
+
+def test_counts_into_matches_forward_on_the_cat_partition():
+    graph = builtin_partition("cat-adler-weiss").graph
+    _assert_rows_are_forward_counts(lambda: graph, graph.states, graph.states, (20,))
+
+
+def test_counts_into_on_a_short_renewal_from_every_state():
+    # every state, each a target too; loops of 12 edges at most
+    g = build_graph({"kind": "generator", "name": "renewal", "params": {"max_len": 12}})
+    states = sorted(ball(g, "b", 12))
+    assert len(states) == 1 + 11 * 12 // 2
+    _assert_rows_are_forward_counts(
+        lambda: build_graph({"kind": "generator", "name": "renewal", "params": {"max_len": 12}}),
+        ["b", "l(12,1)", "l(7,6)"], states, (5, 30))
+
+
+def test_counts_into_on_an_out_degree_one_cycle_through_the_target():
+    g = get_fixture("3-cycle").graph()
+    into = counts_into(g, "0", 9)
+    assert into.locate("1") == ("0", 2) and into.locate("2") == ("0", 1)
+    assert into.locate("0") == ("0", 0)
+    assert into.row("1") == [0, 0, 1, 0, 0, 1, 0, 0, 1, 0]
+    _assert_rows_are_forward_counts(get_fixture("3-cycle").graph, ["0", "1", "2"],
+                                    ["0", "1", "2"], (2, 9, 30))
+
+
+def _chain_into_branching():
+    # c1 -> c2 -> c3 -> B, and B branches to the target t and back to c1
+    return build_finite_graph(["t", "c1", "c2", "c3", "B"],
+                              [("t", "t"), ("t", "c1"), ("c1", "c2"), ("c2", "c3"),
+                               ("c3", "B"), ("B", "t"), ("B", "c1")])
+
+
+def test_counts_into_on_a_chain_that_enters_a_branching_state():
+    into = counts_into(_chain_into_branching(), "t", 20)
+    assert [into.locate(c) for c in ("c1", "c2", "c3")] == [("B", 3), ("B", 2), ("B", 1)]
+    assert into.locate("B") == ("B", 0)
+    states = ["t", "c1", "c2", "c3", "B"]
+    _assert_rows_are_forward_counts(_chain_into_branching, states, states, (3, 4, 20))
+
+
+def _dead_end():
+    # y's one successor z loops on itself and never reaches t
+    return build_finite_graph(["t", "x", "y", "z"],
+                              [("t", "t"), ("t", "x"), ("x", "t"), ("y", "z"), ("z", "z")])
+
+
+def test_counts_into_on_an_out_degree_one_state_that_never_reaches_the_target():
+    into = counts_into(_dead_end(), "t", 12)
+    assert into.locate("x") == ("t", 1)
+    assert into.locate("y") == ("y", 0) and into.row("y") == [0] * 13
+    _assert_rows_are_forward_counts(_dead_end, ["t", "x", "y", "z"], ["t", "x", "y", "z"], (12,))
+
+
+def _half_line():
+    # k -> k-1 for k >= 1 and 0 -> 0: every k >= 1 is an alias of 0, without end
+    return ShiftGraph("0", lambda s: [str(max(int(s) - 1, 0))],
+                      lambda s: (["0"] if s == "0" else []) + [str(int(s) + 1)],
+                      contains_fn=lambda s: s.isdigit(), name="half-line")
+
+
+def test_counts_into_ends_an_unbounded_alias_chain_at_the_horizon():
+    g = _half_line()
+    into = counts_into(g, "0", 25)
+    memo = g._into_memo["0"]
+    assert memo.alias == {str(k): ("0", k) for k in range(1, 26)}
+    assert into.locate("25") == ("0", 25) and into.locate("26") == ("26", 0)
+    assert into.row("25") == [0] * 25 + [1]
+    counts_into(g, "0", 40)  # the open chain goes on from offset 25
+    assert memo.alias == {str(k): ("0", k) for k in range(1, 41)}
+    _assert_rows_are_forward_counts(_half_line, ["0", "3"], [str(k) for k in range(45)], (25, 40))
 
 
 def test_negative_horizon_rejected():
     g = get_fixture("renewal").graph()
     with pytest.raises(ValueError, match="n_max must be >= 0"):
-        count_words_to(g, "b", -1)
+        counts_into(g, "b", -1)
     with pytest.raises(ValueError, match="n_max must be >= 0"):
         count_periodic(g, "b", -1)
 
@@ -185,19 +294,17 @@ def test_periodic_reads_the_backward_memo_exactly(name):
         assert count_periodic(g, fx.base, n).counts == forward[:n + 1]
 
 
-def test_count_words_to_tables_are_read_only():
+def test_counts_into_rows_are_the_callers_own():
     g = get_fixture("renewal").graph()
-    tables = count_words_to(g, "b", 12)
-    with pytest.raises(TypeError):
-        tables[3]["b"] = 0
-    with pytest.raises(TypeError):
-        del tables[0]["b"]
-    tables.clear()  # the returned list is the caller's own
-    again = count_words_to(g, "b", 12)
-    assert len(again) == 13
-    fresh = count_words_to(get_fixture("renewal").graph(), "b", 12)
-    assert [dict(t) for t in again] == [dict(t) for t in fresh]
-    assert again[3]["b"] == 4
+    into = counts_into(g, "b", 12)
+    row, loops = into.row("l(5,2)"), count_periodic(g, "b", 12).counts
+    row[3] = loops[3] = 0  # the memo keeps its counts
+    row.clear()
+    again = counts_into(g, "b", 12)
+    fresh = get_fixture("renewal").graph()
+    for s in ("b", "l(5,2)", "l(2,1)"):
+        assert again.row(s) == count_words(fresh, s, "b", 12).counts
+    assert again.row("l(5,2)")[3] == 1 and count_periodic(g, "b", 12).counts[3] == 4
 
 
 def test_concurrent_memo_extension_keeps_the_longest_horizon():
@@ -221,8 +328,8 @@ def test_concurrent_memo_extension_keeps_the_longest_horizon():
     assert not any(t.is_alive() for t in threads)
     assert len(results) == sum(len(range(k, 31, 3)) for k in range(8))
     assert all(counts == forward[:n + 1] for n, counts in results)
-    # a shorter extension stored last would have dropped frontiers
-    assert len(g._into_memo["b"]) == 31
+    # a shorter extension stored last would have dropped tables
+    assert len(g._into_memo["b"].tables) == 31
 
 
 def test_weighted_sum_trivial_and_monotone():

@@ -208,15 +208,15 @@ def test_concurrent_exploration_deterministic():
 
 def test_each_state_is_checked_once_per_graph():
     # validate_graph explores the whole renewal graph both ways and
-    # count_words_to walks it again at every level: contains runs once a state
-    from margulis.counting import count_words_to
+    # counts_into walks its alias chains back again: contains runs once a state
+    from margulis.counting import counts_into
     from margulis.fixtures import get_fixture
 
     g = get_fixture("renewal").graph()
     contains, calls = g._contains_fn, []
     g._contains_fn = lambda s: calls.append(s) or contains(s)
     validate_graph(g, radius=6)
-    count_words_to(g, "b", 40)
+    counts_into(g, "b", 40)
     assert len(calls) == len(set(calls)) == 1 + 63 * 64 // 2
     assert set(calls) == set(g._succ_memo) | set(g._pred_memo)
 

@@ -33,6 +33,14 @@ def _renewal(dh: float):
         FIXTURES, "renewal", dataclasses.replace(fx, entropy=fx.entropy + dh))
 
 
+def _renewal_loops_up_to(max_len: int):
+    """Patch the renewal fixture's graph: loops longer than ``max_len`` dropped."""
+    fx = FIXTURES["renewal"]
+    spec = {**fx.graph_spec, "params": {"max_len": max_len}}
+    return lambda monkeypatch: monkeypatch.setitem(
+        FIXTURES, "renewal", dataclasses.replace(fx, graph_spec=spec))
+
+
 def _verdicts(suite: str) -> dict:
     return {e.name: e.passed for e in run_suite(suite, CONFIG).entries}
 
@@ -46,6 +54,8 @@ MATRIX = {
     "psi(R1)x1.3": ("cat", _perturbed(psi_r1_scale=1.3), CONFORMAL),
     "renewal h+1e-3": ("renewal", _renewal(1e-3), RENEWAL),
     "renewal h-1e-3": ("renewal", _renewal(-1e-3), RENEWAL),
+    # a dropped edge: with loops of at most 20 edges only conformality flips
+    "renewal loops > 8 dropped": ("renewal", _renewal_loops_up_to(8), RENEWAL),
 }
 
 

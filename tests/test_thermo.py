@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from margulis.counting import NeumaierSum, count_words_to, exp_weighted
+from margulis.counting import NeumaierSum, _frontiers, count_words, exp_weighted
 from margulis.fixtures import PHI, get_fixture
 from margulis.graphs import ball, build_finite_graph
 from margulis.thermo import (
@@ -280,10 +280,10 @@ def test_harmonic_sarig_counts_dropped_states_on_renewal():
 
 
 def _table_first_sarig(graph, a0, h, n_max, radius):
-    """The Sarig window loop table by table, kept as the reference the
-    state-first loop of harmonic_sarig matches."""
+    """The Sarig window loop table by table, on memo-free backward walk
+    counts, kept as the reference harmonic_sarig matches."""
     m0 = n_max // 2
-    tables = count_words_to(graph, a0, n_max)
+    tables = list(_frontiers(graph.predecessors, {a0: 1}, n_max))
     region = ball(graph, a0, radius + 1)
     sums, first_hit = {}, {}
     for i, table in enumerate(tables):
@@ -319,7 +319,7 @@ def test_harmonic_sarig_matches_the_table_first_loop_past_900_bits():
     # near n = 1480: the top of the window (750, 1500] needs exp_weighted's
     # exp(log) branch, and must give its bits
     fx = get_fixture("golden-mean")
-    assert count_words_to(fx.graph(), "0", 1500)[1500]["0"].bit_length() > 1024
+    assert count_words(fx.graph(), "0", "0", 1500).counts[1500].bit_length() > 1024
     hs = harmonic_sarig(fx.graph(), "0", fx.entropy, n_max=1500, radius=1)
     values, residual, meta = _table_first_sarig(fx.graph(), "0", fx.entropy, 1500, 1)
     assert list(hs.values.items()) == list(values.items())
