@@ -339,7 +339,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, FileNotFoundError, SystemExit) as exc:
+    except (ValueError, KeyError, FileNotFoundError, thermo.NumericalFailure, SystemExit) as exc:
         if isinstance(exc, SystemExit) and exc.code in (0, 1, 2):
             raise
         # str() of a KeyError quotes its message; print the message itself

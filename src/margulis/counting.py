@@ -9,9 +9,9 @@ sum so classifier verdicts never hinge on rounding.
 Walks from one state (``count_words``, and the walks of ``measures``) run
 forward through ``_frontiers`` with no memo.  Walks into one target from
 every state at once (``counts_into``: loop counts, and the Sarig solver's
-Z_n(R, a)) run backward, memoized on the graph per target, and keep counts
-only for the target and the states whose out-degree is not one: a state
-with one successor has that successor's counts one edge later.
+Z_n(R, a)) run backward, built once per horizon and memoized on the graph
+per target, with counts only for the target and the states whose
+out-degree is not one (see ``_IntoMemo``).
 """
 
 from __future__ import annotations
@@ -117,127 +117,56 @@ class CountsInto:
     def row(self, s: StateId) -> list[int]:
         """[Z_0(s, target), ..., Z_n_max(s, target)], the caller's own list."""
         anchor, offset = self.locate(s)
-        tables = self._memo.tables
-        return [0] * offset + [t.get(anchor, 0) for t in tables[:self.n_max + 1 - offset]]
+        return [0] * offset + [t.get(anchor, 0) for t in self._memo.tables[:self.n_max + 1 - offset]]
 
 
 def counts_into(graph: ShiftGraph, target: StateId, n_max: int) -> CountsInto:
-    """Walks of n <= n_max edges into ``target`` from every state at once, by
-    a backward DP memoized on the graph per target.
-
-    The DP keeps counts only for the target and the states whose out-degree
-    is not one (the explicit states).  An out-degree-one state is an alias
-    of the explicit state its successor chain reaches first, at the length
-    of that chain; each explicit state pushes its count at length m to its
-    explicit predecessors at length m + delay, the delay being the length of
-    the alias chain between them plus one (delay-1 pushes go straight into
-    the next table).  Alias chains are walked back no further than the
-    horizon, so an infinite out-degree-one chain ends.  A longer horizon
-    extends the memo from its last table, under the graph's lock.
-    """
+    """Walks of n <= n_max edges into ``target`` from every state at once,
+    read off the graph's backward memo for ``target`` (see :class:`_IntoMemo`).
+    Under the graph's lock, a horizon longer than the stored memo's builds a
+    new memo that replaces it; a shorter one reads the stored memo."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     graph.check_state(target)
-    memo = graph._into_memo.get(target)
-    if memo is None or len(memo.tables) <= n_max:
-        with graph._lock:
-            memo = graph._into_memo.get(target)
-            if memo is None:
-                memo = graph._into_memo[target] = _IntoMemo(target)
-            try:
-                memo.extend(graph, n_max)
-            except BaseException:
-                # a failed extension leaves the memo half built: drop it
-                del graph._into_memo[target]
-                raise
+    with graph._lock:
+        memo = graph._into_memo.get(target)
+        if memo is None or len(memo.tables) <= n_max:
+            memo = graph._into_memo[target] = _IntoMemo(graph, target, n_max)
     return CountsInto(memo, n_max)
 
 
 class _IntoMemo:
-    """One target's backward walk counts, up to the horizon len(tables) - 1.
+    """One target's backward walk counts up to the horizon len(tables) - 1,
+    built in one pass and never changed afterwards.
 
-    ``tables[m]`` maps each explicit state with a walk of m edges into the
-    target to Z_m(state, target).  ``alias`` maps each out-degree-one state
-    met so far to (anchor, offset).  An explicit state e whose counts have
-    been pushed has its explicit predecessors at delay 1 in ``near[e]`` and,
-    when it has any, those at delay >= 2 in ``far[e]`` as (state, delay)
-    pairs in increasing delay.  Its alias chains are walked back to the
-    horizon; those still open there wait in ``tips[e]`` as (aliases at that
-    offset, offset).  Pushes from the last table, and pushes from earlier
-    tables that land past it, are made when the memo is extended.
+    The DP keeps counts only for the target and the states whose out-degree
+    is not one (the explicit states): ``tables[m]`` maps each explicit state
+    with a walk of m edges into the target to Z_m(state, target).  An
+    out-degree-one state is an alias of the explicit state its successor
+    chain reaches first, at the length of that chain, and ``alias`` maps it
+    to that (anchor, offset).  Each explicit state pushes its count at length
+    m to its explicit predecessors at length m + delay, the delay being the
+    length of the alias chain between them plus one (delay-1 pushes go
+    straight into the next table).  Alias chains are walked back no further
+    than the horizon, so an infinite out-degree-one chain ends.
     """
 
-    def __init__(self, target: StateId) -> None:
+    def __init__(self, graph: ShiftGraph, target: StateId, n_max: int) -> None:
         self.target = target
-        self.tables: list[dict[StateId, int]] = [{target: 1}]
         self.alias: dict[StateId, tuple[StateId, int]] = {}
-        self.near: dict[StateId, tuple[StateId, ...]] = {}
-        self.far: dict[StateId, tuple[tuple[StateId, int], ...]] = {}
-        self.tips: dict[StateId, tuple[list[StateId], int]] = {}
-
-    def _walk_back(self, graph: ShiftGraph, anchor: StateId, level: list[StateId], k: int,
-                   n_max: int) -> None:
-        """Walk back from ``level``, the aliases of ``anchor`` at offset k,
-        to offset ``n_max``: record the aliases met, and append the explicit
-        predecessors met to ``far[anchor]``."""
-        target, alias = self.target, self.alias
-        found = []
-        while level and k < n_max:
-            k += 1
-            nxt = []
-            for s in level:
-                for p in graph.predecessors(s):
-                    if p != target and len(graph.successors(p)) == 1:
-                        alias[p] = (anchor, k)
-                        nxt.append(p)
-                    else:
-                        found.append((p, k))
-            level = nxt
-        if found:
-            self.far[anchor] = self.far.get(anchor, ()) + tuple(found)
-        if level:
-            self.tips[anchor] = (level, k)
-        else:
-            self.tips.pop(anchor, None)
-
-    def _first_pushes(self, graph: ShiftGraph, e: StateId, n_max: int) -> tuple[StateId, ...]:
-        """Find the predecessors ``e`` pushes to; its delay-1 ones."""
-        target, succ = self.target, graph.successors
-        preds = graph.predecessors(e)
-        level = [p for p in preds if p != target and len(succ(p)) == 1]
-        if level:
-            for p in level:
-                self.alias[p] = (e, 1)
-            preds = tuple(p for p in preds if p not in self.alias)
-            self._walk_back(graph, e, level, 1, n_max)
-        self.near[e] = preds
-        return preds
-
-    def extend(self, graph: ShiftGraph, n_max: int) -> None:
-        """Fill the tables up to length ``n_max``."""
-        tables, near_of, far_of = self.tables, self.near, self.far
-        top = len(tables) - 1
-        if n_max <= top:
-            return
-        # chains still open at the old horizon go on to the new one
-        for e, (level, k) in list(self.tips.items()):
-            self._walk_back(graph, e, level, k, n_max)
-        # delayed pushes from tables 0..top-1 that land past the old horizon
-        later: dict[int, dict[StateId, int]] = {}
-        for e, far in far_of.items():
-            for p, d in far:
-                for j in range(max(0, top + 1 - d), min(top, n_max + 1 - d)):
-                    c = tables[j].get(e)
-                    if c:
-                        bucket = later.setdefault(j + d, {})
-                        bucket[p] = bucket.get(p, 0) + c
-        frontier = tables[top]
-        for m in range(top, n_max):
+        # per explicit state met: its explicit predecessors at delay 1, and
+        # those at delay >= 2 as (state, delay) pairs in increasing delay
+        near_of: dict[StateId, tuple[StateId, ...]] = {}
+        far_of: dict[StateId, tuple[tuple[StateId, int], ...]] = {}
+        later: dict[int, dict[StateId, int]] = {}  # delayed pushes by length
+        self.tables = tables = [{target: 1}]
+        frontier = tables[0]
+        for m in range(n_max):
             nxt = later.pop(m + 1, None) or {}
             for s, c in frontier.items():
                 near = near_of.get(s)
                 if near is None:
-                    near = self._first_pushes(graph, s, n_max)
+                    near = near_of[s] = self._pushes(graph, s, n_max, far_of)
                 for t in near:
                     if t in nxt:
                         nxt[t] += c
@@ -252,6 +181,38 @@ class _IntoMemo:
                         bucket[t] = bucket.get(t, 0) + c
             tables.append(nxt)
             frontier = nxt
+
+    def _pushes(self, graph: ShiftGraph, e: StateId, n_max: int, far_of: dict) -> tuple[StateId, ...]:
+        """Walk back from ``e`` along its alias chains to offset ``n_max``:
+        record the aliases met, put the explicit predecessors met at delay
+        >= 2 in ``far_of[e]``, and return those at delay 1."""
+        target, alias, succ = self.target, self.alias, graph.successors
+        preds = graph.predecessors(e)
+        level = [p for p in preds if p != target and len(succ(p)) == 1]
+        for p in level:
+            alias[p] = (e, 1)
+        near = tuple(p for p in preds if p not in alias) if level else preds
+        found, k = [], 1
+        while level and k < n_max:
+            k += 1
+            nxt = []
+            for s in level:
+                for p in graph.predecessors(s):
+                    if p != target and len(succ(p)) == 1:
+                        alias[p] = (e, k)
+                        nxt.append(p)
+                    else:
+                        found.append((p, k))
+            level = nxt
+        if found:
+            far_of[e] = tuple(found)
+        return near
+
+
+def _positive_finite(name: str, value: float) -> None:
+    """ValueError naming ``name`` unless 0 < value < inf (NaN fails both)."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite; {name} = {value}")
 
 
 def exp_weighted(count: int, n: int, h: float) -> float:
@@ -301,7 +262,6 @@ class NeumaierSum:
 
 def weighted_loop_sum(graph: ShiftGraph, a: StateId, h: float, n_max: int) -> WeightedSumTrace:
     """Partial sums of the entropy-discounted loop series at ``a``."""
-    if h <= 0:
-        raise ValueError("h must be positive")
+    _positive_finite("h", h)
     terms = [exp_weighted(z, n, h) for n, z in enumerate(count_periodic(graph, a, n_max).counts)]
     return WeightedSumTrace(h=h, partial_sums=NeumaierSum()._extend(terms), terms=terms)

@@ -41,8 +41,9 @@ class ShiftGraph:
     ``_into_memo`` holds, per target, the backward walk counts of
     ``counting.counts_into``: one count per length for the target and each
     state of out-degree other than one, and each out-degree-one state as an
-    (anchor, offset) alias of one of them.  A longer horizon extends it from
-    its last length under the same lock.
+    (anchor, offset) alias of one of them.  Each is built once for one
+    horizon and never changed; a longer horizon builds a new one under the
+    same lock and replaces it.
     """
 
     def __init__(
@@ -165,7 +166,9 @@ def validate_graph(graph: ShiftGraph, radius: int = 0) -> GraphReport:
     generated graphs the connecting paths may leave the ball and are searched
     within ``_PATH_CAP`` edges.  The witness is the first region state that
     fails.  A declared degree bound that is violated raises
-    :class:`StructuralViolation` naming the offending state.
+    :class:`StructuralViolation` naming the offending state; so does an
+    edge at a region state that its successors and predecessors disagree
+    on, naming the edge.
     """
     if graph.is_finite:
         region = frozenset(graph.states)
@@ -173,11 +176,20 @@ def validate_graph(graph: ShiftGraph, radius: int = 0) -> GraphReport:
         region = ball(graph, graph.base, radius)
     max_out = max_in = 0
     for s in sorted(region):
-        od, idg = len(graph.successors(s)), len(graph.predecessors(s))
+        out, into = graph.successors(s), graph.predecessors(s)
+        od, idg = len(out), len(into)
         if graph.degree_bound is not None and max(od, idg) > graph.degree_bound:
             raise StructuralViolation(
                 f"state {s!r} has degree {max(od, idg)} > bound {graph.degree_bound}"
             )
+        for t in out:
+            if s not in graph.predecessors(t):
+                raise StructuralViolation(f"edge {s!r} -> {t!r}: {s!r} lists {t!r} as a "
+                                          f"successor, but {t!r} lacks {s!r} as a predecessor")
+        for t in into:
+            if s not in graph.successors(t):
+                raise StructuralViolation(f"edge {t!r} -> {s!r}: {s!r} lists {t!r} as a "
+                                          f"predecessor, but {t!r} lacks {s!r} as a successor")
         max_out = max(max_out, od)
         max_in = max(max_in, idg)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterator, Mapping, Optional, Sequence
 
-from .counting import _frontiers
+from .counting import _frontiers, _positive_finite
 from .graphs import ShiftGraph, StateId, is_admissible
 
 
@@ -34,8 +34,7 @@ class ConformalFamily:
     psi: Mapping[StateId, float]
 
     def __post_init__(self):
-        if not 0 < self.h < math.inf:
-            raise ValueError(f"h must be positive and finite; h = {self.h}")
+        _positive_finite("h", self.h)
         for s, v in self.psi.items():
             if not 0 < v < math.inf:
                 raise ValueError(f"psi must be positive and finite; psi({s!r}) = {v}")

@@ -32,6 +32,8 @@ class SuiteConfig:
 
 def run_suite(fixture: str, config: SuiteConfig | None = None) -> Report:
     config = config or SuiteConfig()
+    if config.depth < 1:
+        raise ValueError(f"depth must be >= 1; depth = {config.depth}")
     if fixture == "all":
         report = Report("all", environment=_env(config))
         for name in sorted(FIXTURES) + ["cat"]:

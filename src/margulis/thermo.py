@@ -26,6 +26,7 @@ from .counting import (
     NeumaierSum,
     WeightedSumTrace,
     _discounted,
+    _positive_finite,
     count_periodic,
     counts_into,
     weighted_loop_sum,
@@ -209,6 +210,7 @@ def classify_recurrence(graph: ShiftGraph, base: StateId, h: float, n_max: int,
     extrapolated limit, never as a proof.  An ``Undecided`` verdict names
     its reason: the tail fit's rejection, or a fit rms of 0.05 or more.
     """
+    _positive_finite("threshold", threshold)
     trace = weighted_loop_sum(graph, base, h, n_max)
     if trace.total > threshold:
         return RecurrenceVerdict(RECURRENT, trace, threshold)
@@ -321,6 +323,7 @@ def harmonic_sarig(graph: ShiftGraph, a0: StateId, h: float, n_max: int,
     which converges like 1/n; the windowed ratio converges at the rate of the
     underlying renewal sequence.
     """
+    _positive_finite("h", h)
     if n_max < 4:
         raise ValueError("n_max must be >= 4")
     graph.check_state(a0)
@@ -397,6 +400,7 @@ def harmonic_cyr(graph: ShiftGraph, a0: StateId, ray: Sequence[StateId], h: floa
     column that is not positive means h lies below the critical value of the
     truncated region, and raises ValueError.
     """
+    _positive_finite("h", h)
     ray = [graph.check_state(s) for s in ray]
     if len(set(ray)) != len(ray):
         raise ValueError("ray must be injective (pairwise distinct states)")

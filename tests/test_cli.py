@@ -379,3 +379,61 @@ def test_partition_validate_long_rectangle_is_fast(tmp_path):
         "u_err=9.427e+05 s_err=1.749e-07",
         "invalid Markov partition: A->A: 2 crossings; refine the partition",
     ]
+
+
+def _usage_error(capsys, argv):
+    """Run ``main`` in process; it must exit 2 with one error line and no output."""
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+def test_classify_rejects_a_nan_h(capsys):
+    err = _usage_error(capsys, ["thermo", "classify", "--fixture", "renewal", "--base", "b",
+                                "--h", "nan", "--n", "20"])
+    assert "h must be positive and finite; h = nan" in err
+
+
+def test_classify_rejects_a_negative_threshold(capsys):
+    err = _usage_error(capsys, ["thermo", "classify", "--fixture", "ladder", "--base", "(0,1)",
+                                "--h", "1.0397207708399179", "--n", "20", "--threshold", "-1"])
+    assert "threshold must be positive and finite; threshold = -1.0" in err
+
+
+def test_harmonic_cyr_rejects_a_nan_h(capsys):
+    ray = ",".join(f"({k},1)" for k in range(10))
+    err = _usage_error(capsys, ["thermo", "harmonic", "--fixture", "ladder", "--method", "cyr",
+                                "--base", "(0,1)", "--h", "nan", "--ray", ray, "--radius", "3"])
+    assert "h must be positive and finite; h = nan" in err
+
+
+def test_harmonic_sarig_rejects_a_nan_h(capsys):
+    err = _usage_error(capsys, ["thermo", "harmonic", "--fixture", "renewal", "--method",
+                                "sarig", "--h", "nan", "--n", "20", "--radius", "4"])
+    assert "h must be positive and finite; h = nan" in err
+
+
+def test_suite_rejects_a_nan_threshold(tmp_path, capsys):
+    err = _usage_error(capsys, ["suite", "run", "--fixture", "all", "--threshold", "nan",
+                                "--out", str(tmp_path / "report.json")])
+    assert "threshold must be positive and finite; threshold = nan" in err
+
+
+def test_harmonic_eigen_numerical_failure_exits_2(tmp_path, capsys):
+    # one state and no edge: the Perron estimate is 0 at the first step
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"kind": "finite", "states": ["a"], "edges": []}))
+    err = _usage_error(capsys, ["thermo", "harmonic", "--graph", str(path), "--method", "eigen"])
+    assert err == "error: nonpositive Perron estimate\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["suite", "run", "--fixture", "cat", "--depth", "0"],
+    ["suite", "run", "--fixture", "all", "--depth", "0"],
+    ["torus", "verify", "--depth", "0"],
+], ids=["suite-cat", "suite-all", "torus-verify"])
+def test_suite_rejects_a_depth_below_1(tmp_path, capsys, argv):
+    err = _usage_error(capsys, [*argv, "--out", str(tmp_path / "report.json")])
+    assert "depth must be >= 1" in err
+    assert not (tmp_path / "report.json").exists()

@@ -268,9 +268,46 @@ def test_counts_into_ends_an_unbounded_alias_chain_at_the_horizon():
     assert memo.alias == {str(k): ("0", k) for k in range(1, 26)}
     assert into.locate("25") == ("0", 25) and into.locate("26") == ("26", 0)
     assert into.row("25") == [0] * 25 + [1]
-    counts_into(g, "0", 40)  # the open chain goes on from offset 25
-    assert memo.alias == {str(k): ("0", k) for k in range(1, 41)}
+    counts_into(g, "0", 40)  # a new memo walks the chain on to offset 40
+    assert g._into_memo["0"].alias == {str(k): ("0", k) for k in range(1, 41)}
     _assert_rows_are_forward_counts(_half_line, ["0", "3"], [str(k) for k in range(45)], (25, 40))
+
+
+@pytest.mark.parametrize("make_graph", [get_fixture("renewal").graph, get_fixture("ladder").graph,
+                                        _half_line], ids=["renewal", "ladder", "half-line"])
+def test_a_longer_horizon_rebuilds_the_memo_and_a_shorter_one_keeps_it(make_graph):
+    g, fresh = make_graph(), make_graph()
+    target = g.base
+    counts_into(g, target, 20)
+    short = g._into_memo[target]
+    counts_into(g, target, 60)
+    memo = g._into_memo[target]
+    assert memo is not short and len(short.tables) == 21  # the old memo is left as it was
+    counts_into(fresh, target, 60)
+    reference = fresh._into_memo[target]
+    assert memo.tables == reference.tables and memo.alias == reference.alias
+    for n in (10, 60):
+        counts_into(g, target, n)
+        assert g._into_memo[target] is memo
+
+
+def test_a_build_that_raises_stores_nothing():
+    # predecessors of "30" raise: a build that walks the chain that far fails
+    def pred(s):
+        if s == "30":
+            raise RuntimeError("predecessor function failed")
+        return (["0"] if s == "0" else []) + [str(int(s) + 1)]
+
+    g = ShiftGraph("0", lambda s: [str(max(int(s) - 1, 0))], pred,
+                   contains_fn=lambda s: s.isdigit(), name="half-line")
+    with pytest.raises(RuntimeError):
+        counts_into(g, "0", 40)
+    assert "0" not in g._into_memo
+    counts_into(g, "0", 20)
+    memo = g._into_memo["0"]
+    with pytest.raises(RuntimeError):
+        counts_into(g, "0", 40)
+    assert g._into_memo["0"] is memo and len(memo.tables) == 21
 
 
 def test_negative_horizon_rejected():
@@ -286,7 +323,7 @@ def test_periodic_reads_the_backward_memo_exactly(name):
     fx = get_fixture(name)
     forward = count_words(fx.graph(), fx.base, fx.base, 60).counts
     assert count_periodic(fx.graph(), fx.base, 60).counts == forward
-    # one graph whose memo is filled to 20, extended to 60, then read shorter
+    # one graph whose memo is built at 20, rebuilt at 60, then read shorter
     g = fx.graph()
     for n in (20, 60, 10):
         assert count_periodic(g, fx.base, n).counts == forward[:n + 1]
@@ -317,7 +354,7 @@ def test_concurrent_memo_extension_keeps_the_longest_horizon():
 
     threads = [threading.Thread(target=worker, args=(range(k, 31, 3),)) for k in range(8)]
     switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # interleave the memo extensions as finely as possible
+    sys.setswitchinterval(1e-6)  # interleave the memo builds as finely as possible
     try:
         for t in threads:
             t.start()
@@ -328,7 +365,7 @@ def test_concurrent_memo_extension_keeps_the_longest_horizon():
     assert not any(t.is_alive() for t in threads)
     assert len(results) == sum(len(range(k, 31, 3)) for k in range(8))
     assert all(counts == forward[:n + 1] for n, counts in results)
-    # a shorter extension stored last would have dropped tables
+    # a shorter build stored last would have dropped tables
     assert len(g._into_memo["b"].tables) == 31
 
 

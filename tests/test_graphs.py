@@ -138,6 +138,25 @@ def test_degree_bound_violation():
         validate_graph(g)
 
 
+def _lying_graph(succ, pred):
+    return ShiftGraph("a", lambda s: succ[s], lambda s: pred[s],
+                      contains_fn=lambda s: s in succ, name="lying")
+
+
+def test_validate_rejects_predecessors_that_omit_an_edge():
+    # successors a->b, b->a, b->b; the predecessors omit the loop at b, so the
+    # backward DP would count loops at a as [1, 0, 1, 0, ...] and not Fibonacci
+    g = _lying_graph({"a": ["b"], "b": ["a", "b"]}, {"a": ["b"], "b": ["a"]})
+    with pytest.raises(StructuralViolation, match=r"edge 'b' -> 'b': 'b' lists 'b' as a successor"):
+        validate_graph(g, radius=2)
+
+
+def test_validate_rejects_predecessors_that_add_an_edge():
+    g = _lying_graph({"a": ["b"], "b": ["a"]}, {"a": ["b", "a"], "b": ["a"]})
+    with pytest.raises(StructuralViolation, match=r"edge 'a' -> 'a': 'a' lists 'a' as a predecessor"):
+        validate_graph(g, radius=2)
+
+
 def test_is_admissible():
     g = golden()
     assert is_admissible(g, ["0", "1", "0"])
