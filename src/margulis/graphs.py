@@ -68,7 +68,7 @@ class ShiftGraph:
         self._pred_memo: dict[StateId, tuple[StateId, ...]] = {}
         self._into_memo: dict = {}  # target -> counting._IntoMemo
         self._checked: set[StateId] = set()
-        self._lock = threading.RLock()  # _fill holds it while check_state takes it
+        self._lock = threading.RLock()  # counts_into holds it while _fill takes it
 
     # -- basic queries ------------------------------------------------------
 
@@ -91,10 +91,8 @@ class ShiftGraph:
 
     def check_state(self, s: StateId) -> StateId:
         if s not in self._checked:
-            if not self.contains(s):
-                raise KeyError(f"unknown state {s!r}")
             with self._lock:
-                self._checked.add(s)
+                self._admit(s)
         return s
 
     def successors(self, s: StateId) -> tuple[StateId, ...]:
@@ -106,13 +104,28 @@ class ShiftGraph:
         return self._fill(self._pred_memo, self._pred_fn, s) if out is None else out
 
     def _fill(self, memo: dict, fn: Callable, s: StateId) -> tuple[StateId, ...]:
-        """Memoize ``fn(s)``.  ``s`` and every state ``fn`` returns pass
-        :meth:`check_state` first, so every memo key and entry is a state."""
-        self.check_state(s)
+        """Memoize ``fn(s)``.  ``s`` is checked before ``fn`` sees it and every
+        state ``fn`` returns before the memo keeps it, so every memo key and
+        entry is a state."""
+        checked = self._checked
         with self._lock:
-            if s not in memo:
-                memo[s] = tuple(self.check_state(t) for t in fn(s))
-        return memo[s]
+            out = memo.get(s)
+            if out is None:
+                if s not in checked:
+                    self._admit(s)
+                out = tuple(fn(s))
+                for t in out:
+                    if t not in checked:
+                        self._admit(t)
+                memo[s] = out
+        return out
+
+    def _admit(self, s: StateId) -> None:
+        """Add ``s`` to ``_checked``, or raise KeyError if it is no state;
+        the caller holds the lock."""
+        if not self.contains(s):
+            raise KeyError(f"unknown state {s!r}")
+        self._checked.add(s)
 
     def has_edge(self, a: StateId, b: StateId) -> bool:
         return b in self.successors(a)
@@ -254,6 +267,18 @@ def build_finite_graph(states: Sequence[StateId], edges: Iterable[tuple[StateId,
     )
 
 
+def _pair(s: StateId, prefix: str) -> tuple[int, int]:
+    """The integers (i, j) of a label written exactly ``f"{prefix}{i},{j})"``,
+    or (-1, -1) for any other string: a label with a sign, a space or a
+    leading zero is not the canonical form of a state, so it names none."""
+    try:
+        a, b = s[len(prefix):-1].split(",")
+        i, j = int(a), int(b)
+    except ValueError:
+        return -1, -1
+    return (i, j) if s == f"{prefix}{i},{j})" else (-1, -1)
+
+
 def _renewal_graph(max_len: int = 64) -> ShiftGraph:
     """Loops of every length 1..max_len at a base state ``b``.
 
@@ -266,29 +291,30 @@ def _renewal_graph(max_len: int = 64) -> ShiftGraph:
     if not 2 <= max_len <= _PATH_CAP + 1:
         raise ValueError(f"renewal needs 2 <= max_len <= {_PATH_CAP + 1}; got {max_len}")
 
-    def parse(s: StateId) -> Optional[tuple[int, int]]:
-        if s.startswith("l(") and s.endswith(")"):
-            n, k = s[2:-1].split(",")
-            return int(n), int(k)
-        return None
+    # (n, k) of each label contains accepted; ShiftGraph checks a state
+    # before it asks for its neighbours, so succ and pred find it here
+    loops: dict[StateId, tuple[int, int]] = {}
 
     def contains(s: StateId) -> bool:
         if s == "b":
             return True
-        nk = parse(s)
-        return nk is not None and 2 <= nk[0] <= max_len and 1 <= nk[1] <= nk[0] - 1
+        n, k = _pair(s, "l(")
+        if 2 <= n <= max_len and 1 <= k < n:
+            loops[s] = (n, k)
+            return True
+        return False
 
-    def succ(s: StateId) -> list[StateId]:
+    def succ(s: StateId) -> tuple[StateId, ...]:
         if s == "b":
-            return ["b"] + [f"l({n},1)" for n in range(2, max_len + 1)]
-        n, k = parse(s)
-        return [f"l({n},{k + 1})"] if k < n - 1 else ["b"]
+            return ("b", *(f"l({n},1)" for n in range(2, max_len + 1)))
+        n, k = loops[s]
+        return (f"l({n},{k + 1})",) if k < n - 1 else ("b",)
 
-    def pred(s: StateId) -> list[StateId]:
+    def pred(s: StateId) -> tuple[StateId, ...]:
         if s == "b":
-            return ["b"] + [f"l({n},{n - 1})" for n in range(2, max_len + 1)]
-        n, k = parse(s)
-        return [f"l({n},{k - 1})"] if k > 1 else ["b"]
+            return ("b", *(f"l({n},{n - 1})" for n in range(2, max_len + 1)))
+        n, k = loops[s]
+        return (f"l({n},{k - 1})",) if k > 1 else ("b",)
 
     return ShiftGraph("b", succ, pred, degree_bound=max_len,
                       contains_fn=contains, name="renewal")
@@ -301,31 +327,24 @@ def _ladder_graph() -> ShiftGraph:
     (n,c)->(n+1,2), and (n,c)->(n-1,1) for n >= 1.
     """
 
-    def parse(s: StateId) -> Optional[tuple[int, int]]:
-        if s.startswith("(") and s.endswith(")"):
-            n, c = s[1:-1].split(",")
-            return int(n), int(c)
-        return None
+    rungs: dict[StateId, tuple[int, int]] = {}  # (n, c) of each label contains accepted
 
     def contains(s: StateId) -> bool:
-        nc = parse(s)
-        return nc is not None and nc[0] >= 0 and nc[1] in (1, 2)
+        n, c = _pair(s, "(")
+        if n >= 0 and c in (1, 2):
+            rungs[s] = (n, c)
+            return True
+        return False
 
-    def succ(s: StateId) -> list[StateId]:
-        n, _ = parse(s)
-        out = [f"({n + 1},1)", f"({n + 1},2)"]
-        if n >= 1:
-            out.append(f"({n - 1},1)")
-        return out
+    def succ(s: StateId) -> tuple[StateId, ...]:
+        n, _ = rungs[s]
+        up = (f"({n + 1},1)", f"({n + 1},2)")
+        return (*up, f"({n - 1},1)") if n >= 1 else up
 
-    def pred(s: StateId) -> list[StateId]:
-        n, c = parse(s)
-        out = []
-        if n >= 1:
-            out += [f"({n - 1},1)", f"({n - 1},2)"]
-        if c == 1:
-            out += [f"({n + 1},1)", f"({n + 1},2)"]
-        return out
+    def pred(s: StateId) -> tuple[StateId, ...]:
+        n, c = rungs[s]
+        out = (f"({n - 1},1)", f"({n - 1},2)") if n >= 1 else ()
+        return (*out, f"({n + 1},1)", f"({n + 1},2)") if c == 1 else out
 
     return ShiftGraph("(0,1)", succ, pred, degree_bound=4,
                       contains_fn=contains, name="ladder")

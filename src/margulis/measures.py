@@ -125,19 +125,28 @@ def conformality_check(family: ConformalFamily, root: StateId, depth: int,
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    graph = family.graph
-    psi = family.psi
+    graph, psi, h = family.graph, family.psi, family.h
+    graph.check_state(root)
+    scale = family.psi_of(root)
+    # per state met: psi of each successor, or None when psi misses one
+    covered: dict[StateId, Optional[list[float]]] = {}
     worst, worst_class, checked = 0.0, None, 0
-    for n, last, count in _classes(family, root, depth):
-        succ = graph.successors(last)
-        if not all(s in psi for s in succ):
-            continue
-        total = math.fsum(_mass(family, n + 1, s) for s in succ)
-        disc = abs(total - _mass(family, n, last))
-        checked += count
-        if disc > worst:
-            worst, worst_class = disc, (n, last)
-    return ConsistencyReport(worst, worst_class, checked, worst < tol * family.psi_of(root))
+    for n, frontier in enumerate(_frontiers(family.successors, {root: 1}, depth)):
+        # the factors of _mass at this level and the next, so each mass keeps its bits
+        here, below = math.exp(-n * h), math.exp(-(n + 1) * h)
+        for last, count in frontier.items():
+            if last not in covered:
+                succ = graph.successors(last)
+                covered[last] = [psi[s] for s in succ] if all(s in psi for s in succ) else None
+            values = covered[last]
+            if values is None:
+                continue
+            total = math.fsum(below * v for v in values)
+            disc = abs(total - here * psi[last])
+            checked += count
+            if disc > worst:
+                worst, worst_class = disc, (n, last)
+    return ConsistencyReport(worst, worst_class, checked, worst < tol * scale)
 
 
 def support_check(family: ConformalFamily, root: StateId, depth: int) -> bool:

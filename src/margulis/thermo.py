@@ -282,12 +282,17 @@ def harmonic_finite(graph: ShiftGraph, base: Optional[StateId] = None) -> Harmon
     """Perron eigenpair of a finite transitive graph by power iteration.
 
     Iterates with I + A (primitive whenever A is irreducible, so periodic
-    graphs converge too), deterministic all-ones start, psi(base) = 1.
+    graphs converge too), deterministic all-ones start, psi(base) = 1.  A
+    graph with no cycle is rejected first: its A is nilpotent, so there is no
+    positive Perron root, and (I + A)^k v would approach its limit only like 1/k.
     """
     base = base if base is not None else graph.base
     idx, A = _adjacency(graph, graph.states)
     if base not in idx:
         raise KeyError(f"unknown base {base!r}")
+    if not _has_cycle(A):
+        raise NumericalFailure("graph has no cycle: its adjacency is nilpotent, "
+                               "so it has no positive Perron root", residual=math.inf)
     v = np.ones(len(idx))
     for it in range(_POWER_MAX_ITER):
         w = v + A @ v
@@ -368,6 +373,22 @@ def _adjacency(graph: ShiftGraph, states: Sequence[StateId]) -> tuple[dict[State
             if t in idx:
                 A[idx[s], idx[t]] = 1.0
     return idx, A
+
+
+def _has_cycle(A: np.ndarray) -> bool:
+    """True iff the 0/1 matrix ``A`` has a cycle, i.e. is not nilpotent:
+    peeling states with no successor left (Kahn's order) does not empty it."""
+    out = A.sum(axis=1)
+    sinks = list(np.flatnonzero(out == 0))
+    peeled = 0
+    while sinks:
+        j = sinks.pop()
+        peeled += 1
+        for i in np.flatnonzero(A[:, j]):
+            out[i] -= 1
+            if out[i] == 0:
+                sinks.append(i)
+    return peeled < len(A)
 
 
 def _green_function(graph: ShiftGraph, h: float, w: StateId,

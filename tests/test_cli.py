@@ -420,12 +420,36 @@ def test_suite_rejects_a_nan_threshold(tmp_path, capsys):
     assert "threshold must be positive and finite; threshold = nan" in err
 
 
+_NO_CYCLE = "error: graph has no cycle: its adjacency is nilpotent, so it has no positive Perron root\n"
+
+
 def test_harmonic_eigen_numerical_failure_exits_2(tmp_path, capsys):
-    # one state and no edge: the Perron estimate is 0 at the first step
+    # one state and no edge: the adjacency is 0, so there is no Perron root
     path = tmp_path / "graph.json"
     path.write_text(json.dumps({"kind": "finite", "states": ["a"], "edges": []}))
     err = _usage_error(capsys, ["thermo", "harmonic", "--graph", str(path), "--method", "eigen"])
-    assert err == "error: nonpositive Perron estimate\n"
+    assert err == _NO_CYCLE
+
+
+def test_harmonic_eigen_rejects_a_graph_with_no_cycle_before_it_iterates(tmp_path, capsys):
+    # a -> b: A is nilpotent but not 0, so the power iteration would creep
+    # towards its limit like 1/k through all of its iterations
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"kind": "finite", "states": ["a", "b"], "edges": [["a", "b"]]}))
+    start = time.perf_counter()
+    err = _usage_error(capsys, ["thermo", "harmonic", "--graph", str(path), "--method", "eigen"])
+    assert time.perf_counter() - start < 0.5
+    assert err == _NO_CYCLE
+
+
+@pytest.mark.parametrize("fixture,target,label", [
+    ("renewal", "b", "l(03,1)"), ("renewal", "b", "l( 3,1)"), ("renewal", "b", "l(+3,1)"),
+    ("renewal", "b", "l(3,x)"), ("renewal", "b", "l(3)"), ("ladder", "(0,1)", "(01,1)"),
+], ids=["leading-zero", "space", "sign", "not-a-number", "one-number", "ladder-leading-zero"])
+def test_a_label_that_is_not_canonical_is_an_unknown_state(capsys, fixture, target, label):
+    # "l(03,1)" would be a phantom state: l(3,2) does not list it as a predecessor
+    argv = ["shift", "count", "--fixture", fixture, "--origin", label, "--target", target, "--n", "3"]
+    assert _usage_error(capsys, argv) == f"error: unknown state {label!r}\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -331,6 +331,50 @@ def test_periodic_reads_the_backward_memo_exactly(name):
         assert count_periodic(g, fx.base, n).counts == forward[:n + 1]
 
 
+def _first_returns(graph, a, n_max):
+    """f_k for k = 0..n_max: loops of k edges at ``a`` that meet ``a`` only
+    at their ends, by a forward walk on successors with ``a`` absorbed."""
+    f, frontier = [0] * (n_max + 1), {a: 1}
+    for k in range(1, n_max + 1):
+        nxt = {}
+        for s, c in frontier.items():
+            for t in graph.successors(s):
+                if t == a:
+                    f[k] += c
+                else:
+                    nxt[t] = nxt.get(t, 0) + c
+        frontier = nxt
+    return f
+
+
+def _assert_renewal_equation(graph, a, n_max):
+    # Z_n = sum_{k=1..n} f_k Z_{n-k}: a loop splits at its first return to a
+    z = count_periodic(graph, a, n_max).counts
+    f = _first_returns(graph, a, n_max)
+    assert z[0] == 1
+    for n in range(1, n_max + 1):
+        assert z[n] == sum(f[k] * z[n - k] for k in range(1, n + 1)), n
+
+
+@pytest.mark.parametrize("n_max", [40, 80])
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_loop_counts_satisfy_the_renewal_equation(name, n_max):
+    fx = get_fixture(name)
+    _assert_renewal_equation(fx.graph(), fx.base, n_max)
+
+
+@pytest.mark.parametrize("max_len", [8, 20, 64])
+def test_renewal_loop_counts_satisfy_the_renewal_equation(max_len):
+    g = build_graph({"kind": "generator", "name": "renewal", "params": {"max_len": max_len}})
+    _assert_renewal_equation(g, "b", 80)
+
+
+def test_cat_partition_loop_counts_satisfy_the_renewal_equation():
+    g = builtin_partition("cat-adler-weiss").graph
+    for a in g.states:
+        _assert_renewal_equation(g, a, 40)
+
+
 def test_counts_into_rows_are_the_callers_own():
     g = get_fixture("renewal").graph()
     into = counts_into(g, "b", 12)

@@ -261,3 +261,49 @@ def test_memo_fill_validates_every_state():
     assert checked == []
     with pytest.raises(KeyError, match="'zz'"):
         g.successors("a")
+
+
+def test_generated_graphs_accept_only_canonical_labels():
+    # "l(03,1)" would name a phantom state: its successor l(3,2) lists only
+    # l(3,1) as a predecessor.  A malformed label is no state either, not an error
+    renewal = build_graph({"kind": "generator", "name": "renewal", "params": {"max_len": 64}})
+    ladder = build_graph({"kind": "generator", "name": "ladder"})
+    bad = {
+        renewal: ["l(03,1)", "l( 3,1)", "l(+3,1)", "l(3,01)", "l(3,1) ", "l(3,x)", "l(3)",
+                  "l(3,1,1)", "l(3,1", "l(1,0)", "l(3,3)", "l(65,1)", "(3,1)", "B", ""],
+        ladder: ["(01,1)", "(0,01)", "(+1,1)", "( 0,1)", "(-1,1)", "(0,3)", "(0)", "(0,1",
+                 "(0,x)", "l(0,1)", ""],
+    }
+    for g, labels in bad.items():
+        for label in labels:
+            assert g.contains(label) is False, label
+            with pytest.raises(KeyError, match="unknown state"):
+                g.check_state(label)
+    for g, s, t in ((renewal, "l(3,1)", "l(3,2)"), (renewal, "l(64,63)", "b"),
+                    (ladder, "(10,2)", "(11,1)"), (ladder, "(0,1)", "(1,2)")):
+        assert g.check_state(s) == s and s in g.predecessors(t) and t in g.successors(s)
+
+
+@st.composite
+def _canonical_states(draw):
+    """A generated graph's spec and one of its states, loop ends and the
+    longest loop included."""
+    if draw(st.booleans()):
+        max_len = draw(st.sampled_from([2, 3, 64, 257]) | st.integers(2, 257))
+        n = draw(st.sampled_from([2, max_len]) | st.integers(2, max_len))
+        k = draw(st.sampled_from([1, n - 1]) | st.integers(1, n - 1))
+        label = draw(st.sampled_from(["b", f"l({n},{k})"]))
+        return {"kind": "generator", "name": "renewal", "params": {"max_len": max_len}}, label
+    n = draw(st.sampled_from([0, 1]) | st.integers(0, 10 ** 6))
+    return {"kind": "generator", "name": "ladder"}, f"({n},{draw(st.sampled_from([1, 2]))})"
+
+
+@given(case=_canonical_states())
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_generated_successors_and_predecessors_agree(case):
+    spec, s = case
+    g = build_graph(spec)
+    for t in g.successors(s):
+        assert s in g.predecessors(t), (s, t)
+    for t in g.predecessors(s):
+        assert s in g.successors(t), (t, s)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from margulis import cli, measures
 from margulis.fixtures import PHI, RENEWAL_MAX_LEN, get_fixture
-from margulis.graphs import ball, build_graph
+from margulis.graphs import ball, build_finite_graph, build_graph
 from margulis.measures import (
     ConsistencyReport,
     conformality_check,
@@ -167,20 +167,32 @@ def _psi_futures(family, root, depth):
             yield fut
 
 
-def _checked_cylinders(family, root, depth):
-    """Every (root, future) whose mass the checks read from the walk: each
-    walked cylinder and its one-step refinements."""
-    for fut in _psi_futures(family, root, depth):
-        yield root, fut
+def _cylinder_conformality(family, root, depth):
+    """conformality_check's (max_discrepancy, worst_class, cylinders_checked)
+    from cylinder_measure on each future iter_cylinders yields and on its
+    one-step refinements.  The futures are taken level by level, in walk
+    order within a level, so the first worst class is the check's."""
+    worst, worst_class, checked = 0.0, None, 0
+    for fut in sorted(_psi_futures(family, root, depth), key=len):
         last = fut[-1] if fut else root
-        for s in family.graph.successors(last):
-            yield root, fut + (s,)
+        succ = family.graph.successors(last)
+        if not all(s in family.psi for s in succ):
+            continue
+        total = math.fsum(cylinder_measure(family, root, fut + (s,)) for s in succ)
+        disc = abs(total - cylinder_measure(family, root, fut))
+        checked += 1
+        if disc > worst:
+            worst, worst_class = disc, (len(fut), last)
+    return worst, worst_class, checked
 
 
 @pytest.mark.parametrize("name", ["renewal", "full-2", "golden-mean", "cat"])
 def test_walk_masses_equal_cylinder_measure(name, monkeypatch):
     # the checks read masses off the walk without re-validating; they must
-    # read exactly the masses cylinder_measure gives those cylinders, bit for bit
+    # read exactly the masses cylinder_measure gives those cylinders, bit for
+    # bit.  support and holonomy read them through _mass; conformality_check
+    # discounts once per level, so its report is matched against a word walk
+    # over cylinder_measure
     if name == "cat":
         from margulis.torus import builtin_partition, partition_family
         family = partition_family(builtin_partition("cat-adler-weiss"))
@@ -197,14 +209,32 @@ def test_walk_masses_equal_cylinder_measure(name, monkeypatch):
 
     monkeypatch.setattr(measures, "_mass", spy)
     for root in roots:
-        assert conformality_check(family, root, 6).passed
         assert support_check(family, root, 6)
         assert symbolic_holonomy_check(family, root, root, 6).passed
     monkeypatch.undo()
-    expected = {(len(fut), fut[-1] if fut else r): cylinder_measure(family, r, fut)
-                for root in roots for r, fut in _checked_cylinders(family, root, 6)}
+    expected = {(len(fut), fut[-1] if fut else root): cylinder_measure(family, root, fut)
+                for root in roots for fut in _psi_futures(family, root, 6)}
     assert len(expected) > 10
     assert read == expected
+    for root in roots:
+        con = conformality_check(family, root, 6)
+        assert con.passed
+        assert (con.max_discrepancy, con.worst_class, con.cylinders_checked) \
+            == _cylinder_conformality(family, root, 6)
+
+
+def test_conformality_checks_and_counts_a_sink_class():
+    # b has no successor: the children of a cylinder ending at b sum to 0,
+    # so each such class is checked, counted and fails by its own mass
+    g = build_finite_graph(["a", "b"], [("a", "a"), ("a", "b")])
+    family = make_family(g, LOG2, {"a": 1.0, "b": 1.0})
+    for depth in (1, 2, 5):
+        rep = conformality_check(family, "a", depth)
+        assert (rep.max_discrepancy, rep.worst_class, rep.cylinders_checked) \
+            == _cylinder_conformality(family, "a", depth) == (0.5, (1, "b"), 2 * depth + 1)
+        assert not rep.passed
+    rep = conformality_check(family, "b", 3)
+    assert (rep.max_discrepancy, rep.worst_class, rep.cylinders_checked) == (1.0, (0, "b"), 1)
 
 
 def _renewal_futures(depth, max_len=64):
