@@ -10,8 +10,9 @@ Walks from one state (``count_words``, and the walks of ``measures``) run
 forward through ``_frontiers`` with no memo.  Walks into one target from
 every state at once (``counts_into``: loop counts, and the Sarig solver's
 Z_n(R, a)) run backward, built once per horizon and memoized on the graph
-per target, with counts only for the target and the states whose
-out-degree is not one (see ``_IntoMemo``).
+per target, with counts only for the target and one state of each set of
+states whose out-degree is not one and whose successors are equal (see
+``_IntoMemo``).
 """
 
 from __future__ import annotations
@@ -107,10 +108,13 @@ class CountsInto:
 
     def locate(self, s: StateId) -> tuple[StateId, int]:
         """(anchor, offset) with Z_m(s, target) = Z_{m-offset}(anchor, target)
-        for every m <= n_max (zero for m < offset).  An out-degree-one state
-        whose successor chain reaches the first state of out-degree other
-        than one (or the target) within n_max edges has that state as anchor;
-        every other state is its own anchor at offset 0."""
+        for every m <= n_max (zero for m < offset).  A twin (a state the
+        memo lumps with an earlier one of equal successors) has that state
+        as anchor at offset 0.  An out-degree-one state whose successor
+        chain reaches the first state of out-degree other than one (or the
+        target) within n_max edges has that state's anchor as anchor, at
+        the chain's length.  Every other state is its own anchor at offset
+        0."""
         found = self._memo.alias.get(s)
         return found if found is not None and found[1] <= self.n_max else (s, 0)
 
@@ -139,25 +143,36 @@ class _IntoMemo:
     """One target's backward walk counts up to the horizon len(tables) - 1,
     built in one pass and never changed afterwards.
 
-    The DP keeps counts only for the target and the states whose out-degree
-    is not one (the explicit states): ``tables[m]`` maps each explicit state
-    with a walk of m edges into the target to Z_m(state, target).  An
-    out-degree-one state is an alias of the explicit state its successor
-    chain reaches first, at the length of that chain, and ``alias`` maps it
-    to that (anchor, offset).  Each explicit state pushes its count at length
-    m to its explicit predecessors at length m + delay, the delay being the
-    length of the alias chain between them plus one (delay-1 pushes go
-    straight into the next table).  Alias chains are walked back no further
-    than the horizon, so an infinite out-degree-one chain ends.
+    The DP keeps counts only for the target and the representatives:
+    ``tables[m]`` maps each of them with a walk of m edges into the target
+    to Z_m(state, target).  The states other than the target whose
+    out-degree is not one fall into classes by their successor tuple, and
+    equal successors give equal counts: the first state of a class that
+    the DP meets represents it, and each later one (a twin) is an alias of
+    it at offset 0.  An out-degree-one state is an alias of the
+    representative of the class its successor chain reaches first, at the
+    length of that chain.  ``alias`` maps every alias to its (anchor,
+    offset).  Each kept state pushes its count at length m to every kept
+    state that precedes a member of its class, at length m + delay, the
+    delay being the length of the alias chain between them plus one
+    (delay-1 pushes go straight into the next table); a state preceding
+    two members receives the count twice.  Every state with successor
+    tuple T precedes each state of T, so the predecessor scan that first
+    meets a class meets all of it, before its representative is pushed to.
+    Alias chains are walked back no further than the horizon, so an
+    infinite out-degree-one chain ends.
     """
 
     def __init__(self, graph: ShiftGraph, target: StateId, n_max: int) -> None:
         self.target = target
         self.alias: dict[StateId, tuple[StateId, int]] = {}
-        # per explicit state met: its explicit predecessors at delay 1, and
-        # those at delay >= 2 as (state, delay) pairs in increasing delay
+        # per kept state met: the kept states preceding its class at delay 1,
+        # and those at delay >= 2 as (state, delay) pairs in increasing delay
         near_of: dict[StateId, tuple[StateId, ...]] = {}
         far_of: dict[StateId, tuple[tuple[StateId, int], ...]] = {}
+        # per successor tuple met, its representative; per representative, its twins
+        reps: dict[tuple[StateId, ...], StateId] = {}
+        twins: dict[StateId, list[StateId]] = {}
         later: dict[int, dict[StateId, int]] = {}  # delayed pushes by length
         self.tables = tables = [{target: 1}]
         frontier = tables[0]
@@ -166,7 +181,7 @@ class _IntoMemo:
             for s, c in frontier.items():
                 near = near_of.get(s)
                 if near is None:
-                    near = near_of[s] = self._pushes(graph, s, n_max, far_of)
+                    near = near_of[s] = self._pushes(graph, s, n_max, far_of, reps, twins)
                 for t in near:
                     if t in nxt:
                         nxt[t] += c
@@ -182,31 +197,53 @@ class _IntoMemo:
             tables.append(nxt)
             frontier = nxt
 
-    def _pushes(self, graph: ShiftGraph, e: StateId, n_max: int, far_of: dict) -> tuple[StateId, ...]:
-        """Walk back from ``e`` along its alias chains to offset ``n_max``:
-        record the aliases met, put the explicit predecessors met at delay
-        >= 2 in ``far_of[e]``, and return those at delay 1."""
-        target, alias, succ = self.target, self.alias, graph.successors
-        preds = graph.predecessors(e)
-        level = [p for p in preds if p != target and len(succ(p)) == 1]
-        for p in level:
-            alias[p] = (e, 1)
-        near = tuple(p for p in preds if p not in alias) if level else preds
+    def _pushes(self, graph: ShiftGraph, e: StateId, n_max: int, far_of: dict,
+                reps: dict, twins: dict) -> tuple[StateId, ...]:
+        """Walk back from ``e`` and its twins along their alias chains to
+        offset ``n_max``: record the aliases met, put the kept states met
+        at delay >= 2 in ``far_of[e]``, and return those at delay 1."""
+        target, alias, succ, pred = self.target, self.alias, graph.successors, graph.predecessors
+
+        def pushed_to(p: StateId, out: tuple[StateId, ...]) -> bool:
+            """Whether ``p``, the target or a state whose successors ``out``
+            are not one, is pushed to: the target and a representative are,
+            and a twin is not (the first time it is met, it is recorded as
+            an alias of its representative)."""
+            if p == target:
+                return True
+            rep = reps.setdefault(out, p)
+            if rep == p:
+                return True
+            if p not in alias:
+                alias[p] = (rep, 0)
+                twins.setdefault(rep, []).append(p)
+            return False
+
+        level, near = [], []
+        for x in (e, *twins.get(e, ())):
+            for p in pred(x):
+                out = succ(p)
+                if len(out) == 1 and p != target:
+                    alias[p] = (e, 1)
+                    level.append(p)
+                elif pushed_to(p, out):
+                    near.append(p)
         found, k = [], 1
         while level and k < n_max:
             k += 1
             nxt = []
             for s in level:
-                for p in graph.predecessors(s):
-                    if p != target and len(succ(p)) == 1:
+                for p in pred(s):
+                    out = succ(p)
+                    if len(out) == 1 and p != target:
                         alias[p] = (e, k)
                         nxt.append(p)
-                    else:
+                    elif pushed_to(p, out):
                         found.append((p, k))
             level = nxt
         if found:
             far_of[e] = tuple(found)
-        return near
+        return tuple(near)
 
 
 def _positive_finite(name: str, value: float) -> None:

@@ -39,11 +39,11 @@ class ShiftGraph:
     bitwise-identical results.  Each state is checked once per graph (a
     state that passes joins ``_checked``); a non-state fails every time.
     ``_into_memo`` holds, per target, the backward walk counts of
-    ``counting.counts_into``: one count per length for the target and each
-    state of out-degree other than one, and each out-degree-one state as an
-    (anchor, offset) alias of one of them.  Each is built once for one
-    horizon and never changed; a longer horizon builds a new one under the
-    same lock and replaces it.
+    ``counting.counts_into``: one count per length for the target and for
+    one state of each set of states of out-degree other than one with equal
+    successors, and each other state it meets as an (anchor, offset) alias
+    of one of them.  Each is built once for one horizon and never changed;
+    a longer horizon builds a new one under the same lock and replaces it.
     """
 
     def __init__(

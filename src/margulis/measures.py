@@ -150,8 +150,19 @@ def conformality_check(family: ConformalFamily, root: StateId, depth: int,
 
 
 def support_check(family: ConformalFamily, root: StateId, depth: int) -> bool:
-    """Every admissible cylinder carries strictly positive mass."""
-    return all(_mass(family, n, last) > 0.0 for n, last, _ in _classes(family, root, depth))
+    """Every admissible cylinder to ``depth`` carries strictly positive mass.
+
+    The walk takes every successor the graph has, not only those psi
+    covers, so a state that psi misses fails the check (a hole in psi, or
+    the edge of a psi table shorter than ``depth``) instead of hiding the
+    cylinders behind it."""
+    graph, psi = family.graph, family.psi
+    graph.check_state(root)
+    for n, frontier in enumerate(_frontiers(graph.successors, {root: 1}, depth)):
+        for last in frontier:
+            if last not in psi or not _mass(family, n, last) > 0.0:
+                return False
+    return True
 
 
 def symbolic_holonomy_check(family: ConformalFamily, root_a: StateId,

@@ -84,7 +84,10 @@ def run_suite(fixture: str, config: SuiteConfig | None = None) -> Report:
     if fixture == "renewal":
         hs = thermo.harmonic_sarig(graph, "b", fx.entropy, n_max=config.n_max, radius=6)
         worst = max(abs(hs.values[s] - fx.psi[s]) for s in hs.values)
-        report.check_leq(f"{fixture}/sarig_vs_exact", worst, 1e-3)
+        # every windowed ratio on renewal is 2^(k-n) whatever h is, so the
+        # value alone cannot see a wrong h; the solver's residual can
+        report.add(f"{fixture}/sarig_vs_exact", worst, 1e-3,
+                   worst <= 1e-3 and hs.residual <= 1e-8)
     if fixture == "ladder":
         ray = [f"({k},1)" for k in range(13)]
         hc = thermo.harmonic_cyr(graph, fx.base, ray, fx.entropy, radius=3)

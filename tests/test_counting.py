@@ -291,6 +291,57 @@ def test_a_longer_horizon_rebuilds_the_memo_and_a_shorter_one_keeps_it(make_grap
         assert g._into_memo[target] is memo
 
 
+def test_ladder_twins_share_one_row():
+    # (h,1) and (h,2) have one successor tuple for h >= 1, and (h,1) is met
+    # first; a memo built at 20 and rebuilt at 60 keeps the rule
+    g = get_fixture("ladder").graph()
+    for n in (20, 60):
+        into = counts_into(g, "(0,1)", n)
+        assert all(into.locate(f"({h},2)") == (f"({h},1)", 0) for h in range(1, n + 1))
+    keys = set().union(*g._into_memo["(0,1)"].tables)
+    assert not any(k.endswith(",2)") and k != "(0,2)" for k in keys)
+    assert {f"({h},1)" for h in range(61)} <= keys
+    reference = get_fixture("ladder").graph()
+    for h in (1, 2, 7, 30):
+        assert into.row(f"({h},2)") == count_words(reference, f"({h},2)", "(0,1)", 60).counts
+
+
+def test_ladder_state_with_the_targets_successors_stays_explicit():
+    # (0,2) has the successors of the target (0,1) but no empty word into it
+    g = get_fixture("ladder").graph()
+    assert g.successors("(0,2)") == g.successors("(0,1)")
+    into = counts_into(g, "(0,1)", 40)
+    assert into.locate("(0,2)") == ("(0,2)", 0) and into.locate("(0,1)") == ("(0,1)", 0)
+    assert into.row("(0,2)") == [0] + into.row("(0,1)")[1:]
+    assert into.row("(0,2)")[2] == 2
+
+
+def _chain_into_a_twin():
+    # A and B both go to (t, A), and A is met first; c2 -> c1 -> B is a chain
+    # into the twin B, and t -> c2 closes it
+    return build_finite_graph(["t", "A", "B", "c1", "c2"],
+                              [("t", "t"), ("t", "A"), ("t", "c2"), ("A", "t"), ("A", "A"),
+                               ("B", "t"), ("B", "A"), ("c1", "B"), ("c2", "c1")])
+
+
+def test_a_chain_into_a_twin_is_an_alias_of_its_representative():
+    g = _chain_into_a_twin()
+    into = counts_into(g, "t", 20)
+    assert into.locate("B") == ("A", 0)
+    assert into.locate("c1") == ("A", 1) and into.locate("c2") == ("A", 2)
+    assert all("B" not in table for table in g._into_memo["t"].tables)
+    states = ["t", "A", "B", "c1", "c2"]
+    _assert_rows_are_forward_counts(_chain_into_a_twin, ["t"], states, (3, 20))
+
+
+def test_full_3_twins_are_naive_walk_counts():
+    g = build_graph({"kind": "generator", "name": "full", "params": {"symbols": 3}})
+    into = counts_into(g, "0", 10)
+    assert into.locate("2") == ("1", 0) and into.locate("1") == ("1", 0)
+    for s in g.states:
+        assert into.row(s) == [f["0"] for f in naive_frontiers(g.successors, s, 10)], s
+
+
 def test_a_build_that_raises_stores_nothing():
     # predecessors of "30" raise: a build that walks the chain that far fails
     def pred(s):

@@ -281,8 +281,10 @@ def _word_conformality(family, root, depth, tol=1e-12):
 
 
 def _word_support(family, root, depth):
-    return all(measures._mass(family, len(fut), fut[-1] if fut else root) > 0.0
-               for fut in _psi_futures(family, root, depth))
+    # every admissible future, psi-covered or not: a state psi misses fails
+    lasts = ((len(fut), fut[-1] if fut else root)
+             for fut in iter_cylinders(family.graph, root, depth))
+    return all(last in family.psi and measures._mass(family, n, last) > 0.0 for n, last in lasts)
 
 
 def _word_holonomy(family, root_a, root_b, depth):
@@ -317,18 +319,21 @@ def _reference_cases():
 
 
 def test_class_checks_match_the_word_walk_bit_for_bit():
-    verdicts = set()
+    verdicts, supports = set(), set()
     for family, root, other in _reference_cases():
         for depth in range(1, 9):
             con = conformality_check(family, root, depth)
             assert (con.max_discrepancy, con.passed, con.cylinders_checked) \
                 == _word_conformality(family, root, depth), (root, depth)
-            assert support_check(family, root, depth) is _word_support(family, root, depth)
+            sup = support_check(family, root, depth)
+            assert sup is _word_support(family, root, depth), (root, depth)
             hol = symbolic_holonomy_check(family, root, other, depth)
             assert (hol.max_discrepancy, hol.passed, hol.cylinders_checked) \
                 == _word_holonomy(family, root, other, depth), (root, depth)
             verdicts.add(con.passed)
-    assert verdicts == {True, False}  # the cases include wrong families
+            supports.add(sup)
+    # the cases include wrong families, and a psi that stops at loops of 10 edges
+    assert verdicts == supports == {True, False}
 
 
 def test_conformality_detects_scaled_renewal_psi():
@@ -364,6 +369,17 @@ def test_full_support():
     for name in ("golden-mean", "full-2", "renewal"):
         fx = get_fixture(name)
         assert support_check(fx.family(), fx.base, 6)
+
+
+def test_support_check_fails_on_a_state_psi_misses():
+    # a hole in renewal's psi, met at n = 3 from b; and the ladder's table to
+    # n = 11, whose edge the walk from (0,1) crosses at depth 12
+    fx = get_fixture("renewal")
+    holed = make_family(fx.graph(), LOG2, {s: v for s, v in fx.psi.items() if s != "l(5,3)"})
+    assert support_check(holed, "b", 2) and not support_check(holed, "b", 3)
+    assert not support_check(holed, "b", 8)
+    ladder = make_family(get_fixture("ladder").graph(), 1.5 * LOG2, _ladder_table(11))
+    assert support_check(ladder, "(0,1)", 11) and not support_check(ladder, "(0,1)", 12)
 
 
 def test_symbolic_holonomy_same_root():

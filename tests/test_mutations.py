@@ -6,7 +6,7 @@ import dataclasses
 
 import pytest
 
-from margulis import torus
+from margulis import fixtures, torus
 from margulis.fixtures import FIXTURES
 from margulis.measures import make_family
 from margulis.suite import SuiteConfig, run_suite
@@ -41,6 +41,16 @@ def _renewal_loops_up_to(max_len: int):
         FIXTURES, "renewal", dataclasses.replace(fx, graph_spec=spec))
 
 
+def _renewal_psi_without(state: str):
+    """Patch the renewal fixture's family: psi without ``state``.  The graph
+    and the psi that ``renewal/sarig_vs_exact`` compares against keep it."""
+    make_family = fixtures.make_family
+
+    def family(graph, h, psi):
+        return make_family(graph, h, {s: v for s, v in psi.items() if s != state})
+    return lambda monkeypatch: monkeypatch.setattr(fixtures, "make_family", family)
+
+
 def _verdicts(suite: str) -> dict:
     return {e.name: e.passed for e in run_suite(suite, CONFIG).entries}
 
@@ -52,10 +62,15 @@ MATRIX = {
     "h+1e-3": ("cat", _perturbed(dh=1e-3), CONFORMAL),
     "h-1e-3": ("cat", _perturbed(dh=-1e-3), CONFORMAL),
     "psi(R1)x1.3": ("cat", _perturbed(psi_r1_scale=1.3), CONFORMAL),
-    "renewal h+1e-3": ("renewal", _renewal(1e-3), RENEWAL),
-    "renewal h-1e-3": ("renewal", _renewal(-1e-3), RENEWAL),
+    "renewal h+1e-3": ("renewal", _renewal(1e-3), RENEWAL + ("renewal/sarig_vs_exact",)),
+    "renewal h-1e-3": ("renewal", _renewal(-1e-3), RENEWAL + ("renewal/sarig_vs_exact",)),
+    # the entropy entry passes at h + 1e-4; the Sarig residual still sees it
+    "renewal h+1e-4": ("renewal", _renewal(1e-4), ("renewal/sarig_vs_exact",)),
     # a dropped edge: with loops of at most 20 edges only conformality flips
     "renewal loops > 8 dropped": ("renewal", _renewal_loops_up_to(8), RENEWAL),
+    # a hole in psi: the conformality check skips the classes around it
+    "renewal psi without l(3,2)": ("renewal", _renewal_psi_without("l(3,2)"),
+                                   ("renewal/full_support",)),
 }
 
 

@@ -46,3 +46,6 @@ def test_readme_ladder_family_is_the_closed_form(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == {
         "conformality_max_err": 2.220446049250313e-16, "consistency_max_err": 0.0,
         "support_ok": True}
+    # the table ends at n = 11, so a walk to depth 12 reaches states it misses
+    assert main(["measure", "verify", "--family", str(family), "--depth", "12"]) == 1
+    assert json.loads(capsys.readouterr().out)["support_ok"] is False

@@ -5,7 +5,7 @@ import pytest
 
 from margulis.counting import NeumaierSum, _frontiers, count_words, exp_weighted
 from margulis.fixtures import PHI, get_fixture
-from margulis.graphs import ball, build_finite_graph
+from margulis.graphs import ball, build_finite_graph, build_graph
 from margulis.thermo import (
     RECURRENT,
     TRANSIENT_EVIDENCE,
@@ -312,6 +312,16 @@ def test_harmonic_sarig_matches_the_table_first_loop_bit_for_bit(name):
             assert list(hs.values.items()) == list(values.items()), (n_max, radius)
             assert hs.residual == residual
             assert hs.meta == meta
+
+
+def test_harmonic_sarig_on_full_3_with_twins_matches_the_table_first_loop():
+    # "1" and "2" have one successor tuple, so the memo keeps one row for both
+    g = build_graph({"kind": "generator", "name": "full", "params": {"symbols": 3}})
+    for n_max in (12, 40):
+        hs = harmonic_sarig(g, "0", math.log(3), n_max=n_max, radius=2)
+        values, residual, meta = _table_first_sarig(g, "0", math.log(3), n_max, 2)
+        assert list(hs.values.items()) == list(values.items()) and set(values) == {"0", "1", "2"}
+        assert hs.residual == residual and hs.meta == meta
 
 
 def test_harmonic_sarig_matches_the_table_first_loop_past_900_bits():
