@@ -219,16 +219,7 @@ class _IntoMemo:
                 twins.setdefault(rep, []).append(p)
             return False
 
-        level, near = [], []
-        for x in (e, *twins.get(e, ())):
-            for p in pred(x):
-                out = succ(p)
-                if len(out) == 1 and p != target:
-                    alias[p] = (e, 1)
-                    level.append(p)
-                elif pushed_to(p, out):
-                    near.append(p)
-        found, k = [], 1
+        level, found, k = [e, *twins.get(e, ())], [], 0
         while level and k < n_max:
             k += 1
             nxt = []
@@ -241,9 +232,10 @@ class _IntoMemo:
                     elif pushed_to(p, out):
                         found.append((p, k))
             level = nxt
-        if found:
-            far_of[e] = tuple(found)
-        return tuple(near)
+        near = tuple(p for p, d in found if d == 1)
+        if len(found) > len(near):
+            far_of[e] = tuple(found[len(near):])
+        return near
 
 
 def _positive_finite(name: str, value: float) -> None:

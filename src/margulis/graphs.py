@@ -34,10 +34,12 @@ class ShiftGraph:
     """Immutable directed graph of a topological Markov shift.
 
     Finite graphs carry their state list; generated graphs have none and are
-    explored through their successor/predecessor functions.  Explored
-    neighborhoods are memoized under a lock so concurrent callers see
-    bitwise-identical results.  Each state is checked once per graph (a
-    state that passes joins ``_checked``); a non-state fails every time.
+    explored through their successor/predecessor functions.  Every graph
+    decides which labels are states by its ``contains_fn`` (a finite graph
+    passes its state set's).  Explored neighborhoods are memoized under a
+    lock so concurrent callers see bitwise-identical results.  Each state
+    is checked once per graph (a state that passes joins ``_checked``); a
+    non-state fails every time.
     ``_into_memo`` holds, per target, the backward walk counts of
     ``counting.counts_into``: one count per length for the target and for
     one state of each set of states of out-degree other than one with equal
@@ -53,7 +55,8 @@ class ShiftGraph:
         predecessors_fn: Callable[[StateId], Sequence[StateId]],
         states: Optional[Sequence[StateId]] = None,
         degree_bound: Optional[int] = None,
-        contains_fn: Optional[Callable[[StateId], bool]] = None,
+        *,
+        contains_fn: Callable[[StateId], bool],
         name: str = "",
     ):
         self.base = base
@@ -63,7 +66,6 @@ class ShiftGraph:
         self._pred_fn = predecessors_fn
         self._contains_fn = contains_fn
         self._states = tuple(states) if states is not None else None
-        self._state_set = frozenset(self._states or ())
         self._succ_memo: dict[StateId, tuple[StateId, ...]] = {}
         self._pred_memo: dict[StateId, tuple[StateId, ...]] = {}
         self._into_memo: dict = {}  # target -> counting._IntoMemo
@@ -83,11 +85,7 @@ class ShiftGraph:
         return self._states
 
     def contains(self, s: StateId) -> bool:
-        if self._states is not None:
-            return s in self._state_set
-        if self._contains_fn is not None:
-            return self._contains_fn(s)
-        return True
+        return self._contains_fn(s)
 
     def check_state(self, s: StateId) -> StateId:
         if s not in self._checked:
@@ -263,6 +261,7 @@ def build_finite_graph(states: Sequence[StateId], edges: Iterable[tuple[StateId,
         predecessors_fn=lambda s: pred[s],
         states=states,
         degree_bound=bound,
+        contains_fn=state_set.__contains__,
         name=name,
     )
 

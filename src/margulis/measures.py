@@ -90,17 +90,6 @@ def iter_cylinders(graph: ShiftGraph, root: StateId, depth: int) -> Iterator[tup
                 stack.append(fut + (s,))
 
 
-def _classes(family: ConformalFamily, root: StateId, depth: int) -> Iterator[tuple[int, StateId, int]]:
-    """(n, last, count) for n = 0..depth: ``count`` futures of n edges from
-    ``root``, on states psi covers, end at ``last``.  A cylinder's mass
-    exp(-n h) psi(last) depends only on its class, so the checks read each
-    class once instead of each word."""
-    family.graph.check_state(root)
-    for n, frontier in enumerate(_frontiers(family.successors, {root: 1}, depth)):
-        for last, count in frontier.items():
-            yield n, last, count
-
-
 @dataclass
 class ConsistencyReport:
     max_discrepancy: float
@@ -181,13 +170,16 @@ def symbolic_holonomy_check(family: ConformalFamily, root_a: StateId,
             f"holonomy precondition violated: {root_a!r} and {root_b!r} differ "
             f"as symbols and have different successor trees to depth {depth}"
         )
+    graph.check_state(root_a)
+    # a mass depends only on the cylinder's length and last state: read each class once
     worst, worst_class, checked = 0.0, None, 0
-    for n, last, count in _classes(family, root_a, depth):
-        va = _mass(family, n, last)
-        vb = _mass(family, n, last if n else root_b)
-        checked += count
-        if abs(va - vb) > worst:
-            worst, worst_class = abs(va - vb), (n, last)
+    for n, frontier in enumerate(_frontiers(family.successors, {root_a: 1}, depth)):
+        for last, count in frontier.items():
+            va = _mass(family, n, last)
+            vb = _mass(family, n, last if n else root_b)
+            checked += count
+            if abs(va - vb) > worst:
+                worst, worst_class = abs(va - vb), (n, last)
     return ConsistencyReport(worst, worst_class, checked, worst == 0.0)
 
 

@@ -166,7 +166,7 @@ class PartitionReport:
     max_u_cross_err: float
     max_s_fit_err: float
     witnesses: list[str]
-    edges: list[tuple[StateId, StateId]]
+    # one key (i, j) per edge of the transition graph, in validation order:
     # (i, j) -> (start of the crossing's preimage in R_i, relative to R_i's
     # corner; start of the image strip in R_j, relative to R_j's corner)
     crossings: dict[tuple[StateId, StateId], tuple[float, float]]
@@ -290,7 +290,6 @@ def validate_partition(auto: TorusAutomorphism, rectangles: Sequence[Rectangle])
     markov_ok = True
     max_u_err = 0.0
     max_s_err = 0.0
-    edges: list[tuple[StateId, StateId]] = []
     crossings: dict[tuple[StateId, StateId], tuple[float, float]] = {}
     for ri in rectangles:
         img_u = (auto.lam_u * ri.u_range[0], auto.lam_u * ri.u_range[1])
@@ -318,10 +317,9 @@ def validate_partition(auto: TorusAutomorphism, rectangles: Sequence[Rectangle])
                 T, te = hits[0]
                 u_off = (rj.u_range[0] + te[0]) / auto.lam_u - ri.u_range[0]
                 s_off = auto.lam_s * ri.s_range[0] - (rj.s_range[0] + te[1])
-                edges.append((ri.id, rj.id))
                 crossings[(ri.id, rj.id)] = (u_off, s_off)
     return PartitionReport(disjoint_ok, cover_ok, markov_ok, area,
-                           max_u_err, max_s_err, witnesses, edges, crossings)
+                           max_u_err, max_s_err, witnesses, crossings)
 
 
 def make_partition(auto: TorusAutomorphism, rectangles: Sequence[Rectangle]) -> MarkovPartition:
@@ -331,7 +329,7 @@ def make_partition(auto: TorusAutomorphism, rectangles: Sequence[Rectangle]) -> 
             "invalid Markov partition: " + "; ".join(report.witnesses[:4])
         )
     ids = [r.id for r in rectangles]
-    graph = build_finite_graph(ids, report.edges, base=ids[0], name="partition")
+    graph = build_finite_graph(ids, report.crossings, base=ids[0], name="partition")
     return MarkovPartition(auto, list(rectangles), graph, report.crossings)
 
 
@@ -945,15 +943,11 @@ def intersection_count(p: MarkovPartition, arc: UnstableArc, i: int,
     """
     if i < 0:
         raise ValueError("i must be >= 0")
-    rid, _, _ = locate(p, anchor_xy)
+    rid, u_rel, _ = locate(p, anchor_xy)
     if rid != anchor_symbol:
         raise ValueError(f"anchor lies in {rid!r}, not {anchor_symbol!r}")
     r = p.rect(anchor_symbol)
-    anchor_us = p.auto.to_eigen(np.asarray(anchor_xy, dtype=float) % 1.0)
-    chart = _chart_of(p, r, float(anchor_us[0]), float(anchor_us[1]))
-    if chart is None:
-        raise ValueError("anchor could not be charted")
-    u_a = chart[0]
+    u_a = r.corner[0] + u_rel
     s_lo, s_hi = r.corner[1], r.corner[1] + r.s_extent
 
     base_us = p.auto.to_eigen(np.array(arc.base))

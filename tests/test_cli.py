@@ -7,6 +7,7 @@ import time
 import pytest
 
 from margulis.cli import build_parser, main
+from margulis.suite import run_suite
 
 
 def run_cli(*args):
@@ -191,6 +192,15 @@ def test_suite_run_golden_mean(tmp_path, capsys):
     assert all(e["passed"] for e in payload["entries"])
 
 
+def test_ladder_suite_entries_pass_in_order():
+    # only `suite run --fixture all` runs the ladder suite end to end
+    report = run_suite("ladder")
+    assert [e.name for e in report.entries] == [
+        f"ladder/{name}" for name in ("transitivity_as_expected", "entropy_ratio_err",
+                                      "not_recurrent", "loop_sum_limit_err", "cyr_residual")]
+    assert all(e.passed for e in report.entries)
+
+
 def test_determinism_identical_bytes(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):
@@ -220,6 +230,22 @@ def test_harmonic_cyr_below_the_critical_h_exits_2(capsys):
     assert out == "" and err.count("\n") == 1
     assert err.startswith("error: truncated resolvent is not positive (G('(0,1)', '(12,1)') = -115.")
     assert "h = 1.0297207708399179 is below the critical value of the solve region" in err
+
+
+def test_shift_ball(capsys):
+    assert main(["shift", "ball", "--fixture", "ladder", "--center", "(0,1)", "--radius", "2"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "center": "(0,1)", "radius": 2,
+        "states": ["(0,1)", "(0,2)", "(1,1)", "(1,2)", "(2,1)", "(2,2)"]}
+
+
+def test_a_family_file_may_name_a_fixture(tmp_path, capsys):
+    fam = tmp_path / "family.json"
+    fam.write_text(json.dumps({"fixture": "golden-mean"}))
+    assert main(["measure", "verify", "--fixture", "golden-mean"]) == 0
+    by_name = capsys.readouterr().out
+    assert main(["measure", "verify", "--family", str(fam)]) == 0
+    assert capsys.readouterr().out == by_name
 
 
 def test_graph_file_input(tmp_path, capsys):
@@ -387,6 +413,16 @@ def _usage_error(capsys, argv):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
     return err
+
+
+@pytest.mark.parametrize("argv", [
+    ["shift", "validate", "--graph"],
+    ["measure", "verify", "--family"],
+    ["torus", "validate", "--partition"],
+], ids=["graph", "family", "partition"])
+def test_an_input_path_that_is_a_directory_exits_2(tmp_path, capsys, argv):
+    err = _usage_error(capsys, [*argv, str(tmp_path)])
+    assert "Is a directory" in err and "Traceback" not in err
 
 
 def test_classify_rejects_a_nan_h(capsys):

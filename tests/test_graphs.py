@@ -263,6 +263,12 @@ def test_memo_fill_validates_every_state():
         g.successors("a")
 
 
+def test_a_graph_needs_a_contains_fn():
+    # no graph accepts every label, so a graph without a membership test is an error
+    with pytest.raises(TypeError, match="contains_fn"):
+        ShiftGraph("a", lambda s: ["a"], lambda s: ["a"])
+
+
 def test_generated_graphs_accept_only_canonical_labels():
     # "l(03,1)" would name a phantom state: its successor l(3,2) lists only
     # l(3,1) as a predecessor.  A malformed label is no state either, not an error

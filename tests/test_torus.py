@@ -156,7 +156,7 @@ def test_partition_validation_is_chart_independent(cat, T):
              if r.id == "R3" else r for r in cat.rectangles]
     rep = validate_partition(cat.auto, rects)
     assert rep.ok, rep.witnesses
-    assert rep.edges == validate_partition(cat.auto, cat.rectangles).edges
+    assert list(rep.crossings) == list(validate_partition(cat.auto, cat.rectangles).crossings)
 
 
 def test_u_extents_are_perron_eigenvector(cat):
@@ -595,8 +595,7 @@ def _reference_count(auto, U, S):
 def _reference_box(p, arc, i, anchor_xy, anchor_symbol):
     """The half-open box of ``intersection_count``, as it computes it."""
     r = p.rect(anchor_symbol)
-    anchor_us = p.auto.to_eigen(np.asarray(anchor_xy, dtype=float) % 1.0)
-    u_a = torus._chart_of(p, r, float(anchor_us[0]), float(anchor_us[1]))[0]
+    u_a = r.corner[0] + torus.locate(p, anchor_xy)[1]
     base_us = p.auto.to_eigen(np.array(arc.base))
     u_b, s_b = float(base_us[0]), float(base_us[1])
     Lu, Ls = p.auto.lam_u ** i, p.auto.lam_s ** i
