@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import measures, thermo, torus
-from .fixtures import FIXTURES, get_fixture
+from .fixtures import FIXTURES
 from .graphs import validate_graph
 from .report import Report
 
@@ -42,7 +42,9 @@ def run_suite(fixture: str, config: SuiteConfig | None = None) -> Report:
         return report
     if fixture == "cat":
         return _cat_suite(config)
-    fx = get_fixture(fixture)
+    if fixture not in FIXTURES:
+        raise KeyError(f"unknown fixture {fixture!r}; known: {sorted([*FIXTURES, 'all', 'cat'])}")
+    fx = FIXTURES[fixture]
     report = Report(fixture, environment=_env(config))
     graph = fx.graph()
 
@@ -107,7 +109,7 @@ def run_suite(fixture: str, config: SuiteConfig | None = None) -> Report:
 def _cat_suite(config: SuiteConfig) -> Report:
     report = Report("cat", environment=_env(config))
     p = torus.builtin_partition("cat-adler-weiss")
-    rep = torus.validate_partition(p.auto, p.rectangles)
+    rep = p.report
     report.add("cat/partition_valid", 1.0 if rep.ok else 0.0, 1.0, rep.ok,
                f"area={rep.area_total:.12f}")
     report.check_leq("cat/markov_u_err", rep.max_u_cross_err, 1e-9)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -143,17 +143,12 @@ def _richardson_rho(ts: Sequence[float], start: int) -> float:
     return tail[len(tail) // 2]
 
 
-def fit_tail(terms: Sequence[float], total: float) -> Optional[TailFit]:
+def fit_tail(terms: Sequence[float], total: float) -> tuple[Optional[TailFit], str]:
     """Fit the decay of the positive terms and extrapolate the series limit.
 
-    Returns None when the terms are too few, not decaying, or not summable
-    (power <= 1 at the critical radius).
+    Returns (fit, ""), or (None, reason) when the terms are too few, not
+    decaying, or not summable (power <= 1 at the critical radius).
     """
-    return _fit_tail(terms, total)[0]
-
-
-def _fit_tail(terms: Sequence[float], total: float) -> tuple[Optional[TailFit], str]:
-    """:func:`fit_tail`, with the reason it returns None ("" for a fit)."""
     ts = [t for t in terms if t > 0.0]
     if len(ts) < 8:
         return None, "too few terms"
@@ -214,7 +209,7 @@ def classify_recurrence(graph: ShiftGraph, base: StateId, h: float, n_max: int,
     trace = weighted_loop_sum(graph, base, h, n_max)
     if trace.total > threshold:
         return RecurrenceVerdict(RECURRENT, trace, threshold)
-    fit, reason = _fit_tail(trace.terms, trace.total)
+    fit, reason = fit_tail(trace.terms, trace.total)
     if fit is not None and fit.fit_rms < 0.05:
         return RecurrenceVerdict(TRANSIENT_EVIDENCE, trace, threshold, fit)
     return RecurrenceVerdict(UNDECIDED, trace, threshold, fit, reason or "rms >= 0.05")
@@ -253,22 +248,19 @@ class ResidualReport:
 
 
 def check_harmonic(graph: ShiftGraph, values: Mapping[StateId, float], h: float,
-                   center: Optional[StateId] = None, radius: Optional[int] = None,
+                   region: Optional[Iterable[StateId]] = None,
                    tol: float = 1e-8) -> ResidualReport:
-    """Max relative residual |e^-h L0 psi - psi| / psi over the checkable states.
+    """Max relative residual |e^-h L0 psi - psi| / psi over the checkable
+    states of ``region`` (default: every state of psi).
 
     A state is checkable when psi is positive there and :func:`ruelle_apply`
     applies L0 there, i.e. psi covers all of its successors (psi on a
     radius+1 ball makes every radius-ball state checkable).
     """
-    if center is not None and radius is not None:
-        region = sorted(ball(graph, center, radius))
-    else:
-        region = sorted(values)
     l0 = ruelle_apply(graph, values)
     worst, worst_state, checked = 0.0, None, 0
     scale = math.exp(-h)
-    for r in region:
+    for r in sorted(values if region is None else region):
         if r not in l0 or values[r] <= 0:
             continue
         res = abs(scale * l0[r] - values[r]) / values[r]
@@ -354,10 +346,13 @@ def harmonic_sarig(graph: ShiftGraph, a0: StateId, h: float, n_max: int,
         elif total > 0.0:
             sums[s] = total
     if a0 not in sums:
+        if any(into.row(a0)[m0 + 1:]):
+            raise ValueError(f"every discounted loop term exp(-i h) Z_i at {a0!r}, i in "
+                             f"{m0 + 1}..{n_max}, underflows to 0 at h={h!r}; denominator is zero")
         raise ValueError(f"no loops at {a0!r} within n_max={n_max}; denominator is zero")
     den = sums[a0]
     values = {s: v / den for s, v in sums.items()}
-    rep = check_harmonic(graph, values, h, center=a0, radius=radius, tol=math.inf)
+    rep = check_harmonic(graph, values, h, ball(graph, a0, radius), tol=math.inf)
     return HarmonicFunction(values, h, rep.max_residual, "sarig",
                             meta={"a0": a0, "window": (m0 + 1, n_max), "radius": radius,
                                   "dropped": dropped})
@@ -446,6 +441,6 @@ def harmonic_cyr(graph: ShiftGraph, a0: StateId, ray: Sequence[StateId], h: floa
         raise ValueError(f"ray state {w!r} unreachable from {a0!r}: zero denominator")
     values = {s: float(g[idx[s]] / den) for s in sorted(ball(graph, a0, radius + 1))
               if g[idx[s]] > 0.0}
-    rep = check_harmonic(graph, values, h, center=a0, radius=radius, tol=math.inf)
+    rep = check_harmonic(graph, values, h, ball(graph, a0, radius), tol=math.inf)
     return HarmonicFunction(values, h, rep.max_residual, "cyr",
                             meta={"a0": a0, "ray_index": len(ray) - 1, "radius": radius})

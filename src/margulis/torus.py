@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Optional, Sequence
 
@@ -195,20 +195,20 @@ class MarkovPartition:
     auto: TorusAutomorphism
     rectangles: list[Rectangle]
     graph: ShiftGraph
-    crossings: InitVar[dict]    # PartitionReport.crossings
+    report: PartitionReport = field(repr=False)    # the validation that admitted it
     by_id: dict[StateId, Rectangle] = field(init=False)
     children: dict = field(init=False, repr=False)
     parents: dict = field(init=False, repr=False)
     charts: dict = field(init=False, repr=False)
     _code_depth_limit: int = field(init=False, repr=False)
 
-    def __post_init__(self, crossings):
+    def __post_init__(self):
         self.by_id = {r.id: r for r in self.rectangles}
         self.children = {r.id: {} for r in self.rectangles}
         self.parents = {r.id: {} for r in self.rectangles}
-        for (a, b), (u_off, _) in sorted(crossings.items(), key=lambda c: c[1][0]):
+        for (a, b), (u_off, _) in sorted(self.report.crossings.items(), key=lambda c: c[1][0]):
             self.children[a][b] = (u_off, self.by_id[b].u_extent / self.auto.lam_u)
-        for (a, b), (_, s_off) in sorted(crossings.items(), key=lambda c: c[1][1]):
+        for (a, b), (_, s_off) in sorted(self.report.crossings.items(), key=lambda c: c[1][1]):
             self.parents[b][a] = (s_off, self.auto.lam_s * self.by_id[a].s_extent)
         U, S = _box_image(self.auto.to_eigen, (0.0, 1.0), (0.0, 1.0))
         self.charts = {}
@@ -330,7 +330,7 @@ def make_partition(auto: TorusAutomorphism, rectangles: Sequence[Rectangle]) -> 
         )
     ids = [r.id for r in rectangles]
     graph = build_finite_graph(ids, report.crossings, base=ids[0], name="partition")
-    return MarkovPartition(auto, list(rectangles), graph, report.crossings)
+    return MarkovPartition(auto, list(rectangles), graph, report)
 
 
 # ---------------------------------------------------------------------------
@@ -445,18 +445,11 @@ def _lattice_in_strips(auto: TorusAutomorphism, U: tuple[float, float],
     order, as (T, u(T), s(T)).
 
     That padded test is the whole admission rule: ``_columns`` lists a
-    superset of the points that pass it, and each one is tested.  A long,
-    sparse box is pulled back by A^k (``_pullback_power``), so its points
-    come out of column order and are sorted; a box with at least as many
-    points as columns is walked directly (k = 0), where the pull-back saves
-    nothing.
+    superset of the points that pass it, and each one is tested.  A long box
+    is pulled back by A^k, so its points come out of column order and are
+    sorted.
     """
-    k = _pullback_power(auto, U, S)
-    (b00, b01), (b10, b11) = auto.basis.tolist()
-    wu, ws = U[1] - U[0], S[1] - S[0]
-    if wu * ws * abs(b00 * b11 - b01 * b10) >= abs(b00) * wu + abs(b01) * ws:
-        k = 0
-    P, eps, columns = _columns(auto, U, S, k)
+    k, P, eps, columns = _columns(auto, U, S)
     (p00, p01), (p10, p11) = P
     (e00, e01), (e10, e11) = auto.basis_inv.tolist()
     u_lo, u_hi, s_lo, s_hi = U[0] - _PAD, U[1] + _PAD, S[0] - _PAD, S[1] + _PAD
@@ -470,8 +463,9 @@ def _lattice_in_strips(auto: TorusAutomorphism, U: tuple[float, float],
     return sorted(hits) if k else hits
 
 
-def _columns(auto: TorusAutomorphism, U: tuple[float, float], S: tuple[float, float], k: int):
-    """The lattice points of U x S column by column, as (P, eps, columns).
+def _columns(auto: TorusAutomorphism, U: tuple[float, float], S: tuple[float, float]):
+    """The lattice points of U x S column by column, as (k, P, eps, columns),
+    with k from ``_pullback_power``.
 
     A^k Z^2 = Z^2 since det A = 1, and A^-k scales eigen coordinates by
     (lam_u^-k, lam_s^-k), so the lattice points of U x S are P = A^k (exact
@@ -490,6 +484,7 @@ def _columns(auto: TorusAutomorphism, U: tuple[float, float], S: tuple[float, fl
     every point of the box shrunk by eps lies inside it by more than ``_PAD``
     plus round-off.  At k = 0 all of it comes from the box's own coordinates.
     """
+    k = _pullback_power(auto, U, S)
     (e00, e01), (e10, e11) = auto.basis_inv.tolist()
     (b00, b01), (b10, b11) = auto.basis.tolist()
     norm_e = max(abs(e00) + abs(e01), abs(e10) + abs(e11))
@@ -518,7 +513,7 @@ def _columns(auto: TorusAutomorphism, U: tuple[float, float], S: tuple[float, fl
             du, ds = ru * m, rs * m
             yield m, math.ceil(max(lo_u - du, lo_s - ds)), math.floor(min(hi_u - du, hi_s - ds))
 
-    return P, eps, columns
+    return k, P, eps, columns
 
 
 def _int_power(matrix, k: int) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -971,7 +966,7 @@ def _count_in_box(auto: TorusAutomorphism, U: tuple[float, float], S: tuple[floa
     half-open box, so it adds its n-range with one subtraction; only the
     points between the shrunk and the widened box are tested one at a time.
     """
-    P, eps, columns = _columns(auto, U, S, _pullback_power(auto, U, S))
+    _, P, eps, columns = _columns(auto, U, S)
     (p00, p01), (p10, p11) = P
     (e00, e01), (e10, e11) = auto.basis_inv.tolist()
     u_lo, u_hi, s_lo, s_hi = U[0] - _PAD, U[1] - _PAD, S[0] + _PAD, S[1] + _PAD

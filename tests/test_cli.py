@@ -26,6 +26,7 @@ def test_unknown_fixture_exit_2():
     r = run_cli("suite", "run", "--fixture", "bogus")
     assert r.returncode == 2
     assert "unknown fixture" in r.stderr
+    assert "'all'" in r.stderr and "'cat'" in r.stderr
 
 
 def test_shift_count_decimal_strings(tmp_path):

@@ -161,18 +161,27 @@ def test_decided_verdicts_carry_no_reason():
     assert v.verdict == TRANSIENT_EVIDENCE and v.reason == ""
 
 
+def test_classify_recurrence_fits_the_tail_through_fit_tail(monkeypatch):
+    import margulis.thermo as thermo
+    calls = []
+    real = thermo.fit_tail
+    monkeypatch.setattr(thermo, "fit_tail", lambda *a: calls.append(a) or real(*a))
+    v = classify_recurrence(get_fixture("ladder").graph(), "(0,1)", 1.5 * LOG2, 60)
+    assert len(calls) == 1 and v.tail is not None
+
+
 def test_fit_tail_too_few_terms():
-    assert fit_tail([1.0, 0.5, 0.25], 1.75) is None
+    assert fit_tail([1.0, 0.5, 0.25], 1.75)[0] is None
 
 
 def test_fit_tail_rejects_growing_terms():
     # the ratio estimate rho = 1.05 lies outside (0, 1.02)
-    assert fit_tail([1.05 ** j for j in range(1, 41)], 0.0) is None
+    assert fit_tail([1.05 ** j for j in range(1, 41)], 0.0)[0] is None
 
 
 def test_fit_tail_rejects_a_nonsummable_critical_tail():
     # rho ~ 1 and 1/j decays at power p = 1 <= 1.05: the series diverges
-    assert fit_tail([1.0 / j for j in range(1, 41)], 0.0) is None
+    assert fit_tail([1.0 / j for j in range(1, 41)], 0.0)[0] is None
 
 
 # -- Ruelle operator ----------------------------------------------------------
@@ -263,6 +272,16 @@ def test_harmonic_sarig_zero_denominator():
         harmonic_sarig(g, "0", LOG2, n_max=12)
 
 
+@pytest.mark.parametrize("h", [1e300, 50.0])
+def test_harmonic_sarig_names_an_underflowing_denominator(h):
+    # golden-mean has loops at 0 of every length >= 2, but every window term
+    # exp(-i h) Z_i underflows to 0 at these h
+    g = get_fixture("golden-mean").graph()
+    with pytest.raises(ValueError, match=r"underflows to 0 .*; denominator is zero") as exc:
+        harmonic_sarig(g, "0", h, n_max=40)
+    assert "no loops" not in str(exc.value)
+
+
 def test_harmonic_sarig_counts_dropped_states_on_renewal():
     # l(m,j) first reaches b after m - j edges; the window drops the region
     # states whose first hit lies past its start m0 but within n_max
@@ -295,7 +314,7 @@ def _table_first_sarig(graph, a0, h, n_max, radius):
     den = sums[a0].value
     values = {s: sums[s].value / den for s in sorted(region)
               if s in sums and sums[s].value > 0.0 and first_hit[s] <= m0}
-    rep = check_harmonic(graph, values, h, center=a0, radius=radius, tol=math.inf)
+    rep = check_harmonic(graph, values, h, ball(graph, a0, radius), tol=math.inf)
     dropped = sum(1 for i in first_hit.values() if i > m0)
     return values, rep.max_residual, {"a0": a0, "window": (m0 + 1, n_max),
                                       "radius": radius, "dropped": dropped}
@@ -462,9 +481,8 @@ def test_check_harmonic_reports():
     # renewal exact psi has residual ~2^-63 at the truncated base
     fxr = get_fixture("renewal")
     gr = fxr.graph()
-    from margulis.graphs import ball
     values = {s: fxr.psi[s] for s in ball(gr, "b", 4)}
-    repr_ = check_harmonic(gr, values, LOG2, center="b", radius=3, tol=1e-12)
+    repr_ = check_harmonic(gr, values, LOG2, ball(gr, "b", 3), tol=1e-12)
     assert repr_.max_residual < 1e-12
 
     # psi = 1 on the golden mean is off by |2/phi - 1| > 0.2 at state 0

@@ -159,6 +159,14 @@ def test_partition_validation_is_chart_independent(cat, T):
     assert list(rep.crossings) == list(validate_partition(cat.auto, cat.rectangles).crossings)
 
 
+def test_partition_keeps_the_report_it_was_validated_with(cat):
+    from dataclasses import fields
+    fresh = validate_partition(cat.auto, cat.rectangles)
+    for f in fields(fresh):
+        assert getattr(cat.report, f.name) == getattr(fresh, f.name), f.name
+    assert list(cat.report.crossings.items()) == list(fresh.crossings.items())
+
+
 def test_u_extents_are_perron_eigenvector(cat):
     hf = harmonic_finite(cat.graph, "R1")
     scale = cat.rect("R1").u_extent
@@ -744,6 +752,27 @@ def test_strip_walk_matches_the_reference_in_order(cat, monkeypatch):
             direct += len(pulled) == calls
             assert got == list(_reference_strips(auto, U, S)), (U, S)
     assert direct >= 10 and len(pulled) >= 200 and max(pulled) >= 8
+
+
+def test_long_dense_boxes_are_pulled_back_and_match_the_reference_in_order(cat, monkeypatch):
+    # boxes with more points than columns: an overlap box of
+    # validate_partition and the plaque boxes of the suite's ray_divergence
+    # image arc, f^8 of [0, 0.3] along the unstable ray of the fixed point 0
+    boxes = [((-1000.0, 1000.0), (-1.2, 1.2))]
+    real_walk = torus._lattice_in_strips
+    monkeypatch.setattr(torus, "_lattice_in_strips",
+                        lambda auto, U, S: boxes.append((U, S)) or real_walk(auto, U, S))
+    torus._plaque_tiling(cat, UnstableArc((0.0, 0.0), 0.0, 0.3 * cat.auto.lam_u ** 8))
+    monkeypatch.setattr(torus, "_lattice_in_strips", real_walk)
+    assert len(boxes) == 1 + len(cat.rectangles)
+    pulled = []
+    real = torus._pullback
+    monkeypatch.setattr(torus, "_pullback", lambda *a, **kw: pulled.append(a[3]) or real(*a, **kw))
+    for U, S in boxes:
+        calls = len(pulled)
+        got = list(torus._lattice_in_strips(cat.auto, U, S))
+        assert len(pulled) == calls + 1 and pulled[-1] >= 3, (U, S, pulled[calls:])
+        assert len(got) > 500 and got == list(_reference_strips(cat.auto, U, S)), (U, S)
 
 
 def test_intersection_count_equals_word_count_deep(cat):
