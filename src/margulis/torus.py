@@ -725,24 +725,39 @@ def _plaque_tiling(p: MarkovPartition, arc: UnstableArc) -> list[tuple[StateId, 
     u_extent), u_lo_t the arc parameter where the translate's unstable side
     starts, in rectangle order and then lattice order.
 
+    A translate T of rectangle r can meet the arc when u(T) and s(T) lie in
+    r's box, padded by ``_PAD``, and the arc's stable coordinate lies in the
+    translate's half-open stable side.  One ``_lattice_in_strips`` walk over
+    the union of the rectangles' boxes lists every candidate; each
+    rectangle's padded-box test and then its membership test pick its own
+    from that one list.  The tiles are those of one walk per rectangle, in
+    the same order: u(T) and s(T) depend only on the exact integer T, the
+    union's padded box holds every rectangle's, and both walks return their
+    points sorted by T.
+
     A translate admitted for an arc is admitted for every longer arc from the
-    same base and t0, with the same u_lo_t: u(T) is computed from the exact
-    integer T, and the box only grows.  So one tiling of [t0, H] serves every
-    [t0, a] with a <= H through ``_clip_tiling``, bit for bit; a translate
-    the longer box adds starts past a + ~``_PAD`` and the clip drops it.
+    same base and t0, with the same u_lo_t: the boxes only grow.  So one
+    tiling of [t0, H] serves every [t0, a] with a <= H through
+    ``_clip_tiling``, bit for bit; a translate the longer box adds starts
+    past a + ~``_PAD`` and the clip drops it.
     """
     if arc.length <= _MEMBER_TOL:
         return []
     base_us = p.auto.to_eigen(np.array(arc.base))
     u_b, s_b = float(base_us[0]), float(base_us[1])
-    tiles = []
+    boxes = []
     for r in p.rectangles:
         cu, cs = r.corner
-        U = (u_b + arc.t0 - cu - r.u_extent, u_b + arc.t1 - cu)
-        S = (s_b - cs - r.s_extent, s_b - cs)
-        for _T, uT, sT in _lattice_in_strips(p.auto, U, S):
-            if -_MEMBER_TOL <= s_b - sT - cs < r.s_extent - _MEMBER_TOL:
-                tiles.append((r.id, cu + uT - u_b, r.u_extent))
+        boxes.append((u_b + arc.t0 - cu - r.u_extent, u_b + arc.t1 - cu, s_b - cs - r.s_extent, s_b - cs))
+    lo_u, hi_u, lo_s, hi_s = zip(*boxes)
+    hits = _lattice_in_strips(p.auto, (min(lo_u), max(hi_u)), (min(lo_s), max(hi_s)))
+    tiles = []
+    for r, (u0, u1, s0, s1) in zip(p.rectangles, boxes):
+        cu, cs = r.corner
+        u_lo, u_hi, s_lo, s_hi = u0 - _PAD, u1 + _PAD, s0 - _PAD, s1 + _PAD
+        top = r.s_extent - _MEMBER_TOL
+        tiles += [(r.id, cu + uT - u_b, r.u_extent) for _T, uT, sT in hits
+                  if u_lo <= uT <= u_hi and s_lo <= sT <= s_hi and -_MEMBER_TOL <= s_b - sT - cs < top]
     return tiles
 
 
@@ -786,11 +801,21 @@ class ArcMeasure:
         return 0.5 * (self.outer - self.inner)
 
 
+def _cover_table(family: ConformalFamily, p: MarkovPartition) -> dict:
+    """What ``_walk_cover`` reads per rectangle: (u_extent, psi,
+    ((child, c_lo, c_hi), ...) in u order), keyed by rectangle id."""
+    return {r.id: (r.u_extent, family.psi_of(r.id),
+                   tuple((b, c_lo, c_lo + c_w) for b, (c_lo, c_w) in p.children[r.id].items()))
+            for r in p.rectangles}
+
+
 def _walk_cover(family: ConformalFamily, p: MarkovPartition,
                 segs: list[tuple[StateId, float, float, float]], depth: int,
-                target: float) -> tuple[ArcMeasure, Optional[float]]:
+                target: float, table: dict) -> tuple[ArcMeasure, Optional[float]]:
     """Walk the depth-``depth`` cylinder cover of an arc's plaque segments
-    (``_plaque_segments``) in arc order.
+    (``_plaque_segments``) in arc order, reading each rectangle's extent,
+    psi and children from ``table``, the ``_cover_table`` of ``family`` and
+    ``p``; a caller that walks many covers builds it once.
 
     The cover rule: within each plaque segment, a cylinder that the arc
     covers to within 1e-12 is whole and adds its mass to inner and outer; a
@@ -807,10 +832,6 @@ def _walk_cover(family: ConformalFamily, p: MarkovPartition,
         raise ValueError("depth must be >= 0")
     lam_u = p.auto.lam_u
     wh = math.exp(-family.h)
-    # per rectangle: (u_extent, psi, ((child, c_lo, c_hi), ...) in u order)
-    table = {r.id: (r.u_extent, family.psi_of(r.id),
-                    tuple((b, c_lo, c_lo + c_w) for b, (c_lo, c_w) in p.children[r.id].items()))
-             for r in p.rectangles}
     inner = outer = 0.0
     boundary = 0
 
@@ -864,7 +885,7 @@ def leaf_arc_measure(family: ConformalFamily, p: MarkovPartition, arc: UnstableA
     segment are descended; the inner/outer gap is the sum of the unresolved
     boundary cylinders' masses, at most (#boundary) * e^{-depth h} * max psi.
     """
-    return _walk_cover(family, p, _plaque_segments(p, arc), depth, math.inf)[0]
+    return _walk_cover(family, p, _plaque_segments(p, arc), depth, math.inf, _cover_table(family, p))[0]
 
 
 def stable_holonomy(p: MarkovPartition, arc: UnstableArc, target_xy: Vec) -> UnstableArc:
@@ -896,16 +917,17 @@ def holonomy_invariance_check(family: ConformalFamily, p: MarkovPartition,
     The certified bound (sum of both arcs' inner/outer gaps) decays like
     e^{-depth h} because the boundary-cylinder masses do.  Each arc is tiled
     by plaques once, and that tiling serves the ``leaf_arc_measure`` walk of
-    every depth.
+    every depth; one ``_cover_table`` serves all 2 * len(depths) walks.
     """
     if not depths:
         raise ValueError("depths must be non-empty")
     image = stable_holonomy(p, arc, target_xy)
     segs1, segs2 = _plaque_segments(p, arc), _plaque_segments(p, image)
+    table = _cover_table(family, p)
     discrepancies, bounds = [], []
     for d in depths:
-        m1 = _walk_cover(family, p, segs1, d, math.inf)[0]
-        m2 = _walk_cover(family, p, segs2, d, math.inf)[0]
+        m1 = _walk_cover(family, p, segs1, d, math.inf, table)[0]
+        m2 = _walk_cover(family, p, segs2, d, math.inf, table)[0]
         discrepancies.append(abs(m1.value - m2.value))
         bounds.append(m1.error_bound + m2.error_bound)
     passed = all(d <= b + 1e-15 for d, b in zip(discrepancies, bounds))
@@ -1012,16 +1034,17 @@ def conformality_on_leaves(family: ConformalFamily, p: MarkovPartition,
 
 def _measure_crossing(family: ConformalFamily, p: MarkovPartition,
                       segs: list[tuple[StateId, float, float, float]],
-                      target: float, depth: int) -> Optional[float]:
+                      target: float, depth: int, table: dict) -> Optional[float]:
     """The arc length a at which the ``value`` of ``leaf_arc_measure`` for
     the arc [0, a] first reaches ``target``, searched along the arc from 0
     whose plaque segments are ``segs``; None if that whole arc stays below.
+    ``table`` is the ``_cover_table`` of ``family`` and ``p``.
 
     It is where ``_walk_cover`` stops on that arc.  Rounding and the cover's
     1e-12/1e-15 slack can move it by ~1e-15, so callers certify it with real
     measures.
     """
-    return _walk_cover(family, p, segs, depth, target)[1]
+    return _walk_cover(family, p, segs, depth, target, table)[1]
 
 
 def _arc_length_solve(family: ConformalFamily, p: MarkovPartition, base: tuple[float, float],
@@ -1036,7 +1059,9 @@ def _arc_length_solve(family: ConformalFamily, p: MarkovPartition, base: tuple[f
     measures certify it; if they do not, plain bisection of [0, H] finds it.
     The arc [0, H] is tiled by plaques once (``_plaque_tiling``), and that
     tiling, clipped, serves the crossing search and every measure of an arc
-    no longer than H; a longer arc is tiled afresh.
+    no longer than H; a longer arc is tiled afresh.  One ``_cover_table``
+    serves every cover walk of the solve: the crossing search and both
+    certificates, and the fallback bisection if they fail.
     """
     if not 0.0 <= target < math.inf:
         raise ValueError(f"coordinates must be finite and >= 0; got {target!r}")
@@ -1045,6 +1070,7 @@ def _arc_length_solve(family: ConformalFamily, p: MarkovPartition, base: tuple[f
     if target == 0:
         return 0.0
 
+    table = _cover_table(family, p)
     exceeds = f"coordinate {target} exceeds the measurable leaf mass within length {_MAX_ARC_LEN}"
     length = 0.5
     b = None
@@ -1053,12 +1079,12 @@ def _arc_length_solve(family: ConformalFamily, p: MarkovPartition, base: tuple[f
         if length > _MAX_ARC_LEN:
             raise ValueError(exceeds)
         tiles = _plaque_tiling(p, UnstableArc(base, 0.0, length))
-        b = _measure_crossing(family, p, _clip_tiling(tiles, 0.0, length), target, depth)
+        b = _measure_crossing(family, p, _clip_tiling(tiles, 0.0, length), target, depth, table)
 
     def value(a: float) -> float:
         segs = (_clip_tiling(tiles, 0.0, a) if a <= length
                 else _plaque_segments(p, UnstableArc(base, 0.0, a)))
-        return _walk_cover(family, p, segs, depth, math.inf)[0].value
+        return _walk_cover(family, p, segs, depth, math.inf, table)[0].value
 
     w = length
     while w > tol:

@@ -7,6 +7,7 @@ import pytest
 
 from margulis import torus
 from margulis.counting import count_periodic
+from margulis.graphs import StructuralViolation
 from margulis.measures import make_family
 from margulis.thermo import gurevich_entropy, harmonic_finite
 from margulis.torus import (
@@ -318,6 +319,24 @@ def test_periodic_count_misses_a_dropped_coding(cat):
     assert _periodic_codings(cat, 4, drop_one) == _trace(cat, 4) - 1
 
 
+def test_periodic_points_per_rectangle_counted_by_the_lattice_kernel(cat):
+    # x is fixed by A^n on the torus when (A^n - I) x = T is a lattice point,
+    # and u(T) = (lam_u^n - 1) u(x), s(T) = (lam_s^n - 1) s(x): R's points of
+    # period n are the lattice points of R's box scaled by those factors.  The
+    # half-open count takes the origin once, in R1, where R3's and R4's loops
+    # code it as well
+    lam_u, lam_s = cat.auto.lam_u, cat.auto.lam_s
+    for n in range(2, 17):
+        counts = []
+        for r in cat.rectangles:
+            U = ((lam_u ** n - 1) * r.u_range[0], (lam_u ** n - 1) * r.u_range[1])
+            S = tuple(sorted(((lam_s ** n - 1) * r.s_range[0], (lam_s ** n - 1) * r.s_range[1])))
+            counts.append(torus._count_in_box(cat.auto, U, S))
+            loops = count_periodic(cat.graph, r.id, n).counts[n]
+            assert counts[-1] == loops - (r.id in ("R3", "R4")), (n, r.id)
+        assert sum(counts) == round(lam_u ** n + lam_s ** n - 2), n
+
+
 def test_decode_rejects_inadmissible(cat):
     with pytest.raises(ValueError, match="empty intersection"):
         decode(cat, ["R2", "R1"], zero_index=0)  # no edge R2 -> R1
@@ -449,12 +468,31 @@ def test_clipped_tiling_matches_plaque_segments_bit_for_bit(cat, cat_family, sta
                     segs = torus._clip_tiling(tiles, 0.0, a)
                     assert segs == torus._plaque_segments(p, arc), (base, H, a)
                     for depth in (0, 6, 16):
-                        m = torus._walk_cover(family, p, segs, depth, math.inf)[0]
+                        m = torus._walk_cover(family, p, segs, depth, math.inf,
+                                              torus._cover_table(family, p))[0]
                         ref = leaf_arc_measure(family, p, arc, depth)
                         assert ((m.inner, m.outer, m.boundary_cylinders, m.segments)
                                 == (ref.inner, ref.outer, ref.boundary_cylinders, ref.segments))
                     checked += 1
     assert checked > 500
+
+
+def test_clip_tiling_raises_on_an_arc_the_tiles_do_not_cover(cat):
+    # a tiling that lost one rectangle's tiles, or one tile with a short
+    # extent, leaves a gap in the arc: the clip must raise, not pass it on
+    arc = UnstableArc((0.31, 0.47), -0.5, 1.5)
+    tiles = torus._plaque_tiling(cat, arc)
+    assert torus._clip_tiling(tiles, arc.t0, arc.t1)
+    rids = {rid for rid, _, _ in tiles}
+    assert rids == {r.id for r in cat.rectangles}
+    for rid in rids:
+        with pytest.raises(StructuralViolation, match="arc not tiled by plaques"):
+            torus._clip_tiling([t for t in tiles if t[0] != rid], arc.t0, arc.t1)
+    # a tile inside the arc, shrunk by a tenth of its extent
+    i = next(i for i, (_, u_lo_t, ext) in enumerate(tiles) if arc.t0 < u_lo_t and u_lo_t + ext < arc.t1)
+    rid, u_lo_t, ext = tiles[i]
+    with pytest.raises(StructuralViolation, match="arc not tiled by plaques"):
+        torus._clip_tiling([*tiles[:i], (rid, u_lo_t, 0.9 * ext), *tiles[i + 1:]], arc.t0, arc.t1)
 
 
 def test_stable_holonomy_identity_and_translation(cat):
@@ -754,17 +792,69 @@ def test_strip_walk_matches_the_reference_in_order(cat, monkeypatch):
     assert direct >= 10 and len(pulled) >= 200 and max(pulled) >= 8
 
 
+def _plaque_boxes(p, arc):
+    """(rect, U, S) per rectangle: the box of the lattice translates T of
+    the rectangle that can meet ``arc``, before the ``_PAD`` widening."""
+    base_us = p.auto.to_eigen(np.array(arc.base))
+    u_b, s_b = float(base_us[0]), float(base_us[1])
+    return [(r, (u_b + arc.t0 - r.corner[0] - r.u_extent, u_b + arc.t1 - r.corner[0]),
+             (s_b - r.corner[1] - r.s_extent, s_b - r.corner[1])) for r in p.rectangles]
+
+
+def _reference_tiling(p, arc):
+    """One ``_reference_strips`` walk per rectangle box and the half-open
+    membership test: the reference that ``torus._plaque_tiling`` must match
+    tuple for tuple and in order."""
+    if arc.length <= torus._MEMBER_TOL:
+        return []
+    tol = torus._MEMBER_TOL
+    base_us = p.auto.to_eigen(np.array(arc.base))
+    u_b, s_b = float(base_us[0]), float(base_us[1])
+    return [(r.id, r.corner[0] + uT - u_b, r.u_extent)
+            for r, U, S in _plaque_boxes(p, arc)
+            for _T, uT, sT in _reference_strips(p.auto, U, S)
+            if -tol <= s_b - sT - r.corner[1] < r.s_extent - tol]
+
+
+def test_plaque_tiling_walks_once_and_matches_the_per_rectangle_reference(cat, stable_model,
+                                                                          monkeypatch):
+    # seeded arcs on both partitions: t0 at 0 and below, lengths 1e-6 to 8,
+    # and the suite's ray_divergence image arc
+    p_inv, _ = stable_model
+    walks = []
+    real_walk = torus._lattice_in_strips
+    monkeypatch.setattr(torus, "_lattice_in_strips", lambda *a: walks.append(1) or real_walk(*a))
+    rng = np.random.default_rng(26)
+    arcs = [UnstableArc((0.0, 0.0), 0.0, 0.3 * cat.auto.lam_u ** 8)]
+    for length in (1e-6, 8.0, *(10.0 ** rng.uniform(-6, math.log10(8.0), 60))):
+        base = rng.random(2)
+        t0 = -2.0 * float(rng.random()) if rng.random() < 0.7 else 0.0
+        arcs.append(UnstableArc((float(base[0]), float(base[1])), t0, t0 + float(length)))
+    tiles = 0
+    for p in (cat, p_inv):
+        for arc in arcs:
+            walks.clear()
+            got = torus._plaque_tiling(p, arc)
+            assert len(walks) == 1, arc
+            assert got == _reference_tiling(p, arc), arc
+            tiles += len(got)
+    assert tiles > 4000
+
+
 def test_long_dense_boxes_are_pulled_back_and_match_the_reference_in_order(cat, monkeypatch):
     # boxes with more points than columns: an overlap box of
-    # validate_partition and the plaque boxes of the suite's ray_divergence
-    # image arc, f^8 of [0, 0.3] along the unstable ray of the fixed point 0
+    # validate_partition, and for the suite's ray_divergence image arc, f^8
+    # of [0, 0.3] along the unstable ray of the fixed point 0, the union box
+    # of its tiling's one walk and each rectangle's own plaque box
+    arc = UnstableArc((0.0, 0.0), 0.0, 0.3 * cat.auto.lam_u ** 8)
     boxes = [((-1000.0, 1000.0), (-1.2, 1.2))]
     real_walk = torus._lattice_in_strips
     monkeypatch.setattr(torus, "_lattice_in_strips",
                         lambda auto, U, S: boxes.append((U, S)) or real_walk(auto, U, S))
-    torus._plaque_tiling(cat, UnstableArc((0.0, 0.0), 0.0, 0.3 * cat.auto.lam_u ** 8))
+    torus._plaque_tiling(cat, arc)
     monkeypatch.setattr(torus, "_lattice_in_strips", real_walk)
-    assert len(boxes) == 1 + len(cat.rectangles)
+    assert len(boxes) == 2    # one walk per tiling
+    boxes += [(U, S) for _, U, S in _plaque_boxes(cat, arc)]
     pulled = []
     real = torus._pullback
     monkeypatch.setattr(torus, "_pullback", lambda *a, **kw: pulled.append(a[3]) or real(*a, **kw))
