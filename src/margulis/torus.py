@@ -190,6 +190,8 @@ class MarkovPartition:
     bound, rescaled n - 1 times, stays within ``_CODE_UNDECIDED_FRAC`` of the
     narrowest child interval it is compared with: the narrowest extent /
     lam_u on the unstable side, lam_s times it on the stable side.
+    ``_cover_kids[a]``: ``children[a]`` as the cover walk reads it
+    (``_cover_children``).
     """
 
     auto: TorusAutomorphism
@@ -201,6 +203,7 @@ class MarkovPartition:
     parents: dict = field(init=False, repr=False)
     charts: dict = field(init=False, repr=False)
     _code_depth_limit: int = field(init=False, repr=False)
+    _cover_kids: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         self.by_id = {r.id: r for r in self.rectangles}
@@ -222,6 +225,7 @@ class MarkovPartition:
                        / math.log(growth))
             for extents, growth in (([r.u_extent for r in self.rectangles], self.auto.lam_u),
                                     ([r.s_extent for r in self.rectangles], 1.0 / self.auto.lam_s)))
+        self._cover_kids = {a: _cover_children(kids) for a, kids in self.children.items()}
 
     @property
     def h(self) -> float:
@@ -801,12 +805,30 @@ class ArcMeasure:
         return 0.5 * (self.outer - self.inner)
 
 
+_NO_CHILD = (math.inf, 0.0, 0.0, 0.0, 0.0)   # a stop frame's reach and child: no walk goes on below
+
+
+def _cover_children(children: dict) -> tuple[tuple, dict]:
+    """One rectangle's ``children`` as ``_walk_cover`` reads them: kids,
+    ((b, c_lo, c_hi), ...) in u order, and sides, for each child b its
+    (c_lo, c_hi, reach, next_lo) in Python floats for the descent's frames:
+    reach is the largest c_hi of the children before it (-inf if none) and
+    next_lo the c_lo of the child after it (inf if none)."""
+    kids = tuple((b, c_lo, c_lo + c_w) for b, (c_lo, c_w) in children.items())
+    sides, reach = {}, -math.inf
+    for j, (b, c_lo, c_hi) in enumerate(kids):
+        c_lo, c_hi = float(c_lo), float(c_hi)
+        sides[b] = (c_lo, c_hi, reach, float(kids[j + 1][1]) if j + 1 < len(kids) else math.inf)
+        reach = c_hi if c_hi > reach else reach
+    return kids, sides
+
+
 def _cover_table(family: ConformalFamily, p: MarkovPartition) -> dict:
-    """What ``_walk_cover`` reads per rectangle: (u_extent, psi,
-    ((child, c_lo, c_hi), ...) in u order), keyed by rectangle id."""
-    return {r.id: (r.u_extent, family.psi_of(r.id),
-                   tuple((b, c_lo, c_lo + c_w) for b, (c_lo, c_w) in p.children[r.id].items()))
-            for r in p.rectangles}
+    """What ``_walk_cover`` reads per rectangle, keyed by rectangle id:
+    (u_extent, psi, kids, sides), kids and sides as ``_cover_children`` gives
+    them.  Under the key None a walk with a finite target leaves the descent
+    it stopped in, which later full walks with the same table may resume."""
+    return {r.id: (r.u_extent, family.psi_of(r.id), *p._cover_kids[r.id]) for r in p.rectangles}
 
 
 def _walk_cover(family: ConformalFamily, p: MarkovPartition,
@@ -825,21 +847,48 @@ def _walk_cover(family: ConformalFamily, p: MarkovPartition,
 
     The walk stops at the first arc parameter where the running value
     reaches ``target`` and returns it with the measure walked so far; a whole
-    cylinder is descended only when its mass would reach the target.  With
-    ``target = inf`` it walks the full cover and returns None.
+    cylinder is descended only when its mass would reach the target.  On the
+    way back up from the stop it records its descent and leaves it in
+    ``table[None]``, or None there if it did not stop: (stop, depth, segs,
+    index of the stop's segment, frames), one frame per cylinder from that
+    segment's top down to the stop,
+
+        (entry, rid, d, weight, u_extent, clamped lo, reach, c_lo, c_hi, ov_lo, next_lo).
+
+    entry is the (inner, outer, boundary) the walk entered the cylinder with;
+    it is kept at the stop and at each whole cylinder (the walk descends
+    those only because their mass reaches the target) and is None elsewhere.
+    [c_lo, c_hi] is the child the descent went on in and ov_lo the start of
+    its overlap.  A walk whose clamped end is >= reach cuts the children
+    before that child as the descent did (reach is inf at the stop, and where
+    the descent's own end fell short of one of them); a walk whose end is
+    within 1e-15 of next_lo misses every child after it.
+
+    With ``target = inf`` it walks the full cover and returns None.  When
+    ``segs`` match the descent's up to the stop's segment and end in that
+    segment, the walk resumes the descent (``_resume_point``) instead of
+    starting at the top.  It follows the frames while its own end, clamped
+    and cut as ``visit`` does, keeps each cylinder cut and reaches the
+    chain's child, with the children before it cut as in the descent and
+    those after it missed.  It then restores the entry of the deepest frame
+    so reached that has one, and walks that cylinder alone.  The result is
+    the walk from the top, bit for bit.  Every other full walk starts at the
+    top, and no full walk changes ``table[None]``.
     """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
+    if not (depth >= 0 and math.isfinite(depth) and depth == math.floor(depth)):
+        raise ValueError(f"depth must be >= 0 and a whole number; got {depth!r}")
     lam_u = p.auto.lam_u
     wh = math.exp(-family.h)
     inner = outer = 0.0
     boundary = 0
+    chain = []   # the descent's frames, deepest first
 
     def visit(rid: StateId, lo: float, hi: float, d: int, weight: float) -> Optional[float]:
         # the stop's coordinate on this cylinder's unstable side, or None
         nonlocal inner, outer, boundary
-        ext, psi, kids = table[rid]
-        # max/min as `b if b > a else a` / `b if b < a else a`: same order, so -0.0, ties, NaN agree
+        ext, psi, kids, sides = table[rid]
+        # max/min as `b if b > a else a` / `b if b < a else a`: same order, so -0.0, ties, NaN agree;
+        # _resume_point repeats the clamp, whole test and overlap rule
         lo = 0.0 if 0.0 > lo else lo
         hi = ext if ext < hi else hi
         m = weight * psi
@@ -850,12 +899,17 @@ def _walk_cover(family: ConformalFamily, p: MarkovPartition,
             return None
         if d == 0:
             if 0.5 * (inner + outer + m) >= target:
-                return lo
-            if whole:
-                return hi
-            outer += m
-            boundary += 1
-            return None
+                y = lo
+            elif whole:
+                y = hi
+            else:
+                outer += m
+                boundary += 1
+                return None
+            chain.append(((inner, outer, boundary), rid, d, weight, ext, lo) + _NO_CHILD)
+            return y
+        if whole:   # its mass reaches the target; a full walk never gets here whole
+            entry = inner, outer, boundary
         cw = weight * wh
         for b, c_lo, c_hi in kids:
             ov_lo = c_lo if c_lo > lo else lo
@@ -863,17 +917,61 @@ def _walk_cover(family: ConformalFamily, p: MarkovPartition,
             if ov_hi - ov_lo > 1e-15:
                 y = visit(b, (ov_lo - c_lo) * lam_u, (ov_hi - c_lo) * lam_u, d - 1, cw)
                 if y is not None:
+                    f_lo, f_hi, reach, next_lo = sides[b]
+                    chain.append((entry if whole else None, rid, d, weight, ext, lo,
+                                  reach if reach <= hi else math.inf, f_lo, f_hi, ov_lo,
+                                  next_lo if next_lo > lo else lo))
                     return c_lo + y / lam_u
         # the children stayed below the target: the cylinder reaches it once whole
-        return hi if whole else None
+        if whole:
+            chain.append((entry, rid, d, weight, ext, lo) + _NO_CHILD)
+            return hi
+        return None
 
+    descent = table.get(None)
+    if target == math.inf and descent is not None:
+        point = _resume_point(descent, segs, depth, lam_u)
+        if point is not None:
+            (inner, outer, boundary), rid, lo, hi, d, weight = point
+            visit(rid, lo, hi, d, weight)
+            return ArcMeasure(inner, outer, depth, boundary, len(segs)), None
     stop = None
-    for rid, lo, hi, t_lo in segs:
+    for i, (rid, lo, hi, t_lo) in enumerate(segs):
         y = visit(rid, lo, hi, depth, 1.0)
         if y is not None:
             stop = (t_lo - lo) + y
             break
+    if target != math.inf:
+        table[None] = None if stop is None else (stop, depth, segs, i, chain[::-1])
     return ArcMeasure(inner, outer, depth, boundary, len(segs)), stop
+
+
+def _resume_point(descent: tuple, segs: list[tuple[StateId, float, float, float]],
+                  depth: int, lam_u: float) -> Optional[tuple]:
+    """Where a full walk of ``segs`` at ``depth`` resumes ``descent``, the
+    ``table[None]`` of ``_walk_cover``: (entry, rid, lo, hi, d, weight) for
+    the deepest frame with an entry that the walk from the top enters with
+    that entry, hi being the walk's own end there; or None."""
+    _, d0, crossing, i, frames = descent
+    if (d0 != depth or len(segs) != i + 1 or segs[:i] != crossing[:i]
+            or segs[i][:2] != crossing[i][:2] or segs[i][3] != crossing[i][3]):
+        return None
+    hi = segs[i][2]
+    point = None
+    for frame in frames:
+        entry, _, _, _, ext, lo, reach, c_lo, c_hi, ov_lo, next_lo = frame
+        if entry is not None:
+            point, point_hi = frame, hi
+        # visit's clamp, whole test and overlaps, at this walk's end
+        hi = ext if ext < hi else hi
+        ov_hi = c_hi if c_hi < hi else hi
+        if hi < reach or hi - lo >= ext - 1e-12 or hi - next_lo > 1e-15 or not ov_hi - ov_lo > 1e-15:
+            break
+        hi = (ov_hi - c_lo) * lam_u
+    if point is None:
+        return None
+    entry, rid, d, weight, _, lo = point[:6]
+    return entry, rid, lo, point_hi, d, weight
 
 
 def leaf_arc_measure(family: ConformalFamily, p: MarkovPartition, arc: UnstableArc,
@@ -1042,7 +1140,9 @@ def _measure_crossing(family: ConformalFamily, p: MarkovPartition,
 
     It is where ``_walk_cover`` stops on that arc.  Rounding and the cover's
     1e-12/1e-15 slack can move it by ~1e-15, so callers certify it with real
-    measures.
+    measures.  The walk leaves its descent in ``table[None]``, and a full
+    walk of an arc that ends in the stop's plaque segment, with the same
+    table, resumes that descent instead of walking from the top.
     """
     return _walk_cover(family, p, segs, depth, target, table)[1]
 
@@ -1062,6 +1162,15 @@ def _arc_length_solve(family: ConformalFamily, p: MarkovPartition, base: tuple[f
     no longer than H; a longer arc is tiled afresh.  One ``_cover_table``
     serves every cover walk of the solve: the crossing search and both
     certificates, and the fallback bisection if they fail.
+
+    The certificates resume the crossing walk's descent (``_walk_cover``):
+    the arcs [0, lo] and [0, hi] end within one cell of its stop, so their
+    walks leave its chain of cylinders only in the last level or two, and
+    each restores the accumulators the descent had there and walks on from
+    there.  A certificate walks from the top when the hint is not that
+    descent's stop (a hint from elsewhere drops the descent), when its arc
+    is longer than H or ends in another plaque segment than the stop, and
+    when its end leaves the chain above every cylinder the descent recorded.
     """
     if not 0.0 <= target < math.inf:
         raise ValueError(f"coordinates must be finite and >= 0; got {target!r}")
@@ -1080,6 +1189,9 @@ def _arc_length_solve(family: ConformalFamily, p: MarkovPartition, base: tuple[f
             raise ValueError(exceeds)
         tiles = _plaque_tiling(p, UnstableArc(base, 0.0, length))
         b = _measure_crossing(family, p, _clip_tiling(tiles, 0.0, length), target, depth, table)
+    descent = table.get(None)
+    if descent is not None and descent[0] != b:
+        table[None] = None   # the hint is not that descent's stop: the certificates walk from the top
 
     def value(a: float) -> float:
         segs = (_clip_tiling(tiles, 0.0, a) if a <= length
@@ -1135,7 +1247,11 @@ def margulis_coordinates(family_u: ConformalFamily, p: MarkovPartition,
     so one descent of the cylinder tree locates the step that crosses the
     target and two real measures certify its cell (plain bisection takes
     over if they do not).  Per axis, one plaque tiling of the arc [0, H]
-    serves the descent and both certificates.  The certified inequality
+    serves the descent and both certificates, and each certificate's cover
+    walk resumes the descent's a level or two above its stop; it walks from
+    the top only when its arc leaves the descent's plaque segment or its end
+    leaves the descent's chain above every recorded cylinder
+    (``_arc_length_solve``).  The certified inequality
     holds for every family; where the measure is monotone in the arc length
     (a harmonic psi) that cell is the only one, so the result is the one
     plain bisection returns.

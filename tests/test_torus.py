@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -560,6 +561,28 @@ def test_holonomy_invariance_check_rejects_a_negative_depth(cat, cat_family, dep
         holonomy_invariance_check(cat_family, cat, arc, (0.9, 0.05), depths=depths)
 
 
+@pytest.mark.parametrize("depth", [1.5, math.nan, math.inf, -math.inf])
+def test_leaf_arc_measure_rejects_a_depth_that_is_not_a_whole_number(cat, cat_family, depth):
+    # a fractional or nan depth never reaches 0 and recursed until RecursionError
+    arc = UnstableArc((0.3, 0.4), 0.0, 0.1)
+    with pytest.raises(ValueError, match=re.escape(f"a whole number; got {depth!r}")):
+        leaf_arc_measure(cat_family, cat, arc, depth)
+
+
+@pytest.mark.parametrize("depths", [(2.5,), (4, math.nan)])
+def test_holonomy_invariance_check_rejects_a_depth_that_is_not_a_whole_number(cat, cat_family, depths):
+    arc = UnstableArc((0.3, 0.4), 0.0, 0.1)
+    with pytest.raises(ValueError, match=re.escape(f"a whole number; got {depths[-1]!r}")):
+        holonomy_invariance_check(cat_family, cat, arc, (0.9, 0.05), depths=depths)
+
+
+def test_a_whole_float_depth_measures_as_its_integer(cat, cat_family):
+    arc = UnstableArc((0.3, 0.4), 0.0, 0.3)
+    m, ref = leaf_arc_measure(cat_family, cat, arc, 3.0), leaf_arc_measure(cat_family, cat, arc, 3)
+    assert (m.inner, m.outer, m.depth, m.boundary_cylinders, m.segments) == (
+        ref.inner, ref.outer, 3, ref.boundary_cylinders, ref.segments)
+
+
 # -- intersection counts ------------------------------------------------------------
 
 def anchor(cat):
@@ -1061,9 +1084,117 @@ def test_margulis_coordinates_reject_a_tol_not_positive_and_finite(cat, cat_fami
             margulis_coordinates(cat_family, cat, fam_s, p_inv, (0.1, 0.1), x, x, tol=tol)
 
 
+class _CountingTable(dict):
+    """A ``_cover_table`` that counts its rectangle lookups, one per cylinder
+    a walk visits."""
+
+    lookups = 0
+
+    def __getitem__(self, rid):
+        self.lookups += 1
+        return super().__getitem__(rid)
+
+
+def _record_full_walks(monkeypatch):
+    """Give the solver counting cover tables and record each full walk it
+    makes as (family, p, segs, depth, measure, lookups); returns the record
+    list and a function that walks the same segments from the top as
+    (measure, lookups)."""
+    real_table, real_walk = torus._cover_table, torus._walk_cover
+    walks = []
+
+    def walk(family, p, segs, depth, target, table):
+        before = table.lookups
+        out = real_walk(family, p, segs, depth, target, table)
+        if target == math.inf:
+            walks.append((family, p, segs, depth, out[0], table.lookups - before))
+        return out
+
+    def from_the_top(family, p, segs, depth):
+        table = _CountingTable(real_table(family, p))
+        return real_walk(family, p, segs, depth, math.inf, table)[0], table.lookups
+
+    monkeypatch.setattr(torus, "_cover_table", lambda family, p: _CountingTable(real_table(family, p)))
+    monkeypatch.setattr(torus, "_walk_cover", walk)
+    return walks, from_the_top
+
+
+def test_certificates_resume_the_crossing_walk_and_equal_fresh_walks(cat, cat_family, stable_model,
+                                                                     monkeypatch):
+    # both certificates of a solve resume the crossing walk's descent: each
+    # must equal a walk of its segments from the top in every field, bit for
+    # bit, after fewer cylinder visits
+    p_inv, fam_s = stable_model
+    q = inverse_partition(p_inv)
+    models = [(cat_family, cat), (fam_s, p_inv), (partition_family(q), q)]
+    walks, from_the_top = _record_full_walks(monkeypatch)
+    rng = np.random.default_rng(271)
+    for n in range(90):
+        family, p = models[n % 3]
+        base = (0.0, 0.0) if n % 2 == 0 else tuple(float(v) for v in rng.random(2))
+        target = 0.6 * (1.0 - float(rng.random()))
+        walks.clear()
+        torus._arc_length_solve(family, p, base, target, 1e-9, 16)
+        assert len(walks) == 2, (base, target)   # value(lo) and value(hi), no fallback
+        for fam, part, segs, depth, m, lookups in walks:
+            ref, ref_lookups = from_the_top(fam, part, segs, depth)
+            assert repr(m) == repr(ref) and m == ref, (base, target)
+            assert lookups < ref_lookups, (base, target)
+
+
+def _overlapping_table(family, p, overlap):
+    """``_cover_table`` with each child but the first starting ``overlap``
+    early, inside the child before it: a table the walks must agree on
+    whatever its geometry."""
+    table = {}
+    for rid, (ext, psi, kids, _) in torus._cover_table(family, p).items():
+        starts = {b: max(c_lo - overlap, 0.0) for b, c_lo, _ in kids}
+        table[rid] = (ext, psi, *torus._cover_children({b: (starts[b], c_hi - starts[b])
+                                                         for b, _, c_hi in kids}))
+    return table
+
+
+def test_full_walks_resume_a_descent_bit_for_bit_near_its_stop(cat, cat_family, stable_model):
+    # a walk with a finite target leaves its descent in the table, and every
+    # later full walk with that table may resume it: arcs that end at the
+    # stop, a few ulp from it, 1e-15 to 0.1 on either side of it and at the
+    # ends of the tiles must measure as walks from the top, bit for bit; on
+    # the cat tables and on tables whose children overlap by 1e-6, where the
+    # chain's earlier and later children reach into its child
+    p_inv, fam_s = stable_model
+    rng = np.random.default_rng(606)
+    resumed = 0
+    for n in range(36):
+        family, p = ((cat_family, cat), (fam_s, p_inv))[n % 2]
+        overlap = (0.0, 1e-6)[n // 2 % 2]
+        base = (0.0, 0.0) if n % 3 == 0 else tuple(float(v) for v in rng.random(2))
+        depth = (4, 10, 16)[n % 3]
+        tiles = torus._plaque_tiling(p, UnstableArc(base, 0.0, 1.0))
+        table = _CountingTable(_overlapping_table(family, p, overlap))
+        b = torus._walk_cover(family, p, torus._clip_tiling(tiles, 0.0, 1.0), depth,
+                              0.1 + 0.5 * float(rng.random()), table)[1]
+        ends = {b, *(u_lo_t + ext for _, u_lo_t, ext in tiles)}
+        up = down = b
+        for _ in range(4):
+            up, down = math.nextafter(up, 2.0), math.nextafter(down, 0.0)
+            ends |= {up, down}
+        for d in (1e-15, 1e-13, 1e-12, 1e-11, 2.0 ** -30, 1e-8, 1e-7, 1e-6, 1e-4, 1e-2, 0.1):
+            ends |= {b - d, b + d}
+        for a in sorted(e for e in ends if 0.0 < e <= 1.0):
+            segs = torus._clip_tiling(tiles, 0.0, a)
+            before = table.lookups
+            m = torus._walk_cover(family, p, segs, depth, math.inf, table)[0]
+            fresh = _CountingTable(_overlapping_table(family, p, overlap))
+            ref = torus._walk_cover(family, p, segs, depth, math.inf, fresh)[0]
+            assert repr(m) == repr(ref), (base, depth, overlap, a)
+            resumed += table.lookups - before < fresh.lookups
+    assert resumed > 400
+
+
 @pytest.mark.parametrize("shift", [-3e-6, -2.5e-7, 4e-9, 2e-6, None])
 def test_certificate_repairs_a_wrong_crossing(cat, cat_family, monkeypatch, shift):
-    # a descent that misses the step must cost measures, never the answer
+    # a descent that misses the step must cost measures, never the answer; a
+    # hint that is not the descent's own stop walks every measure from the top
     real = torus._measure_crossing
     hints = []
 
@@ -1072,27 +1203,55 @@ def test_certificate_repairs_a_wrong_crossing(cat, cat_family, monkeypatch, shif
         hints.append(b)
         return 0.0 if shift is None else b + shift
     monkeypatch.setattr(torus, "_measure_crossing", wrong)
+    walks, from_the_top = _record_full_walks(monkeypatch)
     for base, target in (((0.0, 0.0), 0.1234567), ((0.31, 0.47), 0.25)):
         hints.clear()
+        walks.clear()
         got = torus._arc_length_solve(cat_family, cat, base, target, 1e-9, 16)
+        solver_walks = list(walks)
         assert hints and hints[-1] is not None  # the solver took its hint from the stub
         assert got == _bisection(_arc_value(cat_family, cat, base), target, 1e-9)
+        assert solver_walks
+        for family, p, segs, depth, m, lookups in solver_walks:
+            ref, ref_lookups = from_the_top(family, p, segs, depth)
+            assert (repr(m), lookups) == (repr(ref), ref_lookups)
 
 
 def test_certificate_past_the_tiled_arc_is_tiled_afresh(cat, cat_family, monkeypatch):
     # a hint beyond H puts the certificate's arc past the one tiling of
-    # [0, H]; that arc must be tiled afresh, not clipped from the shorter one
+    # [0, H]; that arc must be tiled afresh, not clipped from the shorter one,
+    # and walked from the top
     real = torus._measure_crossing
     lengths = []
     real_tiling = torus._plaque_tiling
     monkeypatch.setattr(torus, "_measure_crossing", lambda *a: real(*a) + 2.0)
     monkeypatch.setattr(torus, "_plaque_tiling",
                         lambda p, arc: lengths.append(arc.length) or real_tiling(p, arc))
+    walks, from_the_top = _record_full_walks(monkeypatch)
     for base, target in (((0.0, 0.0), 0.1234567), ((0.31, 0.47), 0.25)):
         lengths.clear()
+        walks.clear()
         got = torus._arc_length_solve(cat_family, cat, base, target, 1e-9, 16)
+        certificates = walks[:2]
         assert lengths[0] == 1.0 and max(lengths) > 2.0
         assert got == _bisection(_arc_value(cat_family, cat, base), target, 1e-9)
+        for family, p, segs, depth, m, lookups in certificates:
+            ref, ref_lookups = from_the_top(family, p, segs, depth)
+            assert (repr(m), lookups) == (repr(ref), ref_lookups)
+
+
+def test_fallback_bisection_doubles_its_bracket(cat, cat_family, monkeypatch):
+    # a hint of 0.0 fails the certificate of [0, w]; the target 1.5 lies past
+    # the measure of [0, 1] (psi = u-extents: measure = arc length), so the
+    # fallback doubles its bracket to [0, 2] before it bisects
+    real = torus._measure_crossing
+    monkeypatch.setattr(torus, "_measure_crossing", lambda *a: None if real(*a) is None else 0.0)
+    walks, _ = _record_full_walks(monkeypatch)
+    base, target = (0.0, 0.0), 1.5
+    got = torus._arc_length_solve(cat_family, cat, base, target, 1e-9, 16)
+    ends = [segs[-1][3] + segs[-1][2] - segs[-1][1] for _, _, segs, _, _, _ in walks]
+    assert got == _bisection(_arc_value(cat_family, cat, base), target, 1e-9)
+    assert ends[1] == pytest.approx(1.0, abs=1e-12) and ends[2] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_margulis_coordinates_certified_cell_for_nonharmonic_family(cat, cat_family, stable_model):
