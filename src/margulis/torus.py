@@ -453,13 +453,13 @@ def _lattice_in_strips(auto: TorusAutomorphism, U: tuple[float, float],
     is pulled back by A^k, so its points come out of column order and are
     sorted.
     """
-    k, P, eps, columns = _columns(auto, U, S)
+    k, P, _, columns = _columns(auto, U, S)
     (p00, p01), (p10, p11) = P
     (e00, e01), (e10, e11) = auto.basis_inv.tolist()
     u_lo, u_hi, s_lo, s_hi = U[0] - _PAD, U[1] + _PAD, S[0] - _PAD, S[1] + _PAD
     hits = []
-    for m, lo, hi in columns(eps):
-        for n in range(lo, hi + 1):
+    for m, a, b in columns:
+        for n in range(math.ceil(a), math.floor(b) + 1):
             T0, T1 = p00 * m + p01 * n, p10 * m + p11 * n
             uT, sT = e00 * T0 + e01 * T1, e10 * T0 + e11 * T1
             if u_lo <= uT <= u_hi and s_lo <= sT <= s_hi:
@@ -468,23 +468,30 @@ def _lattice_in_strips(auto: TorusAutomorphism, U: tuple[float, float],
 
 
 def _columns(auto: TorusAutomorphism, U: tuple[float, float], S: tuple[float, float]):
-    """The lattice points of U x S column by column, as (k, P, eps, columns),
-    with k from ``_pullback_power``.
+    """The lattice points of U x S column by column, as (k, P, shrink,
+    columns), with k from ``_pullback_power``.
 
     A^k Z^2 = Z^2 since det A = 1, and A^-k scales eigen coordinates by
     (lam_u^-k, lam_s^-k), so the lattice points of U x S are P = A^k (exact
     ints) applied to those of (U/lam_u^k) x (S/lam_s^k).  u and s of P(m, n)
     are linear forms in (m, n), so column m's n-range solves two strip
     conditions whose ends, computed once, are each a constant minus r * m.
-    ``columns(d)`` yields (m, lo, hi) for every column m of the pulled-back
-    box widened by eps, where P(m, n) for n in lo..hi are the lattice points
-    of U x S widened by d on each side (shrunk for d < 0; lo > hi if none).
+    ``columns`` walks the columns m of the pulled-back box widened by eps
+    once, and yields (m, a, b) for each, where P(m, n) for integers n in
+    [a, b] are the lattice points of U x S widened by eps on each side
+    (none if a > b).  The offsets r * m are evaluated once per column.
+
+    ``shrink`` is 2 eps over the smaller |coefficient of n| of the two forms:
+    moving a side in by 2 eps moves that strip's end by at most ``shrink``
+    in n, so the integers n in [a + shrink, b - shrink] are lattice points of
+    U x S shrunk by eps on each side, a subset of the exact shrunk range.
 
     ``eps`` exceeds ``_PAD`` plus the round-off of every float that decides
-    a point: u(T) and s(T), the forms' coefficients, the strip ends and the
-    corners behind the column range, each a few ulp of terms no larger than
-    the box's extent or ||A^k|| times the pulled-back box's.  So the box
-    widened by eps holds every point of the box padded by ``_PAD``, and
+    a point: u(T) and s(T), the forms' coefficients, the strip ends, a and
+    b and their shifts by ``shrink`` (an ulp of the pulled-back extent) and
+    the corners behind the column range, each a few ulp of terms no larger
+    than the box's extent or ||A^k|| times the pulled-back box's.  So the
+    box widened by eps holds every point of the box padded by ``_PAD``, and
     every point of the box shrunk by eps lies inside it by more than ``_PAD``
     plus round-off.  At k = 0 all of it comes from the box's own coordinates.
     """
@@ -507,17 +514,18 @@ def _columns(auto: TorusAutomorphism, U: tuple[float, float], S: tuple[float, fl
     r = 2.0 ** -46 * norm_e * norm_p * extent
     ms = range(math.floor(min(xs) - r), math.ceil(max(xs) + r) + 1)
     ru, rs = au / bu, as_ / bs
+    # ordered by the sign of the divisor
+    u_ends, s_ends = ((U[0] - eps) / bu, (U[1] + eps) / bu), ((S[0] - eps) / bs, (S[1] + eps) / bs)
+    lo_u, hi_u = u_ends if bu > 0 else u_ends[::-1]
+    lo_s, hi_s = s_ends if bs > 0 else s_ends[::-1]
+    shrink = 2 * eps / min(abs(bu), abs(bs))
 
-    def columns(d: float):
-        # ordered by the sign of the divisor, so a box shrunk past empty stays empty
-        u_ends, s_ends = ((U[0] - d) / bu, (U[1] + d) / bu), ((S[0] - d) / bs, (S[1] + d) / bs)
-        lo_u, hi_u = u_ends if bu > 0 else u_ends[::-1]
-        lo_s, hi_s = s_ends if bs > 0 else s_ends[::-1]
+    def columns():
         for m in ms:
             du, ds = ru * m, rs * m
-            yield m, math.ceil(max(lo_u - du, lo_s - ds)), math.floor(min(hi_u - du, hi_s - ds))
+            yield m, max(lo_u - du, lo_s - ds), min(hi_u - du, hi_s - ds)
 
-    return k, P, eps, columns
+    return k, P, shrink, columns()
 
 
 def _int_power(matrix, k: int) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -831,6 +839,13 @@ def _cover_table(family: ConformalFamily, p: MarkovPartition) -> dict:
     return {r.id: (r.u_extent, family.psi_of(r.id), *p._cover_kids[r.id]) for r in p.rectangles}
 
 
+def _require_whole(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is a whole number >= 0 (3.0 passes;
+    2.5, nan and inf do not)."""
+    if not (value >= 0 and math.isfinite(value) and value == math.floor(value)):
+        raise ValueError(f"{name} must be >= 0 and a whole number; got {value!r}")
+
+
 def _walk_cover(family: ConformalFamily, p: MarkovPartition,
                 segs: list[tuple[StateId, float, float, float]], depth: int,
                 target: float, table: dict) -> tuple[ArcMeasure, Optional[float]]:
@@ -875,8 +890,7 @@ def _walk_cover(family: ConformalFamily, p: MarkovPartition,
     the walk from the top, bit for bit.  Every other full walk starts at the
     top, and no full walk changes ``table[None]``.
     """
-    if not (depth >= 0 and math.isfinite(depth) and depth == math.floor(depth)):
-        raise ValueError(f"depth must be >= 0 and a whole number; got {depth!r}")
+    _require_whole("depth", depth)
     lam_u = p.auto.lam_u
     wh = math.exp(-family.h)
     inner = outer = 0.0
@@ -1047,17 +1061,17 @@ def intersection_count(p: MarkovPartition, arc: UnstableArc, i: int,
     u(T) in [U[0] - _PAD, U[1] - _PAD) and s(T) in (S[0] + _PAD, S[1] + _PAD],
     half-open so that an end point counts once (``_count_in_box``).  The box
     is lam_u^i long and about one high, so it is pulled back by A^k to an
-    about square box; each column of that box adds the length of its safe
-    inner n-range with one subtraction, and only the few candidates near the
-    box's sides are tested one at a time.  That is ~sqrt(count) steps.
+    about square box and its columns are walked once; a column adds the
+    length of its safe inner n-range with one subtraction, and only the few
+    candidates near the box's sides are tested one at a time.  That is
+    ~sqrt(count) steps.  ``i`` must be a whole number >= 0.
 
     The count equals the number of cylinder words as long as the float error
     of the box's ends stays below ``_PAD``; Lu * (u_b + t) carries an error of
     a few ulp of lam_u^i, which passes ``_PAD`` near i = 20 for the cat map,
     so from there a point near an end can be counted on the wrong side.
     """
-    if i < 0:
-        raise ValueError("i must be >= 0")
+    _require_whole("i", i)
     rid, u_rel, _ = locate(p, anchor_xy)
     if rid != anchor_symbol:
         raise ValueError(f"anchor lies in {rid!r}, not {anchor_symbol!r}")
@@ -1082,20 +1096,31 @@ def _count_in_box(auto: TorusAutomorphism, U: tuple[float, float], S: tuple[floa
     and s(T) in (S[0] + _PAD, S[1] + _PAD], u(T) and s(T) computed as
     ``_lattice_in_strips`` computes them.
 
-    Each column of the box shrunk by ``_columns``' margin lies inside that
-    half-open box, so it adds its n-range with one subtraction; only the
-    points between the shrunk and the widened box are tested one at a time.
+    One pass over ``_columns``' columns.  Each column's n-interval [a, b]
+    gives two ranges: the widened box's ceil(a)..floor(b) holds every point
+    that can pass, and the inner ceil(a + shrink)..floor(b - shrink) lies in
+    the box shrunk by ``_columns``' margin, so inside that half-open box.  A
+    column whose two ranges agree adds its length and is done; elsewhere
+    the inner range adds its length with one subtraction and only the
+    points between the two ranges are tested one at a time.
     """
-    _, P, eps, columns = _columns(auto, U, S)
+    _, P, shrink, columns = _columns(auto, U, S)
     (p00, p01), (p10, p11) = P
     (e00, e01), (e10, e11) = auto.basis_inv.tolist()
     u_lo, u_hi, s_lo, s_hi = U[0] - _PAD, U[1] - _PAD, S[0] + _PAD, S[1] + _PAD
+    ceil, floor = math.ceil, math.floor
     count = 0
-    for (m, lo, hi), (_, i_lo, i_hi) in zip(columns(eps), columns(-eps)):
-        rest = range(lo, hi + 1)
+    for m, a, b in columns:
+        lo, hi, i_lo, i_hi = ceil(a), floor(b), ceil(a + shrink), floor(b - shrink)
+        if i_lo == lo and i_hi == hi:
+            if lo <= hi:
+                count += hi - lo + 1
+            continue
         if i_lo <= i_hi:
             count += i_hi - i_lo + 1
             rest = chain(range(lo, i_lo), range(i_hi + 1, hi + 1))
+        else:
+            rest = range(lo, hi + 1)
         for n in rest:
             T0, T1 = p00 * m + p01 * n, p10 * m + p11 * n
             uT, sT = e00 * T0 + e01 * T1, e10 * T0 + e11 * T1

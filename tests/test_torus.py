@@ -619,6 +619,21 @@ def test_intersection_count_equals_word_count(cat):
         assert geo == sym
 
 
+@pytest.mark.parametrize("i", [2.5, math.nan, math.inf, -math.inf, -1])
+def test_intersection_count_rejects_an_i_that_is_not_a_whole_number(cat, i):
+    # 2.5 counted as if whole and nan or inf failed in int() with another message
+    xy, rid = anchor(cat)
+    arc = cylinder_image_arc(cat, "R1", ["R2"], s_frac=1 / math.sqrt(2))
+    with pytest.raises(ValueError, match=re.escape(f"i must be >= 0 and a whole number; got {i!r}")):
+        intersection_count(cat, arc, i, xy, rid)
+
+
+def test_intersection_count_takes_a_whole_float_i(cat):
+    xy, rid = anchor(cat)
+    arc = cylinder_image_arc(cat, "R1", ["R2"], s_frac=1 / math.sqrt(2))
+    assert intersection_count(cat, arc, 3.0, xy, rid) == intersection_count(cat, arc, 3, xy, rid) > 0
+
+
 def test_intersection_count_growth_rate(cat):
     xy, rid = anchor(cat)
     arc = full_u_side_arc(cat, "R1", s_frac=1 / math.sqrt(2))
@@ -762,6 +777,71 @@ def test_count_and_walk_match_the_reference_at_boundary_ties(cat):
                 assert list(torus._lattice_in_strips(auto, U2, S2)) == \
                     list(_reference_strips(auto, U2, S2)), (U2, S2)
     assert ties > 250
+
+
+def test_count_in_box_walks_its_columns_once(cat, monkeypatch):
+    # every column m of the box comes out of the column walk once per count
+    ms = []
+
+    def counted(columns):
+        for col in columns:
+            ms.append(col[0])
+            yield col
+
+    real = torus._columns
+
+    def spy(*a):
+        k, P, margin, columns = real(*a)
+        if callable(columns):    # columns(d), a walk per call
+            return k, P, margin, lambda *d: counted(columns(*d))
+        return k, P, margin, counted(columns)
+
+    monkeypatch.setattr(torus, "_columns", spy)
+    lam = cat.auto.lam_u
+    for U, S in (((-0.3, 0.2 * lam ** 6 - 0.3), (-1.2, 0.17)), ((3.1, 60.4), (-0.0123, 0.0277)),
+                 ((0.1, 0.4), (0.2, 0.5))):
+        ms.clear()
+        count = torus._count_in_box(cat.auto, U, S)
+        assert count == _reference_count(cat.auto, U, S)
+        assert ms and len(ms) == len(set(ms)), (U, S, len(ms), len(set(ms)))
+
+
+def test_count_in_box_matches_the_reference_on_every_column_branch(cat):
+    # boxes whose sides sit on lattice points, so that columns have
+    # candidates below and above a nonempty inner range, an empty inner range
+    # under a nonempty widened one, or both ranges empty
+    auto = cat.auto
+    (e00, e01), (e10, e11) = auto.basis_inv.tolist()
+    u = lambda m, n: e00 * m + e01 * n
+    s = lambda m, n: e10 * m + e11 * n
+    boxes = []
+    for m in (0, 1, -2):
+        for n0, n1 in ((0, 3), (-1, 1), (2, 6)):
+            # both ends of the column's u-strip on its points (m, n0) and (m, n1)
+            U = tuple(sorted((u(m, n0), u(m, n1))))
+            S = (min(s(m, n0), s(m, n1)) - 0.05, max(s(m, n0), s(m, n1)) + 0.05)
+            boxes.append((U, S))
+            # the s-strip's ends on the same points, the u-strip loose
+            boxes.append(((U[0] - 0.05, U[1] + 0.05), tuple(sorted((s(m, n0), s(m, n1))))))
+        # one point, within PAD of a u-end: the inner range is empty
+        for du in (-0.5 * PAD, 0.0, 0.5 * PAD, 2 * PAD):
+            boxes.append(((u(m, 0) + du, u(m, 0) + du + 3 * PAD), (s(m, 0) - 0.01, s(m, 0) + 0.01)))
+    # no lattice point at all
+    boxes += [((0.3, 0.301), (0.2, 0.201)), ((0.3, 0.3), (0.2, 0.2)), ((-7.7, -7.69), (0.41, 0.45))]
+    seen = {"both sides": 0, "inner empty": 0, "both empty": 0}
+    counts = []
+    for U, S in boxes:
+        counts.append(torus._count_in_box(auto, U, S))
+        assert counts[-1] == _reference_count(auto, U, S), (U, S)
+        # the column's widened range and the inner range read off it
+        _, _, shrink, columns = torus._columns(auto, U, S)
+        for _m, a, b in columns:
+            lo, hi, i_lo, i_hi = math.ceil(a), math.floor(b), math.ceil(a + shrink), math.floor(b - shrink)
+            seen["both sides"] += lo < i_lo <= i_hi < hi
+            seen["inner empty"] += i_lo > i_hi and lo <= hi
+            seen["both empty"] += lo > hi
+    assert all(seen.values()), seen
+    assert max(counts) >= 4 and 0 in counts and 1 in counts
 
 
 def test_intersection_count_matches_the_reference_across_arc_ends_and_heights(cat):
