@@ -24,6 +24,9 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from .graphs import ShiftGraph, StateId
 
 _BIG_FLOAT_BITS = 900  # convert via exp(log) above this to avoid float overflow
+# the longest horizon a count takes: memory grows like n_max^2 on a finite graph and
+# ~n_max^2.7 on the ladder, whose memo holds 234 MB at 2000 (tracemalloc; full-2's 1 MB)
+_MAX_HORIZON = 2000
 
 
 @dataclass
@@ -75,6 +78,12 @@ def _frontiers(step: Callable[[StateId], Sequence[StateId]], frontier: Mapping[S
         yield frontier
 
 
+def _check_horizon(n_max: int) -> None:
+    """ValueError unless 0 <= n_max <= ``_MAX_HORIZON``, before a count allocates."""
+    if not 0 <= n_max <= _MAX_HORIZON:
+        raise ValueError(f"n_max must be >= 0 and <= {_MAX_HORIZON}; n_max = {n_max}")
+
+
 def count_words(graph: ShiftGraph, a: StateId, b: StateId, n_max: int) -> CountTable:
     """Dynamic programming over the lazily explored out-neighborhood of ``a``.
 
@@ -82,8 +91,7 @@ def count_words(graph: ShiftGraph, a: StateId, b: StateId, n_max: int) -> CountT
     the explored region by construction.  Not memoized, so per-pair calls on
     a long-lived graph leave nothing behind on it.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    _check_horizon(n_max)
     graph.check_state(a)
     graph.check_state(b)
     return CountTable(a, b, [f.get(b, 0) for f in _frontiers(graph.successors, {a: 1}, n_max)])
@@ -129,8 +137,7 @@ def counts_into(graph: ShiftGraph, target: StateId, n_max: int) -> CountsInto:
     read off the graph's backward memo for ``target`` (see :class:`_IntoMemo`).
     Under the graph's lock, a horizon longer than the stored memo's builds a
     new memo that replaces it; a shorter one reads the stored memo."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    _check_horizon(n_max)
     graph.check_state(target)
     with graph._lock:
         memo = graph._into_memo.get(target)

@@ -183,7 +183,8 @@ class MarkovPartition:
     ``children[a][b] = (u_start, u_width)``: the interval of R_a's unstable
     side that f maps across R_b, relative to R_a's corner, in u order.
     ``parents[b][a] = (s_start, s_height)``: the strip of R_b's stable side
-    that f(R_a) covers, relative to R_b's corner, in s order.
+    that f(R_a) covers, relative to R_b's corner, in s order.  Every offset
+    and width, like the report's crossings they come from, is a Python float.
     ``charts[a]``: eigen coordinates of the translates T for which R_a + T
     can meet [0,1)^2.
     ``_code_depth_limit``: the largest n at which ``code_point``'s rounding
@@ -255,7 +256,7 @@ def _overlaps(auto: TorusAutomorphism, A, B):
     for T, _, _ in _lattice_in_strips(auto, (Ua[0] - Ub[1], Ua[1] - Ub[0]),
                                       (Sa[0] - Sb[1], Sa[1] - Sb[0])):
         # the enumerator's scalar coordinates may differ from to_eigen's in the last bit
-        te = auto.to_eigen(np.array(T, dtype=float))
+        te = auto.to_eigen(np.array(T, dtype=float)).tolist()
         tu = (Ub[0] + te[0], Ub[1] + te[0])
         ts = (Sb[0] + te[1], Sb[1] + te[1])
         if _interval_overlap(Ua, tu) > _VALID_TOL and _interval_overlap(Sa, ts) > _VALID_TOL:
@@ -819,14 +820,13 @@ _NO_CHILD = (math.inf, 0.0, 0.0, 0.0, 0.0)   # a stop frame's reach and child: n
 def _cover_children(children: dict) -> tuple[tuple, dict]:
     """One rectangle's ``children`` as ``_walk_cover`` reads them: kids,
     ((b, c_lo, c_hi), ...) in u order, and sides, for each child b its
-    (c_lo, c_hi, reach, next_lo) in Python floats for the descent's frames:
+    (c_lo, c_hi, reach, next_lo) for the descent's frames:
     reach is the largest c_hi of the children before it (-inf if none) and
     next_lo the c_lo of the child after it (inf if none)."""
     kids = tuple((b, c_lo, c_lo + c_w) for b, (c_lo, c_w) in children.items())
     sides, reach = {}, -math.inf
     for j, (b, c_lo, c_hi) in enumerate(kids):
-        c_lo, c_hi = float(c_lo), float(c_hi)
-        sides[b] = (c_lo, c_hi, reach, float(kids[j + 1][1]) if j + 1 < len(kids) else math.inf)
+        sides[b] = (c_lo, c_hi, reach, kids[j + 1][1] if j + 1 < len(kids) else math.inf)
         reach = c_hi if c_hi > reach else reach
     return kids, sides
 

@@ -451,6 +451,16 @@ def test_harmonic_sarig_rejects_a_nan_h(capsys):
     assert "h must be positive and finite; h = nan" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["thermo", "entropy", "--fixture", "full-2", "--base", "0"],
+    ["shift", "count", "--fixture", "full-2", "--origin", "0", "--target", "1"],
+])
+def test_a_horizon_past_the_cap_exits_2(capsys, argv):
+    from margulis.counting import _MAX_HORIZON
+    err = _usage_error(capsys, [*argv, "--n", str(_MAX_HORIZON + 1)])
+    assert err == f"error: n_max must be >= 0 and <= {_MAX_HORIZON}; n_max = {_MAX_HORIZON + 1}\n"
+
+
 def test_suite_rejects_a_nan_threshold(tmp_path, capsys):
     err = _usage_error(capsys, ["suite", "run", "--fixture", "all", "--threshold", "nan",
                                 "--out", str(tmp_path / "report.json")])

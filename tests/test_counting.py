@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import threading
 from collections import Counter
@@ -367,6 +368,22 @@ def test_negative_horizon_rejected():
         counts_into(g, "b", -1)
     with pytest.raises(ValueError, match="n_max must be >= 0"):
         count_periodic(g, "b", -1)
+
+
+def test_horizon_past_the_cap_is_rejected_before_counting():
+    # the cap keeps every gated horizon (up to 300) and the 1500 of the
+    # float-overflow test; one past it, each count raises before its memo or
+    # frontier exists (the huge horizon itself is never run)
+    from margulis.counting import _MAX_HORIZON
+    assert _MAX_HORIZON >= 1500
+    g = get_fixture("full-2").graph()
+    msg = f"n_max must be >= 0 and <= {_MAX_HORIZON}; n_max = {_MAX_HORIZON + 1}"
+    for count in (lambda n: counts_into(g, "0", n), lambda n: count_periodic(g, "0", n),
+                  lambda n: count_words(g, "0", "1", n)):
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            count(_MAX_HORIZON + 1)
+    assert "0" not in g._into_memo
+    assert count_periodic(g, "0", _MAX_HORIZON).counts[-1] == 2 ** (_MAX_HORIZON - 1)
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 from margulis import torus
 from margulis.counting import count_periodic
 from margulis.graphs import StructuralViolation
-from margulis.measures import make_family
+from margulis.measures import iter_cylinders, make_family
 from margulis.thermo import gurevich_entropy, harmonic_finite
 from margulis.torus import (
     Rectangle,
@@ -190,6 +191,65 @@ def test_cylinder_tree_tiles_each_rectangle(cat, inverse):
                 assert abs(start - end) <= 1e-12
                 end = start + width
             assert abs(end - extent) <= 1e-12
+
+
+def _partition_numbers(p):
+    """Every number of the partition's float tables: the report's crossings,
+    children, parents and the cover walk's kids and sides."""
+    numbers = [x for offsets in p.report.crossings.values() for x in offsets]
+    for table in (p.children, p.parents):
+        numbers += [x for row in table.values() for pair in row.values() for x in pair]
+    for kids, sides in p._cover_kids.values():
+        numbers += [x for _b, c_lo, c_hi in kids for x in (c_lo, c_hi)]
+        numbers += [x for side in sides.values() for x in side]
+    return numbers
+
+
+@pytest.mark.parametrize("which", ["cat", "inverse", "json"])
+def test_partition_tables_hold_python_floats(cat, which):
+    p = {"cat": lambda: cat, "inverse": lambda: inverse_partition(cat),
+         "json": lambda: torus.make_partition(*torus.parse_partition(torus.partition_to_json(cat)))}[which]()
+    numbers = _partition_numbers(p)
+    assert len(numbers) > 100 and {type(x) for x in numbers} == {float}
+    for root in p.graph.states:
+        for fut in ((), *([b] for b in p.graph.successors(root))):
+            center, radius, u_int, s_int = decode(p, [root, *fut], zero_index=0)
+            assert {type(x) for x in (*center, radius, *u_int, *s_int)} == {float}
+            arc = cylinder_image_arc(p, root, fut)
+            assert {type(x) for x in (*arc.base, arc.t0, arc.t1)} == {float}
+
+
+def _rewrapped(p):
+    """``p`` rebuilt from its own report with every crossing offset an np.float64."""
+    crossings = {e: tuple(np.float64(x) for x in offsets) for e, offsets in p.report.crossings.items()}
+    return torus.MarkovPartition(p.auto, p.rectangles, p.graph,
+                                 dataclasses.replace(p.report, crossings=crossings))
+
+
+def test_python_float_tables_give_the_np_float64_results_bit_for_bit(cat, cat_family, stable_model):
+    p_inv, fam_s = stable_model
+    wrapped, wrapped_inv = _rewrapped(cat), _rewrapped(p_inv)
+    assert type(wrapped.children["R1"]["R1"][0]) is np.float64
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        arc = UnstableArc(tuple(rng.random(2).tolist()), 0.0, float(0.05 + 1.5 * rng.random()))
+        for p in (cat, p_inv):
+            fam, w = (cat_family, wrapped) if p is cat else (fam_s, wrapped_inv)
+            assert repr(leaf_arc_measure(fam, p, arc, 8)) == repr(leaf_arc_measure(fam, w, arc, 8))
+        xy = rng.random(2)
+        assert repr(code_point(cat, xy, 8)) == repr(code_point(wrapped, xy, 8))
+    xy, rid = anchor(cat)
+    for root in ("R1", "R4"):
+        for fut in iter_cylinders(cat.graph, root, 2):
+            arc, arc_w = cylinder_image_arc(cat, root, fut), cylinder_image_arc(wrapped, root, fut)
+            assert arc.t1 == arc_w.t1
+            for i in (2, 5, 8):
+                assert intersection_count(cat, arc, i, xy, rid) == intersection_count(wrapped, arc_w, i, xy, rid)
+    for _ in range(5):
+        fixed = rng.random(2)
+        x, y = (float(v) for v in 0.4 * rng.random(2))
+        assert (repr(margulis_coordinates(cat_family, cat, fam_s, p_inv, fixed, x, y))
+                == repr(margulis_coordinates(cat_family, wrapped, fam_s, wrapped_inv, fixed, x, y)))
 
 
 # -- coding ----------------------------------------------------------------------
@@ -694,7 +754,6 @@ def _reference_intersection_count(p, arc, i, anchor_xy, anchor_symbol):
 
 
 def test_intersection_count_matches_the_walk_reference(cat):
-    from margulis.measures import iter_cylinders
     xy, rid = anchor(cat)
     cases = []
     rng = np.random.default_rng(23)
