@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Optional, Sequence
@@ -38,6 +39,11 @@ _CODE_ROUNDING = 2.0 ** -49  # bound on the rounding of a coordinate code_point 
 _CODE_UNDECIDED_FRAC = 1e-3  # share of a cylinder that code_point's rounding may cover
 _MAX_ARC_LEN = 64.0       # longest arc the coordinate solver brackets
 _FIBER_BOUNDARY_POINTS = 24
+# deepest cylinder cover: the walk recurses once per level, and Python's default limit of
+# 1000 frames is reached near depth 996; on the cat map the bracket has closed
+# (inner == outer) by depth 40, so 500 cuts off no bit and leaves room for the caller's frames
+_MAX_COVER_DEPTH = 500
+_Lattice = namedtuple("_Lattice", "basis basis_inv norm_e log_lam cap powers")  # TorusAutomorphism._lattice
 
 
 # ---------------------------------------------------------------------------
@@ -46,6 +52,15 @@ _FIBER_BOUNDARY_POINTS = 24
 
 @dataclass(frozen=True)
 class TorusAutomorphism:
+    """A hyperbolic automorphism and, derived once in ``_lattice``, what the
+    lattice walks read: the bases as Python floats, norm_e = max row sum of
+    |basis_inv|, log lam_u, cap and, for k <= cap, powers[k] = (A^k exact,
+    forms (au, bu, as, bs) with u(A^k(m, n)) = au m + bu n and s(A^k(m, n))
+    = as m + bs n, max row sum of |A^k|, lam_u^k).  The cap keeps lam_u^k <=
+    2^16, where s of a column of A^k, about lam_s^k, keeps ~20 significant
+    bits after cancellation; lam_u >= 2.618 for every admissible matrix, so
+    cap <= 11."""
+
     matrix: tuple[tuple[int, int], tuple[int, int]]
     lam_u: float
     lam_s: float
@@ -53,6 +68,19 @@ class TorusAutomorphism:
     e_s: Vec
     basis: Vec = field(repr=False)      # columns e_u, e_s
     basis_inv: Vec = field(repr=False)  # eigen coords of an xy point: basis_inv @ p
+    _lattice: _Lattice = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        (e00, e01), (e10, e11) = basis_inv = self.basis_inv.tolist()
+        log_lam = math.log(self.lam_u)
+        powers = []
+        for k in range(int(16 * math.log(2) / log_lam) + 1):
+            P = (p00, p01), (p10, p11) = _int_power(self.matrix, k)
+            forms = (e00 * p00 + e01 * p10, e00 * p01 + e01 * p11, e10 * p00 + e11 * p10, e10 * p01 + e11 * p11)
+            powers.append((P, forms, max(abs(p00) + abs(p01), abs(p10) + abs(p11)), self.lam_u ** k))
+        object.__setattr__(self, "_lattice", _Lattice(
+            self.basis.tolist(), basis_inv, max(abs(e00) + abs(e01), abs(e10) + abs(e11)),
+            log_lam, len(powers) - 1, tuple(powers)))
 
     def to_eigen(self, p: Vec) -> Vec:
         return self.basis_inv @ np.asarray(p, dtype=float)
@@ -456,7 +484,7 @@ def _lattice_in_strips(auto: TorusAutomorphism, U: tuple[float, float],
     """
     k, P, _, columns = _columns(auto, U, S)
     (p00, p01), (p10, p11) = P
-    (e00, e01), (e10, e11) = auto.basis_inv.tolist()
+    (e00, e01), (e10, e11) = auto._lattice.basis_inv
     u_lo, u_hi, s_lo, s_hi = U[0] - _PAD, U[1] + _PAD, S[0] - _PAD, S[1] + _PAD
     hits = []
     for m, a, b in columns:
@@ -470,7 +498,8 @@ def _lattice_in_strips(auto: TorusAutomorphism, U: tuple[float, float],
 
 def _columns(auto: TorusAutomorphism, U: tuple[float, float], S: tuple[float, float]):
     """The lattice points of U x S column by column, as (k, P, shrink,
-    columns), with k from ``_pullback_power``.
+    columns).  k <= ``_lattice.cap`` has lam_u^k about sqrt(|U| / |S|), and
+    P = A^k and its forms come from ``_lattice.powers[k]``.
 
     A^k Z^2 = Z^2 since det A = 1, and A^-k scales eigen coordinates by
     (lam_u^-k, lam_s^-k), so the lattice points of U x S are P = A^k (exact
@@ -496,23 +525,22 @@ def _columns(auto: TorusAutomorphism, U: tuple[float, float], S: tuple[float, fl
     every point of the box shrunk by eps lies inside it by more than ``_PAD``
     plus round-off.  At k = 0 all of it comes from the box's own coordinates.
     """
-    k = _pullback_power(auto, U, S)
-    (e00, e01), (e10, e11) = auto.basis_inv.tolist()
-    (b00, b01), (b10, b11) = auto.basis.tolist()
-    norm_e = max(abs(e00) + abs(e01), abs(e10) + abs(e11))
-    # a lattice point near the box has |T| <= extent: the basis columns are unit vectors
-    extent = max(abs(U[0]), abs(U[1])) + max(abs(S[0]), abs(S[1])) + 1.0
-    if k:
-        P, (au, bu, as_, bs), pulled_extent = _pullback(auto, U, S, k)
-    else:
-        P, (au, bu, as_, bs), pulled_extent = ((1, 0), (0, 1)), (e00, e01, e10, e11), extent
+    lat = auto._lattice
+    wu, ws = U[1] - U[0], S[1] - S[0]
+    k = (max(0, min(round(0.5 * math.log(wu / ws) / lat.log_lam), lat.cap))
+         if wu >= auto.lam_u * ws and ws > 0 else 0)     # else k rounds to 0
+    P, (au, bu, as_, bs), norm_p, lam = lat.powers[k]
     (p00, p01), (p10, p11) = P
-    norm_p = max(abs(p00) + abs(p01), abs(p10) + abs(p11))
-    eps = 8 * _PAD + 2.0 ** -46 * norm_e * (extent + norm_p * pulled_extent)
+    (b00, b01), (b10, b11) = lat.basis
+    # a lattice point near the box has |T| <= extent: the basis columns are unit vectors;
+    # |(m, n)| <= pulled_extent over the pulled-back box (U/lam_u^k) x (S/lam_s^k)
+    u_max, s_max = max(abs(U[0]), abs(U[1])), max(abs(S[0]), abs(S[1]))
+    extent, pulled_extent = u_max + s_max + 1.0, u_max / lam + s_max * lam + 1.0
+    eps = 8 * _PAD + 2.0 ** -46 * lat.norm_e * (extent + norm_p * pulled_extent)
     # x of the widened box's corners under A^-k = [[p11, -p01], [-p10, p00]], each within r
     xs = [p11 * (b00 * u + b01 * s) - p01 * (b10 * u + b11 * s)
           for u in (U[0] - eps, U[1] + eps) for s in (S[0] - eps, S[1] + eps)]
-    r = 2.0 ** -46 * norm_e * norm_p * extent
+    r = 2.0 ** -46 * lat.norm_e * norm_p * extent
     ms = range(math.floor(min(xs) - r), math.ceil(max(xs) + r) + 1)
     ru, rs = au / bu, as_ / bs
     # ordered by the sign of the divisor
@@ -538,29 +566,6 @@ def _int_power(matrix, k: int) -> tuple[tuple[int, int], tuple[int, int]]:
     return (p00, p01), (p10, p11)
 
 
-def _pullback_power(auto: TorusAutomorphism, U: tuple[float, float], S: tuple[float, float]) -> int:
-    """k >= 0 with lam_u^k about sqrt(|U| / |S|), so (U/lam_u^k) x (S/lam_s^k)
-    is about square; capped at lam_u^k <= 2^16, where s of a column of A^k,
-    about lam_s^k, still has ~20 significant bits left after cancellation."""
-    wu, ws = U[1] - U[0], S[1] - S[0]
-    if not (wu >= auto.lam_u * ws and ws > 0):    # rounds to k = 0
-        return 0
-    log_lam = math.log(auto.lam_u)
-    k = round(0.5 * math.log(wu / ws) / log_lam)
-    return max(0, min(k, int(16 * math.log(2) / log_lam)))
-
-
-def _pullback(auto: TorusAutomorphism, U: tuple[float, float], S: tuple[float, float], k: int):
-    """P = A^k in exact ints, the linear forms (au, bu, as, bs) with
-    u(P(m, n)) = au m + bu n and s(P(m, n)) = as m + bs n, and a bound on
-    |(m, n)| over the pulled-back box (U/lam_u^k) x (S/lam_s^k)."""
-    P = (p00, p01), (p10, p11) = _int_power(auto.matrix, k)
-    (e00, e01), (e10, e11) = auto.basis_inv.tolist()
-    lam = auto.lam_u ** k     # = lam_s^-k
-    forms = (e00 * p00 + e01 * p10, e00 * p01 + e01 * p11, e10 * p00 + e11 * p10, e10 * p01 + e11 * p11)
-    return P, forms, max(abs(U[0]), abs(U[1])) / lam + max(abs(S[0]), abs(S[1])) * lam + 1.0
-
-
 def _chart_of(p: MarkovPartition, r: Rectangle, u: float, s: float) -> Optional[tuple[float, float]]:
     """Eigen coordinates of the point (u, s) in the first chart translate of
     ``r`` that contains it within ``_MEMBER_TOL``; None if no translate does."""
@@ -579,9 +584,8 @@ def memberships(p: MarkovPartition, xy: Vec) -> list[tuple[StateId, float, float
     Points within ``_MEMBER_TOL`` of a boundary belong to every adjacent rectangle.
     """
     q0, q1 = float(xy[0]) % 1.0, float(xy[1]) % 1.0
-    Ei = p.auto.basis_inv
-    u = float(Ei[0, 0]) * q0 + float(Ei[0, 1]) * q1
-    s = float(Ei[1, 0]) * q0 + float(Ei[1, 1]) * q1
+    (e00, e01), (e10, e11) = p.auto._lattice.basis_inv
+    u, s = e00 * q0 + e01 * q1, e10 * q0 + e11 * q1
     out = []
     for r in p.rectangles:
         chart = _chart_of(p, r, u, s)
@@ -852,7 +856,8 @@ def _walk_cover(family: ConformalFamily, p: MarkovPartition,
     """Walk the depth-``depth`` cylinder cover of an arc's plaque segments
     (``_plaque_segments``) in arc order, reading each rectangle's extent,
     psi and children from ``table``, the ``_cover_table`` of ``family`` and
-    ``p``; a caller that walks many covers builds it once.
+    ``p``; a caller that walks many covers builds it once.  ``depth`` is a
+    whole number from 0 to ``_MAX_COVER_DEPTH``.
 
     The cover rule: within each plaque segment, a cylinder that the arc
     covers to within 1e-12 is whole and adds its mass to inner and outer; a
@@ -891,6 +896,8 @@ def _walk_cover(family: ConformalFamily, p: MarkovPartition,
     top, and no full walk changes ``table[None]``.
     """
     _require_whole("depth", depth)
+    if depth > _MAX_COVER_DEPTH:
+        raise ValueError(f"depth must be <= {_MAX_COVER_DEPTH}; got {depth!r}")
     lam_u = p.auto.lam_u
     wh = math.exp(-family.h)
     inner = outer = 0.0
@@ -1106,7 +1113,7 @@ def _count_in_box(auto: TorusAutomorphism, U: tuple[float, float], S: tuple[floa
     """
     _, P, shrink, columns = _columns(auto, U, S)
     (p00, p01), (p10, p11) = P
-    (e00, e01), (e10, e11) = auto.basis_inv.tolist()
+    (e00, e01), (e10, e11) = auto._lattice.basis_inv
     u_lo, u_hi, s_lo, s_hi = U[0] - _PAD, U[1] - _PAD, S[0] + _PAD, S[1] + _PAD
     ceil, floor = math.ceil, math.floor
     count = 0

@@ -508,3 +508,16 @@ def test_suite_rejects_a_depth_below_1(tmp_path, capsys, argv):
     err = _usage_error(capsys, [*argv, "--out", str(tmp_path / "report.json")])
     assert "depth must be >= 1" in err
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["torus", "verify", "--samples", "1"],
+    ["suite", "run", "--fixture", "cat", "--samples", "1"],
+], ids=["torus-verify", "suite-cat"])
+def test_a_cover_depth_past_the_cap_exits_2(tmp_path, capsys, argv):
+    # it recursed into a RecursionError traceback from depth ~996
+    from margulis.torus import _MAX_COVER_DEPTH
+    depth = str(_MAX_COVER_DEPTH + 1)
+    err = _usage_error(capsys, [*argv, "--depth", depth, "--out", str(tmp_path / "report.json")])
+    assert err == f"error: depth must be <= {_MAX_COVER_DEPTH}; got {depth}\n"
+    assert not (tmp_path / "report.json").exists()

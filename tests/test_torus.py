@@ -58,6 +58,32 @@ def test_make_automorphism_cat():
     assert np.max(np.abs(A @ auto.e_u - auto.lam_u * auto.e_u)) < 1e-13
 
 
+def test_lattice_table_holds_each_power_and_its_forms():
+    cat_auto = make_automorphism([[2, 1], [1, 1]])
+    autos = [cat_auto, torus.inverse_automorphism(cat_auto),
+             make_automorphism([[3, 1], [2, 1]]), make_automorphism([[5, 2], [2, 1]])]
+    for auto in autos:
+        lat = auto._lattice
+        assert lat.basis == auto.basis.tolist() and lat.basis_inv == auto.basis_inv.tolist()
+        assert all(type(x) is float for row in (*lat.basis, *lat.basis_inv) for x in row)
+        (e00, e01), (e10, e11) = lat.basis_inv
+        assert lat.norm_e == max(abs(e00) + abs(e01), abs(e10) + abs(e11))
+        assert lat.log_lam == math.log(auto.lam_u)
+        assert auto.lam_u ** lat.cap <= 2 ** 16 < auto.lam_u ** (lat.cap + 1)
+        assert len(lat.powers) == lat.cap + 1
+        for k, (P, forms, norm_p, lam) in enumerate(lat.powers):
+            assert P == torus._int_power(auto.matrix, k)
+            (p00, p01), (p10, p11) = P
+            # u and s of P(m, n), as the pull-back computed them on every walk
+            assert forms == (e00 * p00 + e01 * p10, e00 * p01 + e01 * p11,
+                             e10 * p00 + e11 * p10, e10 * p01 + e11 * p11), k
+            assert all(type(x) is float for x in forms)
+            assert norm_p == max(abs(p00) + abs(p01), abs(p10) + abs(p11))
+            assert lam == auto.lam_u ** k
+        assert lat.powers[0][:3] == (((1, 0), (0, 1)), (e00, e01, e10, e11), 1)
+    assert [auto._lattice.cap for auto in autos] == [11, 11, 8, 6]
+
+
 def test_make_automorphism_rejects_negative_eigenvalues():
     # det -1 (lam_s = -1/phi), trace -3 (both eigenvalues negative) and det -1
     # with trace -1
@@ -380,22 +406,76 @@ def test_periodic_count_misses_a_dropped_coding(cat):
     assert _periodic_codings(cat, 4, drop_one) == _trace(cat, 4) - 1
 
 
+def _periodic_box_counts(p, n):
+    """|Fix(A^n) ∩ R| for each rectangle R of ``p``, by ``_count_in_box``.
+
+    x is fixed by A^n on the torus when (A^n - I) x = T is a lattice point,
+    and u(T) = (lam_u^n - 1) u(x), s(T) = (lam_s^n - 1) s(x): R's points of
+    period n are the lattice points of R's box scaled by those factors."""
+    lam_u, lam_s = p.auto.lam_u, p.auto.lam_s
+    counts = {}
+    for r in p.rectangles:
+        U = ((lam_u ** n - 1) * r.u_range[0], (lam_u ** n - 1) * r.u_range[1])
+        S = tuple(sorted(((lam_s ** n - 1) * r.s_range[0], (lam_s ** n - 1) * r.s_range[1])))
+        counts[r.id] = torus._count_in_box(p.auto, U, S)
+    return counts
+
+
+def _fixed_point_total(p, n):
+    """N_n = |tr(A^n) - 2|, the number of fixed points of A^n on the torus."""
+    (a, _), (_, d) = torus._int_power(p.auto.matrix, n)
+    return abs(a + d - 2)
+
+
 def test_periodic_points_per_rectangle_counted_by_the_lattice_kernel(cat):
-    # x is fixed by A^n on the torus when (A^n - I) x = T is a lattice point,
-    # and u(T) = (lam_u^n - 1) u(x), s(T) = (lam_s^n - 1) s(x): R's points of
-    # period n are the lattice points of R's box scaled by those factors.  The
-    # half-open count takes the origin once, in R1, where R3's and R4's loops
-    # code it as well
-    lam_u, lam_s = cat.auto.lam_u, cat.auto.lam_s
+    # the half-open count takes the origin once, in R1, where R3's and R4's
+    # loops code it as well
     for n in range(2, 17):
-        counts = []
+        counts = _periodic_box_counts(cat, n)
         for r in cat.rectangles:
-            U = ((lam_u ** n - 1) * r.u_range[0], (lam_u ** n - 1) * r.u_range[1])
-            S = tuple(sorted(((lam_s ** n - 1) * r.s_range[0], (lam_s ** n - 1) * r.s_range[1])))
-            counts.append(torus._count_in_box(cat.auto, U, S))
             loops = count_periodic(cat.graph, r.id, n).counts[n]
-            assert counts[-1] == loops - (r.id in ("R3", "R4")), (n, r.id)
-        assert sum(counts) == round(lam_u ** n + lam_s ** n - 2), n
+            assert counts[r.id] == loops - (r.id in ("R3", "R4")), (n, r.id)
+        assert sum(counts.values()) == _fixed_point_total(cat, n), n
+
+
+def test_inverse_periodic_points_per_rectangle_counted_by_the_lattice_kernel(cat):
+    # the inverse map's frame turns the boxes over: the half-open count takes
+    # the origin in R3 and leaves it to R1's and R4's loops
+    p_inv = inverse_partition(cat)
+    for n in range(2, 17):
+        counts = _periodic_box_counts(p_inv, n)
+        for r in p_inv.rectangles:
+            loops = count_periodic(p_inv.graph, r.id, n).counts[n]
+            assert counts[r.id] == loops - (r.id in ("R1", "R4")), (n, r.id)
+        assert sum(counts.values()) == _fixed_point_total(p_inv, n), n
+
+
+def _measure_offsets(p, n, psi_u):
+    """|Fix(A^n) ∩ R| - N_n psi_u(R) psi_s(R) per rectangle, psi_s from the
+    inverse partition's family: Bowen's count of the Margulis measure."""
+    family_s = partition_family(inverse_partition(p))
+    total = _fixed_point_total(p, n)
+    return {rid: c - total * psi_u[rid] * family_s.psi_of(rid)
+            for rid, c in _periodic_box_counts(p, n).items()}
+
+
+@pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+def test_periodic_points_per_rectangle_approach_the_margulis_measure(cat, inverse):
+    # count - N_n psi_u(R) psi_s(R) settles to a bounded offset per rectangle
+    # (+0.553, +0.342, -0.447, -0.789, +0.342 on the forward partition from
+    # n ~ 10), while psi_u scaled on one rectangle opens a gap that grows like N_n
+    p = inverse_partition(cat) if inverse else cat
+    psi_u = {r.id: partition_family(p).psi_of(r.id) for r in p.rectangles}
+    bent = dict(psi_u, R1=1.3 * psi_u["R1"])
+    worst = 0.0
+    for n in range(2, 17):
+        offsets = _measure_offsets(p, n, psi_u)
+        worst = max(worst, *map(abs, offsets.values()))
+        assert max(map(abs, offsets.values())) < 1, (n, offsets)
+        if n >= 4:
+            assert abs(_measure_offsets(p, n, bent)["R1"]) > 1, n
+    assert 0.78 < worst < 0.8
+    assert _measure_offsets(p, 16, bent)["R1"] < -4e5
 
 
 def test_decode_rejects_inadmissible(cat):
@@ -627,6 +707,25 @@ def test_leaf_arc_measure_rejects_a_depth_that_is_not_a_whole_number(cat, cat_fa
     arc = UnstableArc((0.3, 0.4), 0.0, 0.1)
     with pytest.raises(ValueError, match=re.escape(f"a whole number; got {depth!r}")):
         leaf_arc_measure(cat_family, cat, arc, depth)
+
+
+def test_cover_depth_is_capped_below_the_recursion_limit(cat, cat_family, stable_model):
+    # past the cap the walk would recurse toward Python's frame limit; at the
+    # cap it still runs, and the bracket closed long before
+    arc = UnstableArc((0.3, 0.4), 0.0, 0.3)
+    cap = torus._MAX_COVER_DEPTH
+    deep = leaf_arc_measure(cat_family, cat, arc, cap)
+    assert deep.inner == deep.outer == leaf_arc_measure(cat_family, cat, arc, 40).inner
+    message = re.escape(f"depth must be <= {cap}; got {cap + 1}")
+    p_inv, fam_s = stable_model
+    with pytest.raises(ValueError, match=message):
+        leaf_arc_measure(cat_family, cat, arc, cap + 1)
+    with pytest.raises(ValueError, match=message):
+        holonomy_invariance_check(cat_family, cat, arc, (0.9, 0.05), depths=(4, cap + 1))
+    with pytest.raises(ValueError, match=message):
+        conformality_on_leaves(cat_family, cat, arc, 1, depth=cap + 1)
+    with pytest.raises(ValueError, match=message):
+        margulis_coordinates(cat_family, cat, fam_s, p_inv, (0.0, 0.0), 0.1, 0.1, depth=cap + 1)
 
 
 @pytest.mark.parametrize("depths", [(2.5,), (4, math.nan)])
@@ -936,22 +1035,33 @@ def test_intersection_count_matches_the_reference_across_arc_ends_and_heights(ca
         assert len(counts) == 2
 
 
+def _spy_pullback_powers(monkeypatch):
+    """The pull-back power k of every ``_columns`` walk, in call order."""
+    ks = []
+    real = torus._columns
+
+    def spy(*a):
+        walk = real(*a)
+        ks.append(walk[0])
+        return walk
+
+    monkeypatch.setattr(torus, "_columns", spy)
+    return ks
+
+
 def test_strip_walk_matches_the_reference_in_order(cat, monkeypatch):
-    pulled = []
-    real = torus._pullback
-    monkeypatch.setattr(torus, "_pullback", lambda *a, **kw: pulled.append(a[3]) or real(*a, **kw))
+    ks = _spy_pullback_powers(monkeypatch)
     rng = np.random.default_rng(13)
-    direct = 0
     for auto in (cat.auto, torus.inverse_automorphism(cat.auto)):
         for _ in range(150):
             length, height = 10.0 ** float(rng.uniform(-1, 4)), 10.0 ** float(rng.uniform(-4, 0))
             u0, s0 = float(rng.uniform(-20, 20)), float(rng.uniform(-1, 1))
             U, S = (u0, u0 + length), (s0, s0 + height)
-            calls = len(pulled)
             got = list(torus._lattice_in_strips(auto, U, S))
-            direct += len(pulled) == calls
             assert got == list(_reference_strips(auto, U, S)), (U, S)
-    assert direct >= 10 and len(pulled) >= 200 and max(pulled) >= 8
+    assert len(ks) == 300
+    pulled = [k for k in ks if k]
+    assert ks.count(0) >= 10 and len(pulled) >= 200 and max(pulled) >= 8
 
 
 def _plaque_boxes(p, arc):
@@ -1017,13 +1127,11 @@ def test_long_dense_boxes_are_pulled_back_and_match_the_reference_in_order(cat, 
     monkeypatch.setattr(torus, "_lattice_in_strips", real_walk)
     assert len(boxes) == 2    # one walk per tiling
     boxes += [(U, S) for _, U, S in _plaque_boxes(cat, arc)]
-    pulled = []
-    real = torus._pullback
-    monkeypatch.setattr(torus, "_pullback", lambda *a, **kw: pulled.append(a[3]) or real(*a, **kw))
+    ks = _spy_pullback_powers(monkeypatch)
     for U, S in boxes:
-        calls = len(pulled)
+        calls = len(ks)
         got = list(torus._lattice_in_strips(cat.auto, U, S))
-        assert len(pulled) == calls + 1 and pulled[-1] >= 3, (U, S, pulled[calls:])
+        assert len(ks) == calls + 1 and ks[-1] >= 3, (U, S, ks[calls:])
         assert len(got) > 500 and got == list(_reference_strips(cat.auto, U, S)), (U, S)
 
 
