@@ -110,10 +110,12 @@ def conformality_check(family: ConformalFamily, root: StateId, depth: int,
     over its one-step refinements; this is exactly harmonicity of psi and
     fails when psi is perturbed.  The reported discrepancy is absolute; the
     check passes when it is below ``tol`` times the root fiber's mass
-    psi(root), so the verdict does not depend on the scale of psi.
+    psi(root), so the verdict does not depend on the scale of psi; ``tol``
+    must be positive and finite.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    _positive_finite("tol", tol)
     graph, psi, h = family.graph, family.psi, family.h
     graph.check_state(root)
     scale = family.psi_of(root)

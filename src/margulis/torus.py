@@ -22,7 +22,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -604,12 +604,10 @@ def locate(p: MarkovPartition, xy: Vec) -> tuple[StateId, float, float]:
 
 @dataclass
 class Itinerary:
-    """Symbols at times -n..n, with the decoded center and diameter bound."""
+    """Symbols at times -n..n; ``decode(p, symbols, n)`` gives their box."""
 
     symbols: tuple[StateId, ...]
     n: int
-    center_estimate: tuple[float, float]
-    radius: float
 
 
 def code_point(p: MarkovPartition, xy: Vec, n: int) -> list[Itinerary]:
@@ -636,11 +634,7 @@ def code_point(p: MarkovPartition, xy: Vec, n: int) -> list[Itinerary]:
     for rid, u_rel, s_rel in memberships(p, xy):
         futures = _containing(p.children, lambda v: v * lam_u, rid, u_rel, _CODE_ROUNDING, n)
         pasts = _containing(p.parents, lambda v: v / lam_s, rid, s_rel, _CODE_ROUNDING, n)
-        for past in pasts:
-            for fut in futures:
-                symbols = tuple(reversed(past)) + (rid,) + tuple(fut)
-                dec = decode(p, symbols, zero_index=n)
-                out.append(Itinerary(symbols, n, dec[0], dec[1]))
+        out += [Itinerary(past[::-1] + (rid,) + fut, n) for past in pasts for fut in futures]
     out.sort(key=lambda it: it.symbols)
     return out
 
@@ -838,8 +832,7 @@ def _cover_children(children: dict) -> tuple[tuple, dict]:
 def _cover_table(family: ConformalFamily, p: MarkovPartition) -> dict:
     """What ``_walk_cover`` reads per rectangle, keyed by rectangle id:
     (u_extent, psi, kids, sides), kids and sides as ``_cover_children`` gives
-    them.  Under the key None a walk with a finite target leaves the descent
-    it stopped in, which later full walks with the same table may resume."""
+    them.  No walk writes to it."""
     return {r.id: (r.u_extent, family.psi_of(r.id), *p._cover_kids[r.id]) for r in p.rectangles}
 
 
@@ -852,7 +845,8 @@ def _require_whole(name: str, value) -> None:
 
 def _walk_cover(family: ConformalFamily, p: MarkovPartition,
                 segs: list[tuple[StateId, float, float, float]], depth: int,
-                target: float, table: dict) -> tuple[ArcMeasure, Optional[float]]:
+                target: float, table: Mapping, descent: Optional[tuple] = None
+                ) -> tuple[ArcMeasure, Optional[float], Optional[tuple]]:
     """Walk the depth-``depth`` cylinder cover of an arc's plaque segments
     (``_plaque_segments``) in arc order, reading each rectangle's extent,
     psi and children from ``table``, the ``_cover_table`` of ``family`` and
@@ -868,10 +862,10 @@ def _walk_cover(family: ConformalFamily, p: MarkovPartition,
     The walk stops at the first arc parameter where the running value
     reaches ``target`` and returns it with the measure walked so far; a whole
     cylinder is descended only when its mass would reach the target.  On the
-    way back up from the stop it records its descent and leaves it in
-    ``table[None]``, or None there if it did not stop: (stop, depth, segs,
-    index of the stop's segment, frames), one frame per cylinder from that
-    segment's top down to the stop,
+    way back up from the stop it records its descent, the third value
+    returned, or None if it did not stop: (stop, depth, segs, index of the
+    stop's segment, frames), one frame per cylinder from that segment's top
+    down to the stop,
 
         (entry, rid, d, weight, u_extent, clamped lo, reach, c_lo, c_hi, ov_lo, next_lo).
 
@@ -884,16 +878,24 @@ def _walk_cover(family: ConformalFamily, p: MarkovPartition,
     the descent's own end fell short of one of them); a walk whose end is
     within 1e-15 of next_lo misses every child after it.
 
-    With ``target = inf`` it walks the full cover and returns None.  When
-    ``segs`` match the descent's up to the stop's segment and end in that
-    segment, the walk resumes the descent (``_resume_point``) instead of
-    starting at the top.  It follows the frames while its own end, clamped
-    and cut as ``visit`` does, keeps each cylinder cut and reaches the
-    chain's child, with the children before it cut as in the descent and
-    those after it missed.  It then restores the entry of the deepest frame
-    so reached that has one, and walks that cylinder alone.  The result is
-    the walk from the top, bit for bit.  Every other full walk starts at the
-    top, and no full walk changes ``table[None]``.
+    With ``target = inf`` it walks the full cover: (measure, None, None).
+    Given the ``descent`` of an earlier walk, when ``segs`` match it up to
+    the stop's segment and end in that segment, a full walk resumes it
+    (``_resume_point``) instead of starting at the top.  It follows the
+    frames while its own end, clamped and cut as ``visit`` does, keeps each
+    cylinder cut and reaches the chain's child, with the children before it
+    cut as in the descent and those after it missed.  It then restores the
+    entry of the deepest frame so reached that has one, and walks that
+    cylinder alone.  The result is the walk from the top, bit for bit.
+    Every other full walk starts at the top.
+
+    The resume, and ``_resume_point``'s copy of ``visit``'s clamp, whole
+    test and overlap rule, stay because each alternative, with the same
+    bits, made a ``margulis_coordinates`` solve from (0, 0) (~240-300 us on
+    a 2-core Xeon) slower: certificates walked from the top 1.22-1.24x,
+    resumed at the top of the stop's plaque segment 1.22-1.29x, and frames
+    whose reach and next_lo are found in ``kids`` instead of ``sides``
+    1.01-1.08x (medians of 40 interleaved rounds, in three processes).
     """
     _require_whole("depth", depth)
     if depth > _MAX_COVER_DEPTH:
@@ -949,28 +951,25 @@ def _walk_cover(family: ConformalFamily, p: MarkovPartition,
             return hi
         return None
 
-    descent = table.get(None)
-    if target == math.inf and descent is not None:
-        point = _resume_point(descent, segs, depth, lam_u)
-        if point is not None:
-            (inner, outer, boundary), rid, lo, hi, d, weight = point
-            visit(rid, lo, hi, d, weight)
-            return ArcMeasure(inner, outer, depth, boundary, len(segs)), None
-    stop = None
-    for i, (rid, lo, hi, t_lo) in enumerate(segs):
-        y = visit(rid, lo, hi, depth, 1.0)
-        if y is not None:
-            stop = (t_lo - lo) + y
-            break
-    if target != math.inf:
-        table[None] = None if stop is None else (stop, depth, segs, i, chain[::-1])
-    return ArcMeasure(inner, outer, depth, boundary, len(segs)), stop
+    point = (_resume_point(descent, segs, depth, lam_u)
+             if target == math.inf and descent is not None else None)
+    if point is not None:
+        (inner, outer, boundary), rid, lo, hi, d, weight = point
+        visit(rid, lo, hi, d, weight)
+    else:
+        for i, (rid, lo, hi, t_lo) in enumerate(segs):
+            y = visit(rid, lo, hi, depth, 1.0)
+            if y is not None:
+                stop = (t_lo - lo) + y
+                measure = ArcMeasure(inner, outer, depth, boundary, len(segs))
+                return measure, stop, (stop, depth, segs, i, chain[::-1])
+    return ArcMeasure(inner, outer, depth, boundary, len(segs)), None, None
 
 
 def _resume_point(descent: tuple, segs: list[tuple[StateId, float, float, float]],
                   depth: int, lam_u: float) -> Optional[tuple]:
-    """Where a full walk of ``segs`` at ``depth`` resumes ``descent``, the
-    ``table[None]`` of ``_walk_cover``: (entry, rid, lo, hi, d, weight) for
+    """Where a full walk of ``segs`` at ``depth`` resumes ``descent``, as
+    ``_walk_cover`` records it: (entry, rid, lo, hi, d, weight) for
     the deepest frame with an entry that the walk from the top enters with
     that entry, hi being the walk's own end there; or None."""
     _, d0, crossing, i, frames = descent
@@ -1163,20 +1162,19 @@ def conformality_on_leaves(family: ConformalFamily, p: MarkovPartition,
 
 
 def _measure_crossing(family: ConformalFamily, p: MarkovPartition,
-                      segs: list[tuple[StateId, float, float, float]],
-                      target: float, depth: int, table: dict) -> Optional[float]:
-    """The arc length a at which the ``value`` of ``leaf_arc_measure`` for
-    the arc [0, a] first reaches ``target``, searched along the arc from 0
-    whose plaque segments are ``segs``; None if that whole arc stays below.
+                      segs: list[tuple[StateId, float, float, float]], target: float,
+                      depth: int, table: Mapping) -> tuple[Optional[float], Optional[tuple]]:
+    """(stop, descent): the arc length a at which the ``value`` of
+    ``leaf_arc_measure`` for the arc [0, a] first reaches ``target``,
+    searched along the arc from 0 whose plaque segments are ``segs``, and
+    the descent that found it; (None, None) if that whole arc stays below.
     ``table`` is the ``_cover_table`` of ``family`` and ``p``.
 
     It is where ``_walk_cover`` stops on that arc.  Rounding and the cover's
     1e-12/1e-15 slack can move it by ~1e-15, so callers certify it with real
-    measures.  The walk leaves its descent in ``table[None]``, and a full
-    walk of an arc that ends in the stop's plaque segment, with the same
-    table, resumes that descent instead of walking from the top.
+    measures, whose walks may resume the descent.
     """
-    return _walk_cover(family, p, segs, depth, target, table)[1]
+    return _walk_cover(family, p, segs, depth, target, table)[1:]
 
 
 def _arc_length_solve(family: ConformalFamily, p: MarkovPartition, base: tuple[float, float],
@@ -1195,14 +1193,15 @@ def _arc_length_solve(family: ConformalFamily, p: MarkovPartition, base: tuple[f
     serves every cover walk of the solve: the crossing search and both
     certificates, and the fallback bisection if they fail.
 
-    The certificates resume the crossing walk's descent (``_walk_cover``):
-    the arcs [0, lo] and [0, hi] end within one cell of its stop, so their
-    walks leave its chain of cylinders only in the last level or two, and
-    each restores the accumulators the descent had there and walks on from
-    there.  A certificate walks from the top when the hint is not that
-    descent's stop (a hint from elsewhere drops the descent), when its arc
-    is longer than H or ends in another plaque segment than the stop, and
-    when its end leaves the chain above every cylinder the descent recorded.
+    The certificates' walks are handed the crossing walk's descent and
+    resume it (``_walk_cover``): the arcs [0, lo] and [0, hi] end within one
+    cell of its stop, so their walks leave its chain of cylinders only in
+    the last level or two, and each restores the accumulators the descent
+    had there and walks on from there.  A certificate walks from the top
+    when the hint is not that descent's stop (the descent is then dropped),
+    when its arc is longer than H or ends in another plaque segment than the
+    stop, and when its end leaves the chain above every cylinder the descent
+    recorded.
     """
     if not 0.0 <= target < math.inf:
         raise ValueError(f"coordinates must be finite and >= 0; got {target!r}")
@@ -1220,15 +1219,14 @@ def _arc_length_solve(family: ConformalFamily, p: MarkovPartition, base: tuple[f
         if length > _MAX_ARC_LEN:
             raise ValueError(exceeds)
         tiles = _plaque_tiling(p, UnstableArc(base, 0.0, length))
-        b = _measure_crossing(family, p, _clip_tiling(tiles, 0.0, length), target, depth, table)
-    descent = table.get(None)
+        b, descent = _measure_crossing(family, p, _clip_tiling(tiles, 0.0, length), target, depth, table)
     if descent is not None and descent[0] != b:
-        table[None] = None   # the hint is not that descent's stop: the certificates walk from the top
+        descent = None   # the hint is not that descent's stop: the certificates walk from the top
 
     def value(a: float) -> float:
         segs = (_clip_tiling(tiles, 0.0, a) if a <= length
                 else _plaque_segments(p, UnstableArc(base, 0.0, a)))
-        return _walk_cover(family, p, segs, depth, math.inf, table)[0].value
+        return _walk_cover(family, p, segs, depth, math.inf, table, descent)[0].value
 
     w = length
     while w > tol:
@@ -1279,14 +1277,11 @@ def margulis_coordinates(family_u: ConformalFamily, p: MarkovPartition,
     so one descent of the cylinder tree locates the step that crosses the
     target and two real measures certify its cell (plain bisection takes
     over if they do not).  Per axis, one plaque tiling of the arc [0, H]
-    serves the descent and both certificates, and each certificate's cover
-    walk resumes the descent's a level or two above its stop; it walks from
-    the top only when its arc leaves the descent's plaque segment or its end
-    leaves the descent's chain above every recorded cylinder
-    (``_arc_length_solve``).  The certified inequality
-    holds for every family; where the measure is monotone in the arc length
-    (a harmonic psi) that cell is the only one, so the result is the one
-    plain bisection returns.
+    serves the descent and both certificates, whose cover walks resume the
+    descent a level or two above its stop (``_arc_length_solve``).  The
+    certified inequality holds for every family; where the measure is
+    monotone in the arc length (a harmonic psi) that cell is the only one,
+    so the result is the one plain bisection returns.
     """
     fp = np.asarray(fixed_xy, dtype=float) % 1.0
     base = tuple(fp.tolist())

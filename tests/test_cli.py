@@ -65,6 +65,15 @@ def test_measure_verify(capsys):
     assert payload["consistency_max_err"] == 0.0
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+def test_measure_verify_rejects_a_tol_not_positive_and_finite(capsys, tol):
+    # each printed a passing-looking result; inf passed any discrepancy
+    assert main(["measure", "verify", "--fixture", "golden-mean", "--depth", "6", "--tol", tol]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: tol must be positive and finite; tol = {float(tol)}\n"
+
+
 def test_unknown_state_message_is_unquoted(capsys):
     assert main(["thermo", "harmonic", "--fixture", "renewal", "--method", "sarig",
                  "--base", "zzz", "--h", "0.6931471805599453", "--n", "60",
@@ -372,6 +381,19 @@ def test_partition_validate_area_failure_gets_a_verdict(tmp_path):
         assert r.returncode == 1
         assert json.loads(r.stdout)["ok"] is False
         assert "area of union" in r.stderr
+
+
+def test_partition_validate_names_an_empty_rectangle(tmp_path, capsys):
+    pfile = tmp_path / "empty.json"
+    pfile.write_text(json.dumps({
+        "matrix": [[2, 1], [1, 1]],
+        "rectangles": [{"id": "A", "corner": [0, 0], "u_extent": 0, "s_extent": 1.2}],
+    }))
+    assert main(["torus", "validate", "--partition", str(pfile)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "invalid Markov partition: A: empty rectangle",
+        "invalid Markov partition: area of union = 0.000000000000 != 1",
+    ]
 
 
 def test_partition_validate_long_rectangle_is_fast(tmp_path):

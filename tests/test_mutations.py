@@ -66,6 +66,10 @@ MATRIX = {
     "psi(R1)x1.3": ("cat", _perturbed(psi_r1_scale=1.3), CONFORMAL),
     "renewal h+1e-3": ("renewal", _renewal(1e-3), RENEWAL + ("renewal/sarig_vs_exact",)),
     "renewal h-1e-3": ("renewal", _renewal(-1e-3), RENEWAL + ("renewal/sarig_vs_exact",)),
+    # at +-1e-3 the entropy entry reads 1.0000000000000009e-3 against its bound of 1e-3,
+    # so it flips by rounding alone; at +-2e-3 it reads twice the bound
+    "renewal h+2e-3": ("renewal", _renewal(2e-3), RENEWAL + ("renewal/sarig_vs_exact",)),
+    "renewal h-2e-3": ("renewal", _renewal(-2e-3), RENEWAL + ("renewal/sarig_vs_exact",)),
     # the entropy entry passes at h + 1e-4; the Sarig residual still sees it
     "renewal h+1e-4": ("renewal", _renewal(1e-4), ("renewal/sarig_vs_exact",)),
     # a dropped edge: with loops of at most 20 edges only conformality flips

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import types
 from fractions import Fraction
 
 import mpmath
@@ -170,6 +171,14 @@ def test_partition_rejects_shrunk_rectangle(cat):
                for w in rep.witnesses)
 
 
+def test_make_partition_names_every_witness_of_an_empty_rectangle(cat):
+    rects = [Rectangle("A", (0.0, 0.0), 0.0, 1.2)]
+    with pytest.raises(StructuralViolation) as exc:
+        torus.make_partition(cat.auto, rects)
+    assert str(exc.value) == ("invalid Markov partition: A: empty rectangle; "
+                              "area of union = 0.000000000000 != 1")
+
+
 def test_partition_rejects_whole_torus_square(cat):
     # a single unit square is not a proper partition rectangle for the cat map
     big = [Rectangle("Q", (0.0, 0.0), 1.2, 1.2)]
@@ -294,9 +303,10 @@ def test_code_point_generic_unique_and_round_trip(cat):
         its = code_point(cat, x, 8)
         unique += len(its) == 1
         for it in its:
-            d = np.abs(np.array(it.center_estimate) - x)
+            center, radius, _, _ = decode(cat, it.symbols, it.n)
+            d = np.abs(np.array(center) - x)
             d = np.minimum(d, 1.0 - d)
-            assert math.hypot(*d) <= it.radius + 1e-9
+            assert math.hypot(*d) <= radius + 1e-9
     assert unique >= 990
 
 
@@ -322,7 +332,7 @@ def test_inverse_partition_codes_reversed(cat):
 
 def test_decode_radius_shrinks(cat):
     its = code_point(cat, np.array([0.3, 0.4]), 25)
-    assert its[0].radius < 1e-8  # lam_u^-25 scale
+    assert decode(cat, its[0].symbols, 25)[1] < 1e-8  # lam_u^-25 scale
 
 
 def test_code_point_names_the_deepest_n_it_decides(cat):
@@ -1350,9 +1360,9 @@ def _record_full_walks(monkeypatch):
     real_table, real_walk = torus._cover_table, torus._walk_cover
     walks = []
 
-    def walk(family, p, segs, depth, target, table):
+    def walk(family, p, segs, depth, target, table, descent=None):
         before = table.lookups
-        out = real_walk(family, p, segs, depth, target, table)
+        out = real_walk(family, p, segs, depth, target, table, descent)
         if target == math.inf:
             walks.append((family, p, segs, depth, out[0], table.lookups - before))
         return out
@@ -1389,6 +1399,29 @@ def test_certificates_resume_the_crossing_walk_and_equal_fresh_walks(cat, cat_fa
             assert lookups < ref_lookups, (base, target)
 
 
+def test_cover_walks_only_read_their_table(cat, cat_family, stable_model, monkeypatch):
+    # a read-only cover table must serve the solver and the holonomy check,
+    # with the same bits as a plain dict
+    p_inv, fam_s = stable_model
+    rng = np.random.default_rng(31)
+    cases = [(tuple(float(v) for v in rng.random(2)), *(0.6 * (1.0 - rng.random(2))))
+             for _ in range(20)]
+
+    def run():
+        out = []
+        for base, x, y in cases:
+            arc = UnstableArc(base, 0.0, 0.2 + x)
+            out.append((margulis_coordinates(cat_family, cat, fam_s, p_inv, base, x, y),
+                        holonomy_invariance_check(cat_family, cat, arc, (y, x))))
+        return out
+
+    plain = run()
+    real_table = torus._cover_table
+    monkeypatch.setattr(torus, "_cover_table",
+                        lambda family, p: types.MappingProxyType(real_table(family, p)))
+    assert repr(run()) == repr(plain)
+
+
 def _overlapping_table(family, p, overlap):
     """``_cover_table`` with each child but the first starting ``overlap``
     early, inside the child before it: a table the walks must agree on
@@ -1402,8 +1435,8 @@ def _overlapping_table(family, p, overlap):
 
 
 def test_full_walks_resume_a_descent_bit_for_bit_near_its_stop(cat, cat_family, stable_model):
-    # a walk with a finite target leaves its descent in the table, and every
-    # later full walk with that table may resume it: arcs that end at the
+    # a walk with a finite target returns its descent, and every full walk
+    # handed that descent may resume it: arcs that end at the
     # stop, a few ulp from it, 1e-15 to 0.1 on either side of it and at the
     # ends of the tiles must measure as walks from the top, bit for bit; on
     # the cat tables and on tables whose children overlap by 1e-6, where the
@@ -1418,8 +1451,8 @@ def test_full_walks_resume_a_descent_bit_for_bit_near_its_stop(cat, cat_family, 
         depth = (4, 10, 16)[n % 3]
         tiles = torus._plaque_tiling(p, UnstableArc(base, 0.0, 1.0))
         table = _CountingTable(_overlapping_table(family, p, overlap))
-        b = torus._walk_cover(family, p, torus._clip_tiling(tiles, 0.0, 1.0), depth,
-                              0.1 + 0.5 * float(rng.random()), table)[1]
+        _, b, descent = torus._walk_cover(family, p, torus._clip_tiling(tiles, 0.0, 1.0), depth,
+                                          0.1 + 0.5 * float(rng.random()), table)
         ends = {b, *(u_lo_t + ext for _, u_lo_t, ext in tiles)}
         up = down = b
         for _ in range(4):
@@ -1430,7 +1463,7 @@ def test_full_walks_resume_a_descent_bit_for_bit_near_its_stop(cat, cat_family, 
         for a in sorted(e for e in ends if 0.0 < e <= 1.0):
             segs = torus._clip_tiling(tiles, 0.0, a)
             before = table.lookups
-            m = torus._walk_cover(family, p, segs, depth, math.inf, table)[0]
+            m = torus._walk_cover(family, p, segs, depth, math.inf, table, descent)[0]
             fresh = _CountingTable(_overlapping_table(family, p, overlap))
             ref = torus._walk_cover(family, p, segs, depth, math.inf, fresh)[0]
             assert repr(m) == repr(ref), (base, depth, overlap, a)
@@ -1438,18 +1471,23 @@ def test_full_walks_resume_a_descent_bit_for_bit_near_its_stop(cat, cat_family, 
     assert resumed > 400
 
 
+def _change_hint(monkeypatch, change):
+    """Make ``_measure_crossing`` return change(stop) as its stop, with the
+    descent of the real stop."""
+    real = torus._measure_crossing
+
+    def stub(*args):
+        b, descent = real(*args)
+        return change(b), descent
+    monkeypatch.setattr(torus, "_measure_crossing", stub)
+
+
 @pytest.mark.parametrize("shift", [-3e-6, -2.5e-7, 4e-9, 2e-6, None])
 def test_certificate_repairs_a_wrong_crossing(cat, cat_family, monkeypatch, shift):
     # a descent that misses the step must cost measures, never the answer; a
     # hint that is not the descent's own stop walks every measure from the top
-    real = torus._measure_crossing
     hints = []
-
-    def wrong(*args):
-        b = real(*args)
-        hints.append(b)
-        return 0.0 if shift is None else b + shift
-    monkeypatch.setattr(torus, "_measure_crossing", wrong)
+    _change_hint(monkeypatch, lambda b: hints.append(b) or (0.0 if shift is None else b + shift))
     walks, from_the_top = _record_full_walks(monkeypatch)
     for base, target in (((0.0, 0.0), 0.1234567), ((0.31, 0.47), 0.25)):
         hints.clear()
@@ -1468,10 +1506,9 @@ def test_certificate_past_the_tiled_arc_is_tiled_afresh(cat, cat_family, monkeyp
     # a hint beyond H puts the certificate's arc past the one tiling of
     # [0, H]; that arc must be tiled afresh, not clipped from the shorter one,
     # and walked from the top
-    real = torus._measure_crossing
     lengths = []
     real_tiling = torus._plaque_tiling
-    monkeypatch.setattr(torus, "_measure_crossing", lambda *a: real(*a) + 2.0)
+    _change_hint(monkeypatch, lambda b: b + 2.0)
     monkeypatch.setattr(torus, "_plaque_tiling",
                         lambda p, arc: lengths.append(arc.length) or real_tiling(p, arc))
     walks, from_the_top = _record_full_walks(monkeypatch)
@@ -1491,8 +1528,7 @@ def test_fallback_bisection_doubles_its_bracket(cat, cat_family, monkeypatch):
     # a hint of 0.0 fails the certificate of [0, w]; the target 1.5 lies past
     # the measure of [0, 1] (psi = u-extents: measure = arc length), so the
     # fallback doubles its bracket to [0, 2] before it bisects
-    real = torus._measure_crossing
-    monkeypatch.setattr(torus, "_measure_crossing", lambda *a: None if real(*a) is None else 0.0)
+    _change_hint(monkeypatch, lambda b: None if b is None else 0.0)
     walks, _ = _record_full_walks(monkeypatch)
     base, target = (0.0, 0.0), 1.5
     got = torus._arc_length_solve(cat_family, cat, base, target, 1e-9, 16)
