@@ -846,7 +846,7 @@ def _require_whole(name: str, value) -> None:
 def _walk_cover(family: ConformalFamily, p: MarkovPartition,
                 segs: list[tuple[StateId, float, float, float]], depth: int,
                 target: float, table: Mapping, descent: Optional[tuple] = None
-                ) -> tuple[ArcMeasure, Optional[float], Optional[tuple]]:
+                ) -> tuple[ArcMeasure, Optional[tuple]]:
     """Walk the depth-``depth`` cylinder cover of an arc's plaque segments
     (``_plaque_segments``) in arc order, reading each rectangle's extent,
     psi and children from ``table``, the ``_cover_table`` of ``family`` and
@@ -860,9 +860,9 @@ def _walk_cover(family: ConformalFamily, p: MarkovPartition,
     outer only, so ``value`` counts it half.
 
     The walk stops at the first arc parameter where the running value
-    reaches ``target`` and returns it with the measure walked so far; a whole
-    cylinder is descended only when its mass would reach the target.  On the
-    way back up from the stop it records its descent, the third value
+    reaches ``target``; a whole cylinder is descended only when its mass
+    would reach the target.  It returns the measure walked so far and, on
+    the way back up from the stop, records its descent, the second value
     returned, or None if it did not stop: (stop, depth, segs, index of the
     stop's segment, frames), one frame per cylinder from that segment's top
     down to the stop,
@@ -878,7 +878,7 @@ def _walk_cover(family: ConformalFamily, p: MarkovPartition,
     the descent's own end fell short of one of them); a walk whose end is
     within 1e-15 of next_lo misses every child after it.
 
-    With ``target = inf`` it walks the full cover: (measure, None, None).
+    With ``target = inf`` it walks the full cover: (measure, None).
     Given the ``descent`` of an earlier walk, when ``segs`` match it up to
     the stop's segment and end in that segment, a full walk resumes it
     (``_resume_point``) instead of starting at the top.  It follows the
@@ -962,8 +962,8 @@ def _walk_cover(family: ConformalFamily, p: MarkovPartition,
             if y is not None:
                 stop = (t_lo - lo) + y
                 measure = ArcMeasure(inner, outer, depth, boundary, len(segs))
-                return measure, stop, (stop, depth, segs, i, chain[::-1])
-    return ArcMeasure(inner, outer, depth, boundary, len(segs)), None, None
+                return measure, (stop, depth, segs, i, chain[::-1])
+    return ArcMeasure(inner, outer, depth, boundary, len(segs)), None
 
 
 def _resume_point(descent: tuple, segs: list[tuple[StateId, float, float, float]],
@@ -1174,7 +1174,8 @@ def _measure_crossing(family: ConformalFamily, p: MarkovPartition,
     1e-12/1e-15 slack can move it by ~1e-15, so callers certify it with real
     measures, whose walks may resume the descent.
     """
-    return _walk_cover(family, p, segs, depth, target, table)[1:]
+    descent = _walk_cover(family, p, segs, depth, target, table)[1]
+    return (None, None) if descent is None else (descent[0], descent)
 
 
 def _arc_length_solve(family: ConformalFamily, p: MarkovPartition, base: tuple[float, float],

@@ -272,7 +272,10 @@ def test_python_float_tables_give_the_np_float64_results_bit_for_bit(cat, cat_fa
             fam, w = (cat_family, wrapped) if p is cat else (fam_s, wrapped_inv)
             assert repr(leaf_arc_measure(fam, p, arc, 8)) == repr(leaf_arc_measure(fam, w, arc, 8))
         xy = rng.random(2)
-        assert repr(code_point(cat, xy, 8)) == repr(code_point(wrapped, xy, 8))
+        its, its_w = code_point(cat, xy, 8), code_point(wrapped, xy, 8)
+        assert repr(its) == repr(its_w)
+        assert (repr([decode(cat, it.symbols, it.n)[:2] for it in its])   # center and radius
+                == repr([decode(wrapped, it.symbols, it.n)[:2] for it in its_w]))
     xy, rid = anchor(cat)
     for root in ("R1", "R4"):
         for fut in iter_cylinders(cat.graph, root, 2):
@@ -1451,8 +1454,9 @@ def test_full_walks_resume_a_descent_bit_for_bit_near_its_stop(cat, cat_family, 
         depth = (4, 10, 16)[n % 3]
         tiles = torus._plaque_tiling(p, UnstableArc(base, 0.0, 1.0))
         table = _CountingTable(_overlapping_table(family, p, overlap))
-        _, b, descent = torus._walk_cover(family, p, torus._clip_tiling(tiles, 0.0, 1.0), depth,
-                                          0.1 + 0.5 * float(rng.random()), table)
+        descent = torus._walk_cover(family, p, torus._clip_tiling(tiles, 0.0, 1.0), depth,
+                                    0.1 + 0.5 * float(rng.random()), table)[1]
+        b = descent[0]
         ends = {b, *(u_lo_t + ext for _, u_lo_t, ext in tiles)}
         up = down = b
         for _ in range(4):
