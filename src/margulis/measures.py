@@ -146,12 +146,17 @@ def support_check(family: ConformalFamily, root: StateId, depth: int) -> bool:
     The walk takes every successor the graph has, not only those psi
     covers, so a state that psi misses fails the check (a hole in psi, or
     the edge of a psi table shorter than ``depth``) instead of hiding the
-    cylinders behind it."""
+    cylinders behind it.
+
+    A cylinder's mass e^{-n h} psi(last) is positive exactly when
+    psi(last) is, since e^{-n h} > 0 for the family's finite h; the check
+    reads psi(last) so that a long cylinder whose mass underflows to 0.0
+    in floats still passes."""
     graph, psi = family.graph, family.psi
     graph.check_state(root)
-    for n, frontier in enumerate(_frontiers(graph.successors, {root: 1}, depth)):
+    for frontier in _frontiers(graph.successors, {root: 1}, depth):
         for last in frontier:
-            if last not in psi or not _mass(family, n, last) > 0.0:
+            if last not in psi or not psi[last] > 0.0:
                 return False
     return True
 

@@ -550,9 +550,11 @@ def _columns(auto: TorusAutomorphism, U: tuple[float, float], S: tuple[float, fl
     shrink = 2 * eps / min(abs(bu), abs(bs))
 
     def columns():
+        # max(a, a_s) and min(b, b_s) without the builtins, in their argument order: -0.0, ties, NaN agree
         for m in ms:
             du, ds = ru * m, rs * m
-            yield m, max(lo_u - du, lo_s - ds), min(hi_u - du, hi_s - ds)
+            a, a_s, b, b_s = lo_u - du, lo_s - ds, hi_u - du, hi_s - ds
+            yield m, a_s if a_s > a else a, b_s if b_s < b else b
 
     return k, P, shrink, columns()
 
@@ -570,10 +572,10 @@ def _chart_of(p: MarkovPartition, r: Rectangle, u: float, s: float) -> Optional[
     """Eigen coordinates of the point (u, s) in the first chart translate of
     ``r`` that contains it within ``_MEMBER_TOL``; None if no translate does."""
     tol = _MEMBER_TOL
+    (cu, cs), u_top, s_top = r.corner, r.u_extent + tol, r.s_extent + tol
     for tu, ts in p.charts[r.id]:
         uc, sc = u - tu, s - ts
-        if (-tol <= uc - r.corner[0] <= r.u_extent + tol
-                and -tol <= sc - r.corner[1] <= r.s_extent + tol):
+        if -tol <= uc - cu <= u_top and -tol <= sc - cs <= s_top:
             return uc, sc
     return None
 
@@ -624,6 +626,7 @@ def code_point(p: MarkovPartition, xy: Vec, n: int) -> list[Itinerary]:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
+    _require_finite_point("xy", xy)
     limit = p._code_depth_limit
     if n > limit:
         raise ValueError(f"code_point decides codings only for n <= {limit}: deeper, the "
@@ -782,8 +785,10 @@ def _clip_tiling(tiles: list[tuple[StateId, float, float]], t0: float,
         return []
     segs = []
     for rid, u_lo_t, ext in tiles:
-        lo = max(t0, u_lo_t)
-        hi = min(t1, u_lo_t + ext)
+        # max(t0, u_lo_t) and min(t1, u_hi_t) without the builtins, in their argument order
+        u_hi_t = u_lo_t + ext
+        lo = u_lo_t if u_lo_t > t0 else t0
+        hi = u_hi_t if u_hi_t < t1 else t1
         if hi - lo > tol:
             segs.append((rid, lo - u_lo_t, hi - u_lo_t, lo))
     segs.sort(key=lambda s: s[3])
@@ -841,6 +846,13 @@ def _require_whole(name: str, value) -> None:
     2.5, nan and inf do not)."""
     if not (value >= 0 and math.isfinite(value) and value == math.floor(value)):
         raise ValueError(f"{name} must be >= 0 and a whole number; got {value!r}")
+
+
+def _require_finite_point(name: str, xy: Vec) -> None:
+    """Raise ValueError unless both coordinates of the point are finite."""
+    x, y = float(xy[0]), float(xy[1])
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"{name} must be a finite point; got ({x!r}, {y!r})")
 
 
 def _walk_cover(family: ConformalFamily, p: MarkovPartition,
@@ -1012,6 +1024,7 @@ def stable_holonomy(p: MarkovPartition, arc: UnstableArc, target_xy: Vec) -> Uns
     For a linear map this is a rigid translation parallel to e_s, so the
     endpoint parameters are unchanged.
     """
+    _require_finite_point("target_xy", target_xy)
     base_us = p.auto.to_eigen(np.array(arc.base))
     target_us = p.auto.to_eigen(np.asarray(target_xy, dtype=float))
     ds = target_us[1] - base_us[1]
@@ -1109,6 +1122,13 @@ def _count_in_box(auto: TorusAutomorphism, U: tuple[float, float], S: tuple[floa
     column whose two ranges agree adds its length and is done; elsewhere
     the inner range adds its length with one subtraction and only the
     points between the two ranges are tested one at a time.
+
+    Agreement is decided with two roundings: lo, hi = ceil(a), floor(b), and
+    the ranges agree exactly when a + shrink <= lo and b - shrink >= hi.
+    shrink > 0 and rounding is monotone, so the float a + shrink is >= a >
+    lo - 1, and its ceil is lo exactly when it is <= lo; likewise at b with
+    floor.  Python compares a float with an int exactly.  Only the few
+    columns that do not agree round a + shrink and b - shrink.
     """
     _, P, shrink, columns = _columns(auto, U, S)
     (p00, p01), (p10, p11) = P
@@ -1117,11 +1137,12 @@ def _count_in_box(auto: TorusAutomorphism, U: tuple[float, float], S: tuple[floa
     ceil, floor = math.ceil, math.floor
     count = 0
     for m, a, b in columns:
-        lo, hi, i_lo, i_hi = ceil(a), floor(b), ceil(a + shrink), floor(b - shrink)
-        if i_lo == lo and i_hi == hi:
+        lo, hi = ceil(a), floor(b)
+        if a + shrink <= lo and b - shrink >= hi:   # ceil(a + shrink) == lo, floor(b - shrink) == hi
             if lo <= hi:
                 count += hi - lo + 1
             continue
+        i_lo, i_hi = ceil(a + shrink), floor(b - shrink)
         if i_lo <= i_hi:
             count += i_hi - i_lo + 1
             rest = chain(range(lo, i_lo), range(i_hi + 1, hi + 1))

@@ -371,6 +371,16 @@ def test_full_support():
         assert support_check(fx.family(), fx.base, 6)
 
 
+def test_support_check_passes_where_the_masses_underflow():
+    # golden-mean's e^{-n h} is 0.0 in floats by n = 1560; every psi value
+    # is still positive, so every cylinder carries positive mass
+    fx = get_fixture("golden-mean")
+    fam = fx.family()
+    assert math.exp(-1560 * fam.h) == 0.0
+    assert support_check(fam, fx.base, 1560)
+    assert cli.main(["measure", "verify", "--fixture", "golden-mean", "--depth", "1560"]) == 0
+
+
 def test_support_check_fails_on_a_state_psi_misses():
     # a hole in renewal's psi, met at n = 3 from b; and the ladder's table to
     # n = 11, whose edge the walk from (0,1) crosses at depth 12

@@ -649,6 +649,29 @@ def test_clip_tiling_raises_on_an_arc_the_tiles_do_not_cover(cat):
         torus._clip_tiling([*tiles[:i], (rid, u_lo_t, 0.9 * ext), *tiles[i + 1:]], arc.t0, arc.t1)
 
 
+NON_FINITE_POINTS = [(math.nan, 0.4), (0.3, math.inf), (-math.inf, math.nan)]
+
+
+@pytest.mark.parametrize("xy", NON_FINITE_POINTS)
+def test_code_point_rejects_a_non_finite_point(cat, xy):
+    # not an empty coding: a NaN or infinite coordinate names the argument
+    with pytest.raises(ValueError, match=r"xy must be a finite point"):
+        code_point(cat, np.array(xy), 6)
+    with pytest.raises(ValueError, match=r"xy must be a finite point"):
+        code_point(cat, xy, 0)
+
+
+@pytest.mark.parametrize("xy", NON_FINITE_POINTS)
+def test_holonomy_rejects_a_non_finite_target_up_front(cat, cat_family, xy):
+    # rejected before stable_holonomy's `% 1.0` can warn and the lattice
+    # walk fails to convert the NaN to an integer
+    arc = UnstableArc((0.3, 0.4), 0.0, 0.1)
+    with pytest.raises(ValueError, match=r"target_xy must be a finite point"):
+        stable_holonomy(cat, arc, np.array(xy))
+    with pytest.raises(ValueError, match=r"target_xy must be a finite point"):
+        holonomy_invariance_check(cat_family, cat, arc, xy, depths=(4,))
+
+
 def test_stable_holonomy_identity_and_translation(cat):
     arc = UnstableArc((0.3, 0.4), 0.0, 0.1)
     same = stable_holonomy(cat, arc, np.array([0.3, 0.4]))
@@ -880,6 +903,12 @@ def test_intersection_count_matches_the_walk_reference(cat):
             for fut in iter_cylinders(cat.graph, root, 3):
                 arc = cylinder_image_arc(cat, root, fut, s_frac=s_frac)
                 cases.extend((arc, i) for i in range(len(fut), 10))
+    # the benchmark's cylinder items run to i = 12: each depth <= 1 cylinder
+    # at one of i = 10, 11, 12, cycling through the six (s_frac, i) pairs, so
+    # that the reference walk's ~lam_u^i points keep the test near a second
+    for j, (root, fut) in enumerate((r.id, fut) for r in cat.rectangles
+                                    for fut in iter_cylinders(cat.graph, r.id, 1)):
+        cases.append((cylinder_image_arc(cat, root, fut, s_frac=(0.3, 0.77)[j % 2]), 10 + j % 3))
     for arc, i in cases:
         assert intersection_count(cat, arc, i, xy, rid) == \
             _reference_intersection_count(cat, arc, i, xy, rid), (arc, i)
@@ -1006,13 +1035,102 @@ def test_count_in_box_matches_the_reference_on_every_column_branch(cat):
         assert counts[-1] == _reference_count(auto, U, S), (U, S)
         # the column's widened range and the inner range read off it
         _, _, shrink, columns = torus._columns(auto, U, S)
-        for _m, a, b in columns:
+        for m, a, b in columns:
             lo, hi, i_lo, i_hi = math.ceil(a), math.floor(b), math.ceil(a + shrink), math.floor(b - shrink)
+            # _count_in_box's two-rounding decision is the four-rounding rule
+            assert (a + shrink <= lo and b - shrink >= hi) == (i_lo == lo and i_hi == hi), (U, S, m)
             seen["both sides"] += lo < i_lo <= i_hi < hi
             seen["inner empty"] += i_lo > i_hi and lo <= hi
             seen["both empty"] += lo > hi
     assert all(seen.values()), seen
     assert max(counts) >= 4 and 0 in counts and 1 in counts
+
+
+def _column_bits(columns):
+    return [(m, a.hex(), b.hex()) for m, a, b in columns]
+
+
+def _minmax_columns(env):
+    """The columns of ``_columns``' strip ends and slopes ``env``, with the
+    max and min builtins."""
+    lo_u, hi_u, lo_s, hi_s, ru, rs = (env[k] for k in ("lo_u", "hi_u", "lo_s", "hi_s", "ru", "rs"))
+    for m in env["ms"]:
+        du, ds = ru * m, rs * m
+        yield m, max(lo_u - du, lo_s - ds), min(hi_u - du, hi_s - ds)
+
+
+def _columns_of(env):
+    """``_columns``' own column generator, run on the strip ends and slopes
+    ``env`` in place of a box's."""
+    code = next(c for c in torus._columns.__code__.co_consts
+                if isinstance(c, types.CodeType) and c.co_name == "columns")
+    cells = tuple(types.CellType(env[k]) for k in code.co_freevars)
+    return types.FunctionType(code, vars(torus), closure=cells)()
+
+
+def test_columns_yield_the_bits_of_max_and_min(cat):
+    # every column of real walks, read back through the generator's frame
+    rng = np.random.default_rng(29)
+    boxes = [((0.3, 0.3), (0.2, 0.2)), ((-0.3, 0.2 * LAM_CAT ** 12 - 0.3), (-1.2, 0.17)),
+             ((3.1, 60.4), (-0.0123, 0.0277)), ((-0.0, 0.0), (-0.0, 0.5))]
+    for _ in range(40):
+        u0, s0 = float(rng.uniform(-20, 20)), float(rng.uniform(-1, 1))
+        length, height = 10.0 ** float(rng.uniform(-1, 4)), 10.0 ** float(rng.uniform(-4, 0))
+        boxes.append(((u0, u0 + length), (s0, s0 + height)))
+    walked = 0
+    for auto in (cat.auto, torus.inverse_automorphism(cat.auto)):
+        for U, S in boxes:
+            columns = torus._columns(auto, U, S)[3]
+            env = dict(columns.gi_frame.f_locals)
+            got = _column_bits(columns)
+            assert got == _column_bits(_minmax_columns(env)) == _column_bits(_columns_of(env)), (U, S)
+            walked += len(got)
+    assert walked > 500
+    # strip ends that tie exactly, at every column or at one, signed zeros
+    # whose order decides the bits, and NaN
+    z = -0.0
+    envs = [dict(lo_u=1.5, lo_s=1.5, hi_u=7.25, hi_s=7.25, ru=0.375, rs=0.375),
+            dict(lo_u=z, lo_s=0.0, hi_u=0.0, hi_s=z, ru=0.0, rs=0.0),
+            dict(lo_u=0.0, lo_s=z, hi_u=z, hi_s=0.0, ru=z, rs=0.0),
+            dict(lo_u=0.5, lo_s=z, hi_u=z, hi_s=-0.5, ru=0.5, rs=0.0),
+            dict(lo_u=0.25, lo_s=math.nan, hi_u=math.nan, hi_s=4.0, ru=0.125, rs=-0.5),
+            dict(lo_u=math.nan, lo_s=0.25, hi_u=4.0, hi_s=math.nan, ru=0.125, rs=-0.5)]
+    ends = set()
+    for env in envs:
+        env["ms"] = range(-2, 3)
+        got = _column_bits(_columns_of(env))
+        assert got == _column_bits(_minmax_columns(env)), env
+        ends.update(x for _m, a, b in got for x in (a, b))
+    assert {"0x0.0p+0", "-0x0.0p+0", "nan"} <= ends
+
+
+def _clip_reference(tiles, t0, t1):
+    """``_clip_tiling``'s segments with the max and min builtins."""
+    segs = []
+    for rid, u_lo_t, ext in tiles:
+        lo, hi = max(t0, u_lo_t), min(t1, u_lo_t + ext)
+        if hi - lo > torus._MEMBER_TOL:
+            segs.append((rid, lo - u_lo_t, hi - u_lo_t, lo))
+    return sorted(segs, key=lambda s: s[3])
+
+
+def _segment_bits(segs):
+    return [(rid, lo.hex(), hi.hex(), t.hex()) for rid, lo, hi, t in segs]
+
+
+def test_clip_tiling_matches_max_and_min_at_tile_ends(cat):
+    # arcs whose ends are exactly a tile's start or end, and signed zeros
+    tiles = torus._plaque_tiling(cat, UnstableArc((0.31, 0.47), 0.0, 1.5))
+    starts = sorted({u_lo_t for _, u_lo_t, _ in tiles if 0.0 <= u_lo_t < 1.5})
+    stops = sorted({u_lo_t + ext for _, u_lo_t, ext in tiles if 0.0 < u_lo_t + ext <= 1.5})
+    cases = [(tiles, t0, t1) for t0 in [0.0, *starts] for t1 in [*stops, 1.5] if t1 - t0 > 0.1]
+    for t0 in (0.0, -0.0):
+        for u0 in (0.0, -0.0):
+            cases.append(([("A", u0, 0.5), ("B", 0.5, 0.25), ("C", 0.75, 0.25)], t0, 1.0))
+    assert len(cases) > 20
+    for tl, t0, t1 in cases:
+        got = torus._clip_tiling(tl, t0, t1)
+        assert _segment_bits(got) == _segment_bits(_clip_reference(tl, t0, t1)), (t0, t1)
 
 
 def test_intersection_count_matches_the_reference_across_arc_ends_and_heights(cat):
