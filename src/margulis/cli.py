@@ -263,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_args(e)
     e.add_argument("--base", required=True)
     e.add_argument("--n", type=int, default=40)
-    e.add_argument("--method", choices=["ratio", "limsup"], default="ratio")
+    e.add_argument("--method", choices=["ratio"], default="ratio")
     e.set_defaults(func=_cmd_thermo_entropy)
     cl = ths.add_parser("classify", parents=[common])
     _add_graph_args(cl)

@@ -171,7 +171,7 @@ class GraphReport:
 def validate_graph(graph: ShiftGraph, radius: int = 0) -> GraphReport:
     """Degree and transitivity check, exact on the explored region.
 
-    Finite graphs are checked in full (``radius`` ignored).  On generated
+    Finite graphs are checked in full (a ``radius`` >= 0 is ignored).  On generated
     graphs the degree check runs over ``ball(base, radius)``.  Transitivity
     means every region state reaches and is reached from the base; on
     generated graphs the connecting paths may leave the ball and are searched
@@ -181,6 +181,8 @@ def validate_graph(graph: ShiftGraph, radius: int = 0) -> GraphReport:
     edge at a region state that its successors and predecessors disagree
     on, naming the edge.
     """
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
     if graph.is_finite:
         region = frozenset(graph.states)
     else:

@@ -75,32 +75,23 @@ def gurevich_entropy(graph: ShiftGraph, base: StateId, n_max: int,
     """Estimate the loop growth rate at ``base`` from exact counts.
 
     ``ratio`` uses log(Z_n / Z_{n-p}) / p at the largest usable n, where p is
-    the gcd of observed loop lengths; ``limsup`` takes max of log(Z_n)/n over
-    the upper half of the horizon.
+    the gcd of observed loop lengths.
     """
     if n_max < 4:
         raise ValueError("n_max must be >= 4")
+    if method != "ratio":
+        raise ValueError(f"unknown entropy method {method!r}")
     table = count_periodic(graph, base, n_max)
     counts = table.counts
     p = _loop_period(counts)
     if p == 0:
         raise ValueError(f"no loops at {base!r} within {n_max} edges")
-
-    if method == "limsup":
-        vals = [math.log(counts[n]) / n
-                for n in range(max(1, n_max // 2), n_max + 1) if counts[n] > 0]
-        diag = vals[-8:]
-        return EntropyEstimate(max(vals), "limsup", n_max, base, p, diag)
-
-    if method == "ratio":
-        usable = [n for n in range(p, n_max + 1) if counts[n] > 0 and counts[n - p] > 0]
-        if not usable:
-            raise ValueError(f"no usable loop-count ratio at {base!r}")
-        # int true division is correctly rounded, exact quotients included
-        diag = [math.log(counts[n] / counts[n - p]) / p for n in usable[-8:]]
-        return EntropyEstimate(diag[-1], "ratio", n_max, base, p, diag)
-
-    raise ValueError(f"unknown entropy method {method!r}")
+    usable = [n for n in range(p, n_max + 1) if counts[n] > 0 and counts[n - p] > 0]
+    if not usable:
+        raise ValueError(f"no usable loop-count ratio at {base!r}")
+    # int true division is correctly rounded, exact quotients included
+    diag = [math.log(counts[n] / counts[n - p]) / p for n in usable[-8:]]
+    return EntropyEstimate(diag[-1], "ratio", n_max, base, p, diag)
 
 
 # ---------------------------------------------------------------------------

@@ -66,11 +66,14 @@ class TorusAutomorphism:
     lam_s: float
     e_u: Vec
     e_s: Vec
-    basis: Vec = field(repr=False)      # columns e_u, e_s
-    basis_inv: Vec = field(repr=False)  # eigen coords of an xy point: basis_inv @ p
+    basis: Vec = field(init=False, repr=False)      # columns e_u, e_s
+    basis_inv: Vec = field(init=False, repr=False)  # eigen coords of an xy point: basis_inv @ p
     _lattice: _Lattice = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        E = np.column_stack([self.e_u, self.e_s])
+        object.__setattr__(self, "basis", E)
+        object.__setattr__(self, "basis_inv", np.linalg.inv(E))
         (e00, e01), (e10, e11) = basis_inv = self.basis_inv.tolist()
         log_lam = math.log(self.lam_u)
         powers = []
@@ -143,11 +146,9 @@ def make_automorphism(matrix: Sequence[Sequence[int]]) -> TorusAutomorphism:
     for lam, v in ((lam_u, e_u), (lam_s, e_s)):
         if np.max(np.abs(A @ v - lam * v)) > 1e-13:
             raise ValueError("eigenvector residual exceeds 1e-13")
-    E = np.column_stack([e_u, e_s])
     return TorusAutomorphism(
         matrix=((m[0][0], m[0][1]), (m[1][0], m[1][1])),
         lam_u=lam_u, lam_s=lam_s, e_u=e_u, e_s=e_s,
-        basis=E, basis_inv=np.linalg.inv(E),
     )
 
 
@@ -155,11 +156,9 @@ def inverse_automorphism(auto: TorusAutomorphism) -> TorusAutomorphism:
     """The inverse map in the right-handed frame (e_u, e_s) = (e_s, -e_u) of
     ``auto``, so its unstable arcs run along +e_s of ``auto``."""
     (a, b), (c, d) = auto.matrix     # det = 1
-    E = np.column_stack([auto.e_s, -auto.e_u])
     return TorusAutomorphism(
         matrix=((d, -b), (-c, a)),
         lam_u=1.0 / auto.lam_s, lam_s=1.0 / auto.lam_u, e_u=auto.e_s, e_s=-auto.e_u,
-        basis=E, basis_inv=np.linalg.inv(E),
     )
 
 
@@ -225,8 +224,8 @@ class MarkovPartition:
 
     auto: TorusAutomorphism
     rectangles: list[Rectangle]
-    graph: ShiftGraph
     report: PartitionReport = field(repr=False)    # the validation that admitted it
+    graph: ShiftGraph = field(init=False)          # one edge per crossing of the report
     by_id: dict[StateId, Rectangle] = field(init=False)
     children: dict = field(init=False, repr=False)
     parents: dict = field(init=False, repr=False)
@@ -235,6 +234,8 @@ class MarkovPartition:
     _cover_kids: dict = field(init=False, repr=False)
 
     def __post_init__(self):
+        ids = [r.id for r in self.rectangles]
+        self.graph = build_finite_graph(ids, self.report.crossings, base=ids[0], name="partition")
         self.by_id = {r.id: r for r in self.rectangles}
         self.children = {r.id: {} for r in self.rectangles}
         self.parents = {r.id: {} for r in self.rectangles}
@@ -361,9 +362,7 @@ def make_partition(auto: TorusAutomorphism, rectangles: Sequence[Rectangle]) -> 
         raise StructuralViolation(
             "invalid Markov partition: " + "; ".join(report.witnesses[:4])
         )
-    ids = [r.id for r in rectangles]
-    graph = build_finite_graph(ids, report.crossings, base=ids[0], name="partition")
-    return MarkovPartition(auto, list(rectangles), graph, report)
+    return MarkovPartition(auto, list(rectangles), report)
 
 
 # ---------------------------------------------------------------------------
@@ -704,6 +703,12 @@ class UnstableArc:
     base: tuple[float, float]
     t0: float
     t1: float
+
+    def __post_init__(self):
+        # one check for every walk, which would otherwise fail deep in its lattice arithmetic
+        if not (math.isfinite(self.base[0]) and math.isfinite(self.base[1])
+                and math.isfinite(self.t0) and math.isfinite(self.t1)):
+            raise ValueError(f"arc must have a finite base and ends; got {self!r}")
 
     @property
     def length(self) -> float:

@@ -6,7 +6,9 @@ import time
 
 import pytest
 
+from margulis import cli
 from margulis.cli import build_parser, main
+from margulis.graphs import StructuralViolation
 from margulis.suite import run_suite
 
 
@@ -27,6 +29,28 @@ def test_unknown_fixture_exit_2():
     assert r.returncode == 2
     assert "unknown fixture" in r.stderr
     assert "'all'" in r.stderr and "'cat'" in r.stderr
+
+
+def test_thermo_entropy_accepts_only_ratio(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["thermo", "entropy", "--fixture", "full-2", "--base", "0", "--method", "limsup"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'limsup'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fixture", ["full-2", "golden-mean", "renewal", "ladder"])
+def test_shift_validate_rejects_a_negative_radius_on_every_graph(capsys, fixture):
+    # full-2 and golden-mean printed a passing report at --radius -1 and exited 0
+    assert main(["shift", "validate", "--fixture", fixture, "--radius", "-1"]) == 2
+    assert capsys.readouterr() == ("", "error: radius must be >= 0\n")
+
+
+def test_structural_violation_exits_1(monkeypatch, capsys):
+    def violate(graph, radius=0):
+        raise StructuralViolation("x")
+    monkeypatch.setattr(cli, "validate_graph", violate)
+    assert main(["shift", "validate", "--fixture", "renewal"]) == 1
+    assert capsys.readouterr() == ("", "structural violation: x\n")
 
 
 def test_shift_count_decimal_strings(tmp_path):

@@ -161,3 +161,15 @@ def test_every_entry_is_flipped_by_a_row_or_exempt(unperturbed, mutated):
     assert sorted(set(unperturbed) - flipped - set(EXEMPT)) == [], "neither flipped nor exempt"
     assert sorted(flipped & set(EXEMPT)) == [], "exempt, yet flipped by a row"
     assert sorted(set(EXEMPT) - set(unperturbed)) == [], "exempt, yet no such entry"
+
+
+def test_suite_counts_each_failing_holonomy_pair(monkeypatch):
+    # no row flips cat/holonomy_invariance (EXEMPT), so the failure branch is run by
+    # replacing the check itself: every one of the 12 pairs fails
+    def failing(family, p, arc, target, depths):
+        return torus.HolonomyReport(list(depths), [1.0] * len(depths), [0.0] * len(depths), False)
+    monkeypatch.setattr(torus, "holonomy_invariance_check", failing)
+    report = run_suite("cat", SuiteConfig(samples=10))
+    entry = next(e for e in report.entries if e.name == "cat/holonomy_invariance")
+    assert (entry.value, entry.bound, entry.passed, entry.note) == (12.0, 0.0, False, "12 arc pairs")
+    assert report.exit_code == 1

@@ -46,12 +46,10 @@ def test_entropy_renewal():
     assert abs(est.value - LOG2) < 1e-3
 
 
-def test_entropy_limsup_method():
+def test_entropy_accepts_only_the_ratio_method():
     g = get_fixture("full-2").graph()
-    est = gurevich_entropy(g, "0", 30, "limsup")
-    # (1/n) log 2^(n-1) < log 2, increasing in n
-    assert est.value < LOG2
-    assert abs(est.value - (29 / 30) * LOG2) < 1e-12
+    with pytest.raises(ValueError, match="unknown entropy method 'limsup'"):
+        gurevich_entropy(g, "0", 30, "limsup")
 
 
 def test_entropy_periodic_graph():

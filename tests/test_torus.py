@@ -59,6 +59,17 @@ def test_make_automorphism_cat():
     assert np.max(np.abs(A @ auto.e_u - auto.lam_u * auto.e_u)) < 1e-13
 
 
+def test_automorphism_derives_its_frame_bit_for_bit():
+    # basis and basis_inv are no init parameters: each is the one call the factories made
+    assert [f.name for f in dataclasses.fields(torus.TorusAutomorphism) if f.init] == [
+        "matrix", "lam_u", "lam_s", "e_u", "e_s"]
+    cat_auto = make_automorphism([[2, 1], [1, 1]])
+    for auto in (cat_auto, torus.inverse_automorphism(cat_auto), make_automorphism([[3, 1], [2, 1]])):
+        E = np.column_stack([auto.e_u, auto.e_s])
+        assert auto.basis.tobytes() == E.tobytes()
+        assert auto.basis_inv.tobytes() == np.linalg.inv(E).tobytes()
+
+
 def test_lattice_table_holds_each_power_and_its_forms():
     cat_auto = make_automorphism([[2, 1], [1, 1]])
     autos = [cat_auto, torus.inverse_automorphism(cat_auto),
@@ -257,8 +268,17 @@ def test_partition_tables_hold_python_floats(cat, which):
 def _rewrapped(p):
     """``p`` rebuilt from its own report with every crossing offset an np.float64."""
     crossings = {e: tuple(np.float64(x) for x in offsets) for e, offsets in p.report.crossings.items()}
-    return torus.MarkovPartition(p.auto, p.rectangles, p.graph,
-                                 dataclasses.replace(p.report, crossings=crossings))
+    return torus.MarkovPartition(p.auto, p.rectangles, dataclasses.replace(p.report, crossings=crossings))
+
+
+def test_partition_graph_is_its_reports_crossings(cat):
+    # the graph is no init parameter, so it cannot disagree with the report
+    assert [f.name for f in dataclasses.fields(torus.MarkovPartition) if f.init] == [
+        "auto", "rectangles", "report"]
+    for p in (cat, inverse_partition(cat)):
+        edges = [(a, b) for a in p.graph.states for b in p.graph.successors(a)]
+        assert edges == list(p.report.crossings)
+        assert p.graph.base == p.rectangles[0].id and p.graph.name == "partition"
 
 
 def test_python_float_tables_give_the_np_float64_results_bit_for_bit(cat, cat_family, stable_model):
@@ -650,6 +670,20 @@ def test_clip_tiling_raises_on_an_arc_the_tiles_do_not_cover(cat):
 
 
 NON_FINITE_POINTS = [(math.nan, 0.4), (0.3, math.inf), (-math.inf, math.nan)]
+
+
+@pytest.mark.parametrize("base, t0, t1", [((math.nan, 0.4), 0.0, 0.2), ((0.3, 0.4), math.nan, 0.2),
+                                          ((0.3, 0.4), 0.0, math.inf)])
+def test_entry_points_reject_a_non_finite_arc(cat, cat_family, base, t0, t1):
+    # each failed deep in the lattice walk, converting the NaN or inf to an integer, with a
+    # message that named no arc; the arc now refuses the value when built, before any call
+    named = re.escape(f"arc must have a finite base and ends; got UnstableArc(base={base!r}, t0={t0!r}, t1={t1!r})")
+    xy, rid = anchor(cat)
+    for entry in (lambda arc: leaf_arc_measure(cat_family, cat, arc, 4),
+                  lambda arc: intersection_count(cat, arc, 3, xy, rid),
+                  lambda arc: holonomy_invariance_check(cat_family, cat, arc, (0.9, 0.05), depths=(4,))):
+        with pytest.raises(ValueError, match=named):
+            entry(UnstableArc(base, t0, t1))
 
 
 @pytest.mark.parametrize("xy", NON_FINITE_POINTS)
