@@ -14,7 +14,7 @@ import re
 import sys
 from typing import Optional
 
-from . import measures, thermo
+from . import measures, thermo, torus
 from .counting import count_words
 from .fixtures import get_fixture
 from .graphs import ShiftGraph, StructuralViolation, ball, build_graph, load_graph, validate_graph
@@ -187,14 +187,12 @@ def _cmd_measure_verify(args) -> int:
 
 
 def _cmd_torus_export(args) -> int:
-    from . import torus
     p = torus.builtin_partition(args.map_name)
     sys.stdout.write(write_text(torus.partition_to_json(p), args.out))
     return 0
 
 
 def _cmd_torus_validate(args) -> int:
-    from . import torus
     with open(args.partition, "r", encoding="utf-8") as fh:
         auto, rects = torus.parse_partition(fh.read())
     rep = torus.validate_partition(auto, rects)

@@ -13,6 +13,7 @@ State labels are plain strings; generated graphs use canonical labels such as
 from __future__ import annotations
 
 import json
+import operator
 import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -155,8 +156,8 @@ def ball(graph: ShiftGraph, center: StateId, radius: int) -> frozenset[StateId]:
     if radius < 0:
         raise ValueError("radius must be >= 0")
     graph.check_state(center)
-    return frozenset(_reachable(graph, center, radius, forward=True)
-                     | _reachable(graph, center, radius, forward=False))
+    return frozenset(_reachable(graph, center, radius, forward=True).keys()
+                     | _reachable(graph, center, radius, forward=False).keys())
 
 
 @dataclass
@@ -171,8 +172,9 @@ class GraphReport:
 def validate_graph(graph: ShiftGraph, radius: int = 0) -> GraphReport:
     """Degree and transitivity check, exact on the explored region.
 
-    Finite graphs are checked in full (a ``radius`` >= 0 is ignored).  On generated
-    graphs the degree check runs over ``ball(base, radius)``.  Transitivity
+    Finite graphs are checked in full (a ``radius`` >= 0 is ignored).  On
+    generated graphs the region is ``ball(base, radius)``, read off the two
+    walks from the base that also decide transitivity.  Transitivity
     means every region state reaches and is reached from the base; on
     generated graphs the connecting paths may leave the ball and are searched
     within ``_PATH_CAP`` edges.  The witness is the first region state that
@@ -183,10 +185,15 @@ def validate_graph(graph: ShiftGraph, radius: int = 0) -> GraphReport:
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
+    cap = len(graph.states) if graph.is_finite else _PATH_CAP
+    # a radius past the cap walks on to hold the whole ball; index() rejects
+    # a radius that is no integer, for which no level would be in the region
+    levels = cap if graph.is_finite else max(cap, operator.index(radius))
+    fwd, bwd = (_reachable(graph, graph.base, levels, forward) for forward in (True, False))
     if graph.is_finite:
         region = frozenset(graph.states)
     else:
-        region = ball(graph, graph.base, radius)
+        region = frozenset(s for walk in (fwd, bwd) for s, k in walk.items() if k <= radius)
     max_out = max_in = 0
     for s in sorted(region):
         out, into = graph.successors(s), graph.predecessors(s)
@@ -206,30 +213,29 @@ def validate_graph(graph: ShiftGraph, radius: int = 0) -> GraphReport:
         max_out = max(max_out, od)
         max_in = max(max_in, idg)
 
-    cap = len(region) if graph.is_finite else _PATH_CAP
-    fwd = _reachable(graph, graph.base, cap, forward=True)
-    bwd = _reachable(graph, graph.base, cap, forward=False)
-    witness = next((s for s in sorted(region) if s not in fwd or s not in bwd), None)
+    witness = next((s for s in sorted(region)
+                    if fwd.get(s, cap + 1) > cap or bwd.get(s, cap + 1) > cap), None)
     return GraphReport(max_out, max_in, witness is None, len(region), witness)
 
 
-def _reachable(graph: ShiftGraph, start: StateId, cap: int, forward: bool) -> set[StateId]:
-    """States reached from (``forward``) or reaching ``start`` within ``cap``
-    edges, breadth-first; stops early once a level adds no new state."""
+def _reachable(graph: ShiftGraph, start: StateId, cap: int, forward: bool) -> dict[StateId, int]:
+    """Each state reached from (``forward``) or reaching ``start`` within
+    ``cap`` edges, with its level: the fewest edges that reach it.
+    Breadth-first; stops early once a level adds no new state."""
     step = graph.successors if forward else graph.predecessors
-    seen = {start}
+    level = {start: 0}
     frontier = [start]
-    for _ in range(cap):
+    for k in range(1, cap + 1):
         nxt = []
         for s in frontier:
             for t in step(s):
-                if t not in seen:
-                    seen.add(t)
+                if t not in level:
+                    level[t] = k
                     nxt.append(t)
         if not nxt:
             break
         frontier = nxt
-    return seen
+    return level
 
 
 # ---------------------------------------------------------------------------

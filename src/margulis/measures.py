@@ -20,7 +20,7 @@ from types import MappingProxyType
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .counting import _frontiers, _positive_finite
-from .graphs import ShiftGraph, StateId, is_admissible
+from .graphs import ShiftGraph, StateId, _reachable, is_admissible
 
 
 @dataclass(frozen=True)
@@ -146,19 +146,11 @@ def support_check(family: ConformalFamily, root: StateId, depth: int) -> bool:
     The walk takes every successor the graph has, not only those psi
     covers, so a state that psi misses fails the check (a hole in psi, or
     the edge of a psi table shorter than ``depth``) instead of hiding the
-    cylinders behind it.
-
-    A cylinder's mass e^{-n h} psi(last) is positive exactly when
-    psi(last) is, since e^{-n h} > 0 for the family's finite h; the check
-    reads psi(last) so that a long cylinder whose mass underflows to 0.0
-    in floats still passes."""
-    graph, psi = family.graph, family.psi
-    graph.check_state(root)
-    for frontier in _frontiers(graph.successors, {root: 1}, depth):
-        for last in frontier:
-            if last not in psi or not psi[last] > 0.0:
-                return False
-    return True
+    cylinders behind it.  A cylinder's mass e^{-n h} psi(last) is then
+    positive, since the family holds only a finite h and positive psi
+    values, even where it underflows to 0.0 in floats."""
+    family.graph.check_state(root)
+    return all(s in family.psi for s in _reachable(family.graph, root, depth, forward=True))
 
 
 def symbolic_holonomy_check(family: ConformalFamily, root_a: StateId,

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import measures, thermo, torus
+from .counting import count_words
 from .fixtures import FIXTURES
 from .graphs import validate_graph
 from .report import Report
@@ -125,7 +126,6 @@ def _cat_suite(config: SuiteConfig) -> Report:
 
     # intersection-count identity on a small sample of cylinders
     anchor_xy, anchor_sym = cat_anchor(p)
-    from .counting import count_words
     worst = 0
     checked = 0
     for root in [r.id for r in p.rectangles[:2]]:

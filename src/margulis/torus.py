@@ -244,12 +244,10 @@ class MarkovPartition:
         for (a, b), (_, s_off) in sorted(self.report.crossings.items(), key=lambda c: c[1][1]):
             self.parents[b][a] = (s_off, self.auto.lam_s * self.by_id[a].s_extent)
         U, S = _box_image(self.auto.to_eigen, (0.0, 1.0), (0.0, 1.0))
-        self.charts = {}
-        for r in self.rectangles:
-            self.charts[r.id] = [
-                tuple(self.auto.to_eigen(np.array(T, dtype=float)).tolist())
-                for T, _, _ in _lattice_in_strips(self.auto, (U[0] - r.u_range[1], U[1] - r.u_range[0]),
-                                                  (S[0] - r.s_range[1], S[1] - r.s_range[0]))]
+        # + 0.0 turns the -0.0 of T = 0 into the +0.0 that to_eigen's matmul gives it
+        self.charts = {r.id: [(uT + 0.0, sT + 0.0) for _, uT, sT in _lattice_in_strips(
+            self.auto, (U[0] - r.u_range[1], U[1] - r.u_range[0]), (S[0] - r.s_range[1], S[1] - r.s_range[0]))]
+            for r in self.rectangles}
         self._code_depth_limit = min(
             math.floor(math.log(_CODE_UNDECIDED_FRAC * min(extents) / _CODE_ROUNDING)
                        / math.log(growth))
@@ -623,8 +621,7 @@ def code_point(p: MarkovPartition, xy: Vec, n: int) -> list[Itinerary]:
     rounding; past the partition's ``_code_depth_limit``, the rounding
     covers too much of a cylinder to decide, and ValueError is raised.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _require_whole("n", n)
     _require_finite_point("xy", xy)
     limit = p._code_depth_limit
     if n > limit:
@@ -1172,9 +1169,8 @@ class LeafConformalityReport:
 def conformality_on_leaves(family: ConformalFamily, p: MarkovPartition,
                            arc: UnstableArc, k: int, depth: int = 14) -> LeafConformalityReport:
     """measure(f^k(arc)) = e^{k h} measure(arc) within the truncation bounds."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    Ak = _int_power(p.auto.matrix, k)    # exact Python ints (int64 overflows at k >= 46)
+    _require_whole("k", k)
+    Ak = _int_power(p.auto.matrix, int(k))    # exact Python ints (int64 overflows at k >= 46)
     base_img = (np.array(Ak, dtype=float) @ np.array(arc.base)) % 1.0
     lam_k = p.auto.lam_u ** k
     img = UnstableArc(tuple(base_img.tolist()), arc.t0 * lam_k, arc.t1 * lam_k)

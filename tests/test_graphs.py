@@ -4,6 +4,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from margulis import graphs
 from margulis.graphs import (
     ShiftGraph,
     StructuralViolation,
@@ -129,6 +130,68 @@ def test_validate_renewal_transitive_on_ball():
     g = build_graph({"kind": "generator", "name": "renewal", "params": {"max_len": 32}})
     rep = validate_graph(g, radius=4)
     assert rep.transitive_on_ball
+
+
+def test_reachable_gives_each_state_its_level():
+    # the level is the fewest edges: l(n,k) is k steps out of b and n - k back into it
+    g = build_graph({"kind": "generator", "name": "renewal", "params": {"max_len": 12}})
+    loops = {f"l({n},{k})": (n, k) for n in range(2, 13) for k in range(1, n)}
+    fwd = graphs._reachable(g, "b", 20, forward=True)
+    bwd = graphs._reachable(g, "b", 20, forward=False)
+    assert fwd == {"b": 0, **{s: k for s, (n, k) in loops.items()}}
+    assert bwd == {"b": 0, **{s: n - k for s, (n, k) in loops.items()}}
+    assert graphs._reachable(g, "b", 3, forward=True) == {s: k for s, k in fwd.items() if k <= 3}
+    ladder = build_graph({"kind": "generator", "name": "ladder"})
+    assert graphs._reachable(ladder, "(0,1)", 9, forward=True) == {
+        "(0,1)": 0, **{f"({n},{c})": n for n in range(1, 10) for c in (1, 2)}}
+
+
+def _validate_by_ball(g, radius):
+    """The region and witness of ``validate_graph`` as its definition reads:
+    ``ball(base, radius)``, and the first region state that a breadth-first
+    search of ``_PATH_CAP`` edges each way from the base misses."""
+    def within_cap(step):
+        seen, frontier = {g.base}, {g.base}
+        for _ in range(graphs._PATH_CAP):
+            frontier = {t for s in frontier for t in step(s)} - seen
+            seen |= frontier
+        return seen
+
+    region = ball(g, g.base, radius)
+    fwd, bwd = within_cap(g.successors), within_cap(g.predecessors)
+    return len(region), next((s for s in sorted(region) if s not in fwd or s not in bwd), None)
+
+
+def test_validate_reads_the_ball_off_its_two_walks():
+    for spec in ({"kind": "generator", "name": "renewal", "params": {"max_len": 12}},
+                 {"kind": "generator", "name": "ladder"}):
+        for radius in range(9):
+            rep = validate_graph(build_graph(spec), radius)
+            assert (rep.explored, rep.witness) == _validate_by_ball(build_graph(spec), radius)
+    # a radius past _PATH_CAP: the region is still the whole ball
+    ladder = build_graph({"kind": "generator", "name": "ladder"})
+    rep = validate_graph(ladder, graphs._PATH_CAP + 4)
+    assert rep.explored == 2 * (graphs._PATH_CAP + 5)
+    assert (rep.explored, rep.witness) == _validate_by_ball(ladder, graphs._PATH_CAP + 4)
+
+
+@pytest.mark.parametrize("radius", [2.5, float("nan")])
+def test_validate_rejects_a_radius_that_is_no_integer(radius):
+    # levels <= nan would leave an empty region, which passes every check
+    ladder = build_graph({"kind": "generator", "name": "ladder"})
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        validate_graph(ladder, radius)
+
+
+def test_validate_walks_once_each_way(monkeypatch):
+    calls = []
+    reachable = graphs._reachable
+    monkeypatch.setattr(graphs, "_reachable", lambda *a, **k: calls.append(a) or reachable(*a, **k))
+    for g in (build_graph({"kind": "generator", "name": "renewal", "params": {"max_len": 12}}),
+              build_graph({"kind": "generator", "name": "ladder"}), golden()):
+        calls.clear()
+        validate_graph(g, radius=6)
+        assert len(calls) == 2, g
 
 
 def test_degree_bound_violation():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from margulis import cli, measures
+from margulis.counting import _frontiers
 from margulis.fixtures import PHI, RENEWAL_MAX_LEN, get_fixture
 from margulis.graphs import ball, build_finite_graph, build_graph
 from margulis.measures import (
@@ -390,6 +391,29 @@ def test_support_check_fails_on_a_state_psi_misses():
     assert not support_check(holed, "b", 8)
     ladder = make_family(get_fixture("ladder").graph(), 1.5 * LOG2, _ladder_table(11))
     assert support_check(ladder, "(0,1)", 11) and not support_check(ladder, "(0,1)", 12)
+
+
+def _support_by_frontiers(family, root, depth):
+    """support_check by its definition: every n-edge walk from ``root``,
+    n <= ``depth``, ends at a state of positive psi."""
+    return all(s in family.psi and family.psi[s] > 0.0
+               for frontier in _frontiers(family.graph.successors, {root: 1}, depth) for s in frontier)
+
+
+def test_support_check_agrees_with_the_frontier_definition():
+    fx = get_fixture("renewal")
+    holed = {s: v for s, v in fx.psi.items() if s != "l(5,3)"}
+    cases = [(make_family(fx.graph(), LOG2, psi), "b", range(9)) for psi in (fx.psi, holed)]
+    # README's ladder table, to n = 11
+    cases.append((make_family(get_fixture("ladder").graph(), 1.5 * LOG2, _ladder_table(11)),
+                  "(0,1)", range(14)))
+    cases.append((golden_family(), "0", [*range(9), 1560]))
+    verdicts = []
+    for family, root, depths in cases:
+        for depth in depths:
+            verdicts.append(support_check(family, root, depth))
+            assert verdicts[-1] == _support_by_frontiers(family, root, depth), (root, depth)
+    assert True in verdicts and False in verdicts
 
 
 def test_symbolic_holonomy_same_root():

@@ -857,6 +857,37 @@ def test_intersection_count_rejects_an_i_that_is_not_a_whole_number(cat, i):
         intersection_count(cat, arc, i, xy, rid)
 
 
+@pytest.mark.parametrize("n", [-1, 2.5, math.nan])
+def test_coding_and_leaf_conformality_reject_a_depth_that_is_not_a_whole_number(cat, cat_family, n):
+    # 2.5 and nan once recursed without end in code_point and failed in
+    # range() in conformality_on_leaves
+    message = re.escape(f"n must be >= 0 and a whole number; got {n!r}")
+    with pytest.raises(ValueError, match=message):
+        code_point(cat, (0.3, 0.4), n)
+    with pytest.raises(ValueError, match=message):
+        fiber_bound_check(cat, 3, n=n)
+    with pytest.raises(ValueError, match=re.escape(f"k must be >= 0 and a whole number; got {n!r}")):
+        conformality_on_leaves(cat_family, cat, full_u_side_arc(cat, "R1"), k=n)
+
+
+def test_coding_and_leaf_conformality_take_a_whole_float_depth(cat, cat_family):
+    arc = full_u_side_arc(cat, "R1")
+    assert code_point(cat, (0.3, 0.4), 2.0) == code_point(cat, (0.3, 0.4), 2)
+    assert conformality_on_leaves(cat_family, cat, arc, k=3.0) == conformality_on_leaves(cat_family, cat, arc, k=3)
+
+
+def test_charts_are_the_eigen_coordinates_of_their_translates(cat):
+    # the strip walk's scalar coordinates, bit for bit those of to_eigen
+    for p in (cat, inverse_partition(cat)):
+        U, S = torus._box_image(p.auto.to_eigen, (0.0, 1.0), (0.0, 1.0))
+        for r in p.rectangles:
+            hits = torus._lattice_in_strips(p.auto, (U[0] - r.u_range[1], U[1] - r.u_range[0]),
+                                            (S[0] - r.s_range[1], S[1] - r.s_range[0]))
+            want = [p.auto.to_eigen(np.array(T, dtype=float)) for T, _, _ in hits]
+            assert len(p.charts[r.id]) == len(want) > 0
+            assert np.array(p.charts[r.id]).tobytes() == np.array(want).tobytes(), r.id
+
+
 def test_intersection_count_takes_a_whole_float_i(cat):
     xy, rid = anchor(cat)
     arc = cylinder_image_arc(cat, "R1", ["R2"], s_frac=1 / math.sqrt(2))
