@@ -42,11 +42,12 @@ class ShiftGraph:
     is checked once per graph (a state that passes joins ``_checked``); a
     non-state fails every time.
     ``_into_memo`` holds, per target, the backward walk counts of
-    ``counting.counts_into``: one count per length for the target and for
-    one state of each set of states of out-degree other than one with equal
-    successors, and each other state it meets as an (anchor, offset) alias
-    of one of them.  Each is built once for one horizon and never changed;
-    a longer horizon builds a new one under the same lock and replaces it.
+    ``counting.counts_into``: a whole row for the anchor of the target and
+    of each state a caller declared, and each other state it meets as an
+    (anchor, offset) alias of the target or of one state of a set of states
+    of out-degree other than one with equal successors.  Each is built once
+    for one horizon and one declared set and never changed; a call it cannot
+    prove exact builds a new one under the same lock and replaces it.
     """
 
     def __init__(
@@ -156,8 +157,8 @@ def ball(graph: ShiftGraph, center: StateId, radius: int) -> frozenset[StateId]:
     if radius < 0:
         raise ValueError("radius must be >= 0")
     graph.check_state(center)
-    return frozenset(_reachable(graph, center, radius, forward=True).keys()
-                     | _reachable(graph, center, radius, forward=False).keys())
+    return frozenset(_reachable(graph, (center,), radius, forward=True).keys()
+                     | _reachable(graph, (center,), radius, forward=False).keys())
 
 
 @dataclass
@@ -189,7 +190,7 @@ def validate_graph(graph: ShiftGraph, radius: int = 0) -> GraphReport:
     # a radius past the cap walks on to hold the whole ball; index() rejects
     # a radius that is no integer, for which no level would be in the region
     levels = cap if graph.is_finite else max(cap, operator.index(radius))
-    fwd, bwd = (_reachable(graph, graph.base, levels, forward) for forward in (True, False))
+    fwd, bwd = (_reachable(graph, (graph.base,), levels, forward) for forward in (True, False))
     if graph.is_finite:
         region = frozenset(graph.states)
     else:
@@ -218,13 +219,15 @@ def validate_graph(graph: ShiftGraph, radius: int = 0) -> GraphReport:
     return GraphReport(max_out, max_in, witness is None, len(region), witness)
 
 
-def _reachable(graph: ShiftGraph, start: StateId, cap: int, forward: bool) -> dict[StateId, int]:
-    """Each state reached from (``forward``) or reaching ``start`` within
-    ``cap`` edges, with its level: the fewest edges that reach it.
-    Breadth-first; stops early once a level adds no new state."""
+def _reachable(graph: ShiftGraph, starts: Iterable[StateId], cap: int,
+               forward: bool) -> dict[StateId, int]:
+    """Each state reached from (``forward``) or reaching a state of
+    ``starts`` within ``cap`` edges, with its level: the fewest edges that
+    reach it from (or take it to) the nearest start.  Breadth-first; stops
+    early once a level adds no new state."""
     step = graph.successors if forward else graph.predecessors
-    level = {start: 0}
-    frontier = [start]
+    level = dict.fromkeys(starts, 0)
+    frontier = list(level)
     for k in range(1, cap + 1):
         nxt = []
         for s in frontier:

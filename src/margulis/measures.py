@@ -92,10 +92,14 @@ def iter_cylinders(graph: ShiftGraph, root: StateId, depth: int) -> Iterator[tup
 
 @dataclass
 class ConsistencyReport:
+    """``cylinders_skipped`` counts the cylinders :func:`conformality_check`
+    leaves out because psi misses a successor of their last state."""
+
     max_discrepancy: float
     worst_class: Optional[tuple[int, StateId]]
     cylinders_checked: int
     passed: bool
+    cylinders_skipped: int = 0
 
     def __post_init__(self):
         # a check that saw no cylinder has verified nothing
@@ -111,7 +115,8 @@ def conformality_check(family: ConformalFamily, root: StateId, depth: int,
     fails when psi is perturbed.  The reported discrepancy is absolute; the
     check passes when it is below ``tol`` times the root fiber's mass
     psi(root), so the verdict does not depend on the scale of psi; ``tol``
-    must be positive and finite.
+    must be positive and finite.  A class whose last state has a successor
+    psi misses cannot be checked: its cylinders are counted as skipped.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -121,7 +126,7 @@ def conformality_check(family: ConformalFamily, root: StateId, depth: int,
     scale = family.psi_of(root)
     # per state met: psi of each successor, or None when psi misses one
     covered: dict[StateId, Optional[list[float]]] = {}
-    worst, worst_class, checked = 0.0, None, 0
+    worst, worst_class, checked, skipped = 0.0, None, 0, 0
     for n, frontier in enumerate(_frontiers(family.successors, {root: 1}, depth)):
         # the factors of _mass at this level and the next, so each mass keeps its bits
         here, below = math.exp(-n * h), math.exp(-(n + 1) * h)
@@ -131,13 +136,14 @@ def conformality_check(family: ConformalFamily, root: StateId, depth: int,
                 covered[last] = [psi[s] for s in succ] if all(s in psi for s in succ) else None
             values = covered[last]
             if values is None:
+                skipped += count
                 continue
             total = math.fsum(below * v for v in values)
             disc = abs(total - here * psi[last])
             checked += count
             if disc > worst:
                 worst, worst_class = disc, (n, last)
-    return ConsistencyReport(worst, worst_class, checked, worst < tol * scale)
+    return ConsistencyReport(worst, worst_class, checked, worst < tol * scale, skipped)
 
 
 def support_check(family: ConformalFamily, root: StateId, depth: int) -> bool:
@@ -150,7 +156,7 @@ def support_check(family: ConformalFamily, root: StateId, depth: int) -> bool:
     positive, since the family holds only a finite h and positive psi
     values, even where it underflows to 0.0 in floats."""
     family.graph.check_state(root)
-    return all(s in family.psi for s in _reachable(family.graph, root, depth, forward=True))
+    return all(s in family.psi for s in _reachable(family.graph, (root,), depth, forward=True))
 
 
 def symbolic_holonomy_check(family: ConformalFamily, root_a: StateId,

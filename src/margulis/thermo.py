@@ -316,7 +316,8 @@ def harmonic_sarig(graph: ShiftGraph, a0: StateId, h: float, n_max: int,
         raise ValueError("n_max must be >= 4")
     graph.check_state(a0)
     m0 = n_max // 2
-    into = counts_into(graph, a0, n_max)
+    region = sorted(ball(graph, a0, radius + 1))
+    into = counts_into(graph, a0, n_max, region)
     window = [(i, math.exp(-i * h)) for i in range(m0 + 1, n_max + 1)]
     # a state whose first path into a0 is longer than the window start has a
     # transient prefix inside the window, contaminating its ratio: drop it.
@@ -324,7 +325,7 @@ def harmonic_sarig(graph: ShiftGraph, a0: StateId, h: float, n_max: int,
     sums: dict[StateId, float] = {}
     by_row: dict[tuple[StateId, int], Optional[float]] = {}
     dropped = 0
-    for s in sorted(ball(graph, a0, radius + 1)):
+    for s in region:
         key = into.locate(s)
         if key not in by_row:
             row = into.row(s)

@@ -136,13 +136,17 @@ def test_reachable_gives_each_state_its_level():
     # the level is the fewest edges: l(n,k) is k steps out of b and n - k back into it
     g = build_graph({"kind": "generator", "name": "renewal", "params": {"max_len": 12}})
     loops = {f"l({n},{k})": (n, k) for n in range(2, 13) for k in range(1, n)}
-    fwd = graphs._reachable(g, "b", 20, forward=True)
-    bwd = graphs._reachable(g, "b", 20, forward=False)
+    fwd = graphs._reachable(g, ("b",), 20, forward=True)
+    bwd = graphs._reachable(g, ("b",), 20, forward=False)
     assert fwd == {"b": 0, **{s: k for s, (n, k) in loops.items()}}
     assert bwd == {"b": 0, **{s: n - k for s, (n, k) in loops.items()}}
-    assert graphs._reachable(g, "b", 3, forward=True) == {s: k for s, k in fwd.items() if k <= 3}
+    assert graphs._reachable(g, ("b",), 3, forward=True) == {s: k for s, k in fwd.items() if k <= 3}
+    # from two starts, a state's level is its distance from the nearer one
+    both = graphs._reachable(g, ("l(12,6)", "b"), 20, forward=True)
+    assert both == {s: k - 6 if s.startswith("l(12,") and k >= 6 else fwd[s]
+                    for s, k in fwd.items()}
     ladder = build_graph({"kind": "generator", "name": "ladder"})
-    assert graphs._reachable(ladder, "(0,1)", 9, forward=True) == {
+    assert graphs._reachable(ladder, ("(0,1)",), 9, forward=True) == {
         "(0,1)": 0, **{f"({n},{c})": n for n in range(1, 10) for c in (1, 2)}}
 
 

@@ -254,6 +254,20 @@ def test_renewal_conformality_checks_every_future():
     assert rep.cylinders_checked == _renewal_futures(8) == 16074
 
 
+def test_conformality_counts_the_cylinders_a_hole_in_psi_skips():
+    # without l(5,3), a class ending at l(5,2) cannot be checked: a loop of
+    # j <= 6 edges at b that takes no 5-loop, then b -> l(5,1) -> l(5,2)
+    fam = get_fixture("renewal").family()
+    holed = make_family(fam.graph, fam.h, {s: v for s, v in fam.psi.items() if s != "l(5,3)"})
+    rep = conformality_check(holed, "b", 8)
+    loops = [1]
+    for j in range(1, 7):
+        loops.append(sum(loops[j - k] for k in range(1, j + 1) if k != 5))
+    assert rep.passed and rep.cylinders_checked == 15_195
+    assert rep.cylinders_skipped == sum(loops) == 61
+    assert conformality_check(fam, "b", 8).cylinders_skipped == 0
+
+
 def test_checks_count_every_future_at_depth_30():
     # classes keep the checks linear in depth: billions of futures, counted exactly
     rep = conformality_check(get_fixture("renewal").family(), "b", 30)
