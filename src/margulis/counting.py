@@ -145,10 +145,13 @@ def counts_into(graph: ShiftGraph, target: StateId, n_max: int,
                 rows: Iterable[StateId] = ()) -> CountsInto:
     """Walks of n <= n_max edges into ``target``, for the target and each
     state of ``rows`` (the rows the caller will read), off the graph's
-    backward memo for ``target`` (see :class:`_IntoMemo`).  Under the
-    graph's lock, a stored memo answers the call when it proves every asked
-    row exact to n_max; otherwise a new memo, for the longer of the two
-    horizons and the union of the two declared sets, replaces it."""
+    backward memo for ``target`` (see :class:`_IntoMemo`).  A stored memo
+    answers the call when it proves every asked row exact to n_max;
+    otherwise a new memo, for the longer of the two horizons and the union
+    of the two declared sets, replaces it.  The graph's lock guards that
+    look-up and replacement and nothing else: the walks the build makes
+    fill the graph's neighbour memos without it, and nothing under it takes
+    it again, so it is a plain lock."""
     _check_horizon(n_max)
     graph.check_state(target)
     declared = frozenset([target, *map(graph.check_state, rows)])

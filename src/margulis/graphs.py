@@ -16,11 +16,18 @@ import json
 import operator
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
 StateId = str
 
 _PATH_CAP = 256  # longest connecting path searched on generated graphs
+# Most states one graph admits; ShiftGraph._admit raises ValueError past it.
+# A walk holds ~0.45 KB a state (tracemalloc over a 40,002-state ladder ball),
+# so a graph stays near 45 MB.  The suite's largest graph, renewal, has 2,017
+# states, and the ladder at counting._MAX_HORIZON admits 8,001 (count_words at
+# n = 4000).  An unbounded ladder ball reaches the budget in 0.34-0.44 s, and
+# `margulis shift ball` on it exits 2 at ~75 MB peak RSS.
+_STATE_BUDGET = 100_000
 
 
 class StructuralViolation(Exception):
@@ -37,17 +44,22 @@ class ShiftGraph:
     Finite graphs carry their state list; generated graphs have none and are
     explored through their successor/predecessor functions.  Every graph
     decides which labels are states by its ``contains_fn`` (a finite graph
-    passes its state set's).  Explored neighborhoods are memoized under a
-    lock so concurrent callers see bitwise-identical results.  Each state
-    is checked once per graph (a state that passes joins ``_checked``); a
-    non-state fails every time.
+    passes its state set's).  Explored neighborhoods are memoized without a
+    lock: the neighbour functions are pure, so two threads that fill one
+    state build equal tuples and the first one stored is kept, and the memos
+    and ``_checked`` are only ever added to, so concurrent callers see
+    bitwise-identical results.  Within one thread each state is checked
+    once per graph (a state that passes joins ``_checked``; two racing
+    threads may both check it); a non-state fails every time.  A graph
+    admits at most ``_STATE_BUDGET`` states.
     ``_into_memo`` holds, per target, the backward walk counts of
     ``counting.counts_into``: a whole row for the anchor of the target and
     of each state a caller declared, and each other state it meets as an
     (anchor, offset) alias of the target or of one state of a set of states
     of out-degree other than one with equal successors.  Each is built once
     for one horizon and one declared set and never changed; a call it cannot
-    prove exact builds a new one under the same lock and replaces it.
+    prove exact builds a new one and replaces it.  ``_lock`` guards that
+    replacement and nothing else.
     """
 
     def __init__(
@@ -72,7 +84,7 @@ class ShiftGraph:
         self._pred_memo: dict[StateId, tuple[StateId, ...]] = {}
         self._into_memo: dict = {}  # target -> counting._IntoMemo
         self._checked: set[StateId] = set()
-        self._lock = threading.RLock()  # counts_into holds it while _fill takes it
+        self._lock = threading.Lock()  # counts_into's memo replacement; nothing re-enters it
 
     # -- basic queries ------------------------------------------------------
 
@@ -91,8 +103,7 @@ class ShiftGraph:
 
     def check_state(self, s: StateId) -> StateId:
         if s not in self._checked:
-            with self._lock:
-                self._admit(s)
+            self._admit(s)
         return s
 
     def successors(self, s: StateId) -> tuple[StateId, ...]:
@@ -106,26 +117,27 @@ class ShiftGraph:
     def _fill(self, memo: dict, fn: Callable, s: StateId) -> tuple[StateId, ...]:
         """Memoize ``fn(s)``.  ``s`` is checked before ``fn`` sees it and every
         state ``fn`` returns before the memo keeps it, so every memo key and
-        entry is a state."""
+        entry is a state.  A racing fill of ``s`` built an equal tuple; the
+        one stored first is returned."""
         checked = self._checked
-        with self._lock:
-            out = memo.get(s)
-            if out is None:
-                if s not in checked:
-                    self._admit(s)
-                out = tuple(fn(s))
-                for t in out:
-                    if t not in checked:
-                        self._admit(t)
-                memo[s] = out
-        return out
+        if s not in checked:
+            self._admit(s)
+        out = tuple(fn(s))
+        for t in out:
+            if t not in checked:
+                self._admit(t)
+        return memo.setdefault(s, out)
 
     def _admit(self, s: StateId) -> None:
-        """Add ``s`` to ``_checked``, or raise KeyError if it is no state;
-        the caller holds the lock."""
-        if not self.contains(s):
+        """Add ``s`` to ``_checked``; KeyError if it is no state, ValueError
+        once the graph holds ``_STATE_BUDGET`` states."""
+        if not self._contains_fn(s):
             raise KeyError(f"unknown state {s!r}")
-        self._checked.add(s)
+        checked = self._checked
+        if len(checked) >= _STATE_BUDGET:
+            raise ValueError(f"{self!r} exceeds its state budget of {_STATE_BUDGET} "
+                             f"states at {s!r}")
+        checked.add(s)
 
     def has_edge(self, a: StateId, b: StateId) -> bool:
         return b in self.successors(a)
@@ -191,12 +203,10 @@ def validate_graph(graph: ShiftGraph, radius: int = 0) -> GraphReport:
     # a radius that is no integer, for which no level would be in the region
     levels = cap if graph.is_finite else max(cap, operator.index(radius))
     fwd, bwd = (_reachable(graph, (graph.base,), levels, forward) for forward in (True, False))
-    if graph.is_finite:
-        region = frozenset(graph.states)
-    else:
-        region = frozenset(s for walk in (fwd, bwd) for s, k in walk.items() if k <= radius)
+    region = sorted(set(graph.states) if graph.is_finite else
+                    {s for walk in (fwd, bwd) for s, k in walk.items() if k <= radius})
     max_out = max_in = 0
-    for s in sorted(region):
+    for s in region:
         out, into = graph.successors(s), graph.predecessors(s)
         od, idg = len(out), len(into)
         if graph.degree_bound is not None and max(od, idg) > graph.degree_bound:
@@ -214,7 +224,7 @@ def validate_graph(graph: ShiftGraph, radius: int = 0) -> GraphReport:
         max_out = max(max_out, od)
         max_in = max(max_in, idg)
 
-    witness = next((s for s in sorted(region)
+    witness = next((s for s in region
                     if fwd.get(s, cap + 1) > cap or bwd.get(s, cap + 1) > cap), None)
     return GraphReport(max_out, max_in, witness is None, len(region), witness)
 
@@ -277,16 +287,68 @@ def build_finite_graph(states: Sequence[StateId], edges: Iterable[tuple[StateId,
     )
 
 
-def _pair(s: StateId, prefix: str) -> tuple[int, int]:
-    """The integers (i, j) of a label written exactly ``f"{prefix}{i},{j})"``,
-    or (-1, -1) for any other string: a label with a sign, a space or a
-    leading zero is not the canonical form of a state, so it names none."""
+def _keyed_graph(base: Hashable, fmt: Callable[[Hashable], StateId],
+                 parse: Callable[[StateId], Optional[Hashable]],
+                 valid: Callable[[Hashable], bool],
+                 succ: Callable[[Hashable], Iterable[Hashable]],
+                 pred: Callable[[Hashable], Iterable[Hashable]],
+                 *, degree_bound: int, name: str) -> ShiftGraph:
+    """A generated graph whose states are the keys ``valid`` accepts, the
+    state of key k labelled ``fmt(k)``; ``succ`` and ``pred`` map a state's
+    key to its neighbours' keys, and ``fmt`` is one-to-one.
+
+    One ``label -> key`` dict serves every label: a label is recorded with
+    its key as it is formatted, so admitting a neighbour costs one format,
+    one ``valid`` call and one dict store and parses nothing.  Its inverse
+    is fmt's memo, so a neighbour met again (each is met as a successor and
+    as a predecessor) is not formatted again.  Any other label (from a
+    file, the command line or a caller) is parsed once and names a state
+    only if it is canonical, ``fmt(parse(s)) == s``, so "l(03,1)" or
+    "(+1,1)" is no state.  ``valid`` runs on the key of every label before
+    it is admitted, found in the dict or not, so a neighbour key that a
+    generator bug makes up is no state.
+    """
+    keys: dict[StateId, Hashable] = {}
+    labels: dict[Hashable, StateId] = {}  # the inverse of keys
+
+    def contains(s: StateId) -> bool:
+        key = keys.get(s)
+        if key is None:
+            key = parse(s)
+            if key is None or not valid(key) or fmt(key) != s:
+                return False
+            keys[s] = key
+            labels[key] = s
+            return True
+        return valid(key)
+
+    def neighbours(step: Callable[[Hashable], Iterable[Hashable]]
+                   ) -> Callable[[StateId], list[StateId]]:
+        def labelled(s: StateId) -> list[StateId]:
+            out = []
+            for key in step(keys[s]):
+                t = labels.get(key)
+                if t is None:
+                    t = labels[key] = fmt(key)
+                    keys[t] = key
+                out.append(t)
+            return out
+        return labelled
+
+    return ShiftGraph(fmt(base), neighbours(succ), neighbours(pred),
+                      degree_bound=degree_bound, contains_fn=contains, name=name)
+
+
+def _parse_pair(s: StateId, prefix: str) -> Optional[tuple[int, int]]:
+    """The integers (i, j) of a label ``f"{prefix}{i},{j})"``, in any form
+    ``int`` reads; None for a label of another shape."""
+    if not (s.startswith(prefix) and s.endswith(")")):
+        return None
     try:
-        a, b = s[len(prefix):-1].split(",")
-        i, j = int(a), int(b)
+        i, j = s[len(prefix):-1].split(",")
+        return int(i), int(j)
     except ValueError:
-        return -1, -1
-    return (i, j) if s == f"{prefix}{i},{j})" else (-1, -1)
+        return None
 
 
 def _renewal_graph(max_len: int = 64) -> ShiftGraph:
@@ -296,68 +358,60 @@ def _renewal_graph(max_len: int = 64) -> ShiftGraph:
     ``max_len`` truncates the loop family; every count of words with at most
     ``max_len`` edges agrees exactly with the untruncated graph.  It is at
     most ``_PATH_CAP + 1``, so every state reaches ``b`` within the
-    ``_PATH_CAP`` edges that ``validate_graph`` searches.
+    ``_PATH_CAP`` edges that ``validate_graph`` searches.  The key of
+    l(n,k) is (n, k) and that of ``b`` is (0, 0).
     """
     if not 2 <= max_len <= _PATH_CAP + 1:
         raise ValueError(f"renewal needs 2 <= max_len <= {_PATH_CAP + 1}; got {max_len}")
+    b = (0, 0)
+    loop_starts = (b, *((n, 1) for n in range(2, max_len + 1)))
+    loop_ends = (b, *((n, n - 1) for n in range(2, max_len + 1)))
 
-    # (n, k) of each label contains accepted; ShiftGraph checks a state
-    # before it asks for its neighbours, so succ and pred find it here
-    loops: dict[StateId, tuple[int, int]] = {}
+    def fmt(key: tuple[int, int]) -> StateId:
+        return "b" if key == b else f"l({key[0]},{key[1]})"
 
-    def contains(s: StateId) -> bool:
-        if s == "b":
-            return True
-        n, k = _pair(s, "l(")
-        if 2 <= n <= max_len and 1 <= k < n:
-            loops[s] = (n, k)
-            return True
-        return False
+    def valid(key: tuple[int, int]) -> bool:
+        n, k = key
+        return 2 <= n <= max_len and 1 <= k < n or key == b
 
-    def succ(s: StateId) -> tuple[StateId, ...]:
-        if s == "b":
-            return ("b", *(f"l({n},1)" for n in range(2, max_len + 1)))
-        n, k = loops[s]
-        return (f"l({n},{k + 1})",) if k < n - 1 else ("b",)
+    def succ(key: tuple[int, int]) -> tuple[tuple[int, int], ...]:
+        if key == b:
+            return loop_starts
+        n, k = key
+        return ((n, k + 1),) if k < n - 1 else (b,)
 
-    def pred(s: StateId) -> tuple[StateId, ...]:
-        if s == "b":
-            return ("b", *(f"l({n},{n - 1})" for n in range(2, max_len + 1)))
-        n, k = loops[s]
-        return (f"l({n},{k - 1})",) if k > 1 else ("b",)
+    def pred(key: tuple[int, int]) -> tuple[tuple[int, int], ...]:
+        if key == b:
+            return loop_ends
+        n, k = key
+        return ((n, k - 1),) if k > 1 else (b,)
 
-    return ShiftGraph("b", succ, pred, degree_bound=max_len,
-                      contains_fn=contains, name="renewal")
+    return _keyed_graph(b, fmt, lambda s: b if s == "b" else _parse_pair(s, "l("),
+                        valid, succ, pred, degree_bound=max_len, name="renewal")
 
 
 def _ladder_graph() -> ShiftGraph:
     """Two-colored half-line: up moves choose a color, down moves are forced.
 
     States (n,c) with n >= 0 and c in {1,2}; edges (n,c)->(n+1,1),
-    (n,c)->(n+1,2), and (n,c)->(n-1,1) for n >= 1.
+    (n,c)->(n+1,2), and (n,c)->(n-1,1) for n >= 1.  The key of (n,c) is
+    the pair (n, c).
     """
 
-    rungs: dict[StateId, tuple[int, int]] = {}  # (n, c) of each label contains accepted
+    def succ(key: tuple[int, int]) -> tuple[tuple[int, int], ...]:
+        n = key[0]
+        up = ((n + 1, 1), (n + 1, 2))
+        return (*up, (n - 1, 1)) if n else up
 
-    def contains(s: StateId) -> bool:
-        n, c = _pair(s, "(")
-        if n >= 0 and c in (1, 2):
-            rungs[s] = (n, c)
-            return True
-        return False
+    def pred(key: tuple[int, int]) -> tuple[tuple[int, int], ...]:
+        n, c = key
+        out = ((n - 1, 1), (n - 1, 2)) if n else ()
+        return (*out, (n + 1, 1), (n + 1, 2)) if c == 1 else out
 
-    def succ(s: StateId) -> tuple[StateId, ...]:
-        n, _ = rungs[s]
-        up = (f"({n + 1},1)", f"({n + 1},2)")
-        return (*up, f"({n - 1},1)") if n >= 1 else up
-
-    def pred(s: StateId) -> tuple[StateId, ...]:
-        n, c = rungs[s]
-        out = (f"({n - 1},1)", f"({n - 1},2)") if n >= 1 else ()
-        return (*out, f"({n + 1},1)", f"({n + 1},2)") if c == 1 else out
-
-    return ShiftGraph("(0,1)", succ, pred, degree_bound=4,
-                      contains_fn=contains, name="ladder")
+    return _keyed_graph((0, 1), lambda key: f"({key[0]},{key[1]})",
+                        lambda s: _parse_pair(s, "("),
+                        lambda key: key[0] >= 0 and key[1] in (1, 2),
+                        succ, pred, degree_bound=4, name="ladder")
 
 
 def _full_graph(symbols: int = 2) -> ShiftGraph:

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from margulis import cli
+from margulis import cli, graphs
 from margulis.cli import build_parser, main
 from margulis.graphs import StructuralViolation
 from margulis.suite import run_suite
@@ -105,6 +105,21 @@ def test_unknown_state_message_is_unquoted(capsys):
     out, err = capsys.readouterr()
     assert err == "error: unknown state 'zzz'\n"
     assert out == ""
+
+
+@pytest.mark.parametrize("command", [
+    ["shift", "ball", "--fixture", "ladder", "--center", "(0,1)", "--radius", "10000000"],
+    ["thermo", "harmonic", "--fixture", "ladder", "--method", "sarig", "--base", "(0,1)",
+     "--h", "1.0397207708399179", "--n", "80", "--radius", "10000000"],
+])
+def test_a_walk_past_the_state_budget_exits_2(monkeypatch, capsys, command):
+    # the budget is cut to 1,000 states so that the walk ends at once
+    monkeypatch.setattr(graphs, "_STATE_BUDGET", 1000)
+    assert main(command) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: ShiftGraph(generated 'ladder', base='(0,1)') exceeds its state "
+                   "budget of 1000 states at '(500,2)'\n")
 
 
 def test_measure_verify_rejects_bad_families(tmp_path, capsys):

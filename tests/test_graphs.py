@@ -1,5 +1,6 @@
 import json
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -355,6 +356,61 @@ def test_generated_graphs_accept_only_canonical_labels():
     for g, s, t in ((renewal, "l(3,1)", "l(3,2)"), (renewal, "l(64,63)", "b"),
                     (ladder, "(10,2)", "(11,1)"), (ladder, "(0,1)", "(1,2)")):
         assert g.check_state(s) == s and s in g.predecessors(t) and t in g.successors(s)
+
+
+def _line_graph():
+    """States 0, 1, 2 on a line, built on the keyed core, with a bug: the
+    successor of 2 is key 3, which ``valid`` rejects."""
+    return graphs._keyed_graph(0, str, lambda s: int(s) if s.isdecimal() else None,
+                               lambda k: 0 <= k <= 2, lambda k: (k + 1,),
+                               lambda k: (k - 1,) if k else (), degree_bound=1, name="line")
+
+
+def test_a_neighbour_key_that_valid_rejects_is_no_state():
+    g = _line_graph()
+    assert g.successors("1") == ("2",) and g.predecessors("2") == ("1",)
+    for _ in range(2):  # the label is recorded as formatted, and fails every time
+        with pytest.raises(KeyError, match="unknown state '3'"):
+            g.successors("2")
+        assert "2" not in g._succ_memo and "3" not in g._checked
+    assert g.contains("3") is False and g.contains("03") is False
+    assert g.predecessors("0") == () and g._checked == {"0", "1", "2"}
+
+
+def _keyed_parts(spec):
+    """A fresh graph built from ``spec`` and the (fmt, parse, valid) its
+    generator passed to the keyed core."""
+    parts = []
+    core = graphs._keyed_graph
+
+    def spy(base, fmt, parse, valid, *args, **kwargs):
+        parts.append((fmt, parse, valid))
+        return core(base, fmt, parse, valid, *args, **kwargs)
+
+    with mock.patch.object(graphs, "_keyed_graph", spy):
+        g = build_graph(spec)
+    return (g, *parts[0])
+
+
+_ints = st.integers(-3, 300) | st.sampled_from([0, 1, 2, 10 ** 30, -(10 ** 30)])
+
+
+@given(max_len=st.integers(2, 257), key=st.tuples(_ints, _ints))
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_keyed_generators_round_trip_and_admit_exactly_the_valid_keys(max_len, key):
+    n, k = key
+    for spec, expect in (
+        ({"kind": "generator", "name": "renewal", "params": {"max_len": max_len}},
+         key == (0, 0) or (2 <= n <= max_len and 1 <= k < n)),
+        ({"kind": "generator", "name": "ladder"}, n >= 0 and k in (1, 2)),
+    ):
+        g, fmt, parse, valid = _keyed_parts(spec)
+        assert valid(key) == expect, (spec["name"], key)
+        if expect:
+            assert parse(fmt(key)) == key
+        # on a fresh graph contains parses the label, so a label that two keys
+        # share would be accepted here for the invalid one
+        assert g.contains(fmt(key)) == expect, (spec["name"], key)
 
 
 @st.composite
