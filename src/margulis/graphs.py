@@ -205,24 +205,25 @@ def validate_graph(graph: ShiftGraph, radius: int = 0) -> GraphReport:
     fwd, bwd = (_reachable(graph, (graph.base,), levels, forward) for forward in (True, False))
     region = sorted(set(graph.states) if graph.is_finite else
                     {s for walk in (fwd, bwd) for s, k in walk.items() if k <= radius})
+    successors, predecessors, bound = graph.successors, graph.predecessors, graph.degree_bound
     max_out = max_in = 0
     for s in region:
-        out, into = graph.successors(s), graph.predecessors(s)
+        out, into = successors(s), predecessors(s)
         od, idg = len(out), len(into)
-        if graph.degree_bound is not None and max(od, idg) > graph.degree_bound:
-            raise StructuralViolation(
-                f"state {s!r} has degree {max(od, idg)} > bound {graph.degree_bound}"
-            )
+        if bound is not None and (od > bound or idg > bound):
+            raise StructuralViolation(f"state {s!r} has degree {max(od, idg)} > bound {bound}")
         for t in out:
-            if s not in graph.predecessors(t):
+            if s not in predecessors(t):
                 raise StructuralViolation(f"edge {s!r} -> {t!r}: {s!r} lists {t!r} as a "
                                           f"successor, but {t!r} lacks {s!r} as a predecessor")
         for t in into:
-            if s not in graph.successors(t):
+            if s not in successors(t):
                 raise StructuralViolation(f"edge {t!r} -> {s!r}: {s!r} lists {t!r} as a "
                                           f"predecessor, but {t!r} lacks {s!r} as a successor")
-        max_out = max(max_out, od)
-        max_in = max(max_in, idg)
+        if od > max_out:
+            max_out = od
+        if idg > max_in:
+            max_in = idg
 
     witness = next((s for s in region
                     if fwd.get(s, cap + 1) > cap or bwd.get(s, cap + 1) > cap), None)
@@ -234,14 +235,19 @@ def _reachable(graph: ShiftGraph, starts: Iterable[StateId], cap: int,
     """Each state reached from (``forward``) or reaching a state of
     ``starts`` within ``cap`` edges, with its level: the fewest edges that
     reach it from (or take it to) the nearest start.  Breadth-first; stops
-    early once a level adds no new state."""
-    step = graph.successors if forward else graph.predecessors
+    early once a level adds no new state.  A state's neighbours are read
+    from the graph's memo first, and filled through ``successors`` or
+    ``predecessors`` only on a miss, so a warm walk makes no method call."""
+    memo, fill = ((graph._succ_memo, graph.successors) if forward
+                  else (graph._pred_memo, graph.predecessors))
+    get = memo.get
     level = dict.fromkeys(starts, 0)
     frontier = list(level)
     for k in range(1, cap + 1):
         nxt = []
         for s in frontier:
-            for t in step(s):
+            out = get(s)
+            for t in fill(s) if out is None else out:
                 if t not in level:
                     level[t] = k
                     nxt.append(t)

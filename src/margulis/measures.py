@@ -117,6 +117,9 @@ def conformality_check(family: ConformalFamily, root: StateId, depth: int,
     psi(root), so the verdict does not depend on the scale of psi; ``tol``
     must be positive and finite.  A class whose last state has a successor
     psi misses cannot be checked: its cylinders are counted as skipped.
+    Children are summed with ``math.fsum``, except that a class whose last
+    state has one successor reads its one term as the sum: fsum returns a
+    single finite term exactly, so no bit moves.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -138,7 +141,7 @@ def conformality_check(family: ConformalFamily, root: StateId, depth: int,
             if values is None:
                 skipped += count
                 continue
-            total = math.fsum(below * v for v in values)
+            total = below * values[0] if len(values) == 1 else math.fsum(below * v for v in values)
             disc = abs(total - here * psi[last])
             checked += count
             if disc > worst:

@@ -31,7 +31,7 @@ from .counting import (
     counts_into,
     weighted_loop_sum,
 )
-from .graphs import ShiftGraph, StateId, ball
+from .graphs import ShiftGraph, StateId, _reachable, ball
 
 RECURRENT = "Recurrent"
 TRANSIENT_EVIDENCE = "TransientEvidence"
@@ -310,13 +310,20 @@ def harmonic_sarig(graph: ShiftGraph, a0: StateId, h: float, n_max: int,
     lower half of the partial sums removes the Cesaro bias of the raw ratio,
     which converges like 1/n; the windowed ratio converges at the rate of the
     underlying renewal sequence.
+
+    psi is declared on ``ball(a0, radius + 1)`` and its residual is checked
+    on ``ball(a0, radius)``.  Both balls are read off one walk each way from
+    a0 to ``radius + 1`` edges, by the levels of its states.
     """
     _positive_finite("h", h)
     if n_max < 4:
         raise ValueError("n_max must be >= 4")
     graph.check_state(a0)
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    walks = [_reachable(graph, (a0,), radius + 1, forward) for forward in (True, False)]
     m0 = n_max // 2
-    region = sorted(ball(graph, a0, radius + 1))
+    region = sorted({s for walk in walks for s in walk})
     into = counts_into(graph, a0, n_max, region)
     window = [(i, math.exp(-i * h)) for i in range(m0 + 1, n_max + 1)]
     # a state whose first path into a0 is longer than the window start has a
@@ -344,7 +351,8 @@ def harmonic_sarig(graph: ShiftGraph, a0: StateId, h: float, n_max: int,
         raise ValueError(f"no loops at {a0!r} within n_max={n_max}; denominator is zero")
     den = sums[a0]
     values = {s: v / den for s, v in sums.items()}
-    rep = check_harmonic(graph, values, h, ball(graph, a0, radius), tol=math.inf)
+    inner = {s for walk in walks for s, k in walk.items() if k <= radius}
+    rep = check_harmonic(graph, values, h, inner, tol=math.inf)
     return HarmonicFunction(values, h, rep.max_residual, "sarig",
                             meta={"a0": a0, "window": (m0 + 1, n_max), "radius": radius,
                                   "dropped": dropped})

@@ -45,6 +45,21 @@ def test_shift_validate_rejects_a_negative_radius_on_every_graph(capsys, fixture
     assert capsys.readouterr() == ("", "error: radius must be >= 0\n")
 
 
+@pytest.mark.parametrize("command", [
+    ["shift", "ball", "--fixture", "renewal", "--center", "b"],
+    ["shift", "ball", "--fixture", "ladder", "--center", "(0,1)"],
+    ["thermo", "harmonic", "--fixture", "renewal", "--method", "sarig", "--base", "b",
+     "--h", "0.6931471805599453", "--n", "60"],
+    ["thermo", "harmonic", "--fixture", "ladder", "--method", "sarig", "--base", "(0,1)",
+     "--h", "1.0397207708399179", "--n", "80"],
+    ["thermo", "harmonic", "--fixture", "ladder", "--method", "cyr", "--base", "(0,1)",
+     "--h", "1.03972", "--ray", "(0,1),(1,1),(2,1),(3,1),(4,1)"],
+], ids=["ball-renewal", "ball-ladder", "sarig-renewal", "sarig-ladder", "cyr-ladder"])
+def test_every_command_with_a_radius_rejects_a_negative_one(capsys, command):
+    assert main([*command, "--radius", "-1"]) == 2
+    assert capsys.readouterr() == ("", "error: radius must be >= 0\n")
+
+
 def test_structural_violation_exits_1(monkeypatch, capsys):
     def violate(graph, radius=0):
         raise StructuralViolation("x")

@@ -151,6 +151,25 @@ def test_reachable_gives_each_state_its_level():
         "(0,1)": 0, **{f"({n},{c})": n for n in range(1, 10) for c in (1, 2)}}
 
 
+def test_reachable_on_partly_filled_memos_matches_a_fresh_graph():
+    # a walk reads the memo first and fills only what it misses: the levels
+    # must not depend on which neighbourhoods earlier calls filled
+    for spec, starts in (
+            ({"kind": "generator", "name": "renewal", "params": {"max_len": 12}},
+             [("b",), ("l(7,3)",), ("l(12,6)", "b")]),
+            ({"kind": "generator", "name": "ladder"}, [("(0,1)",), ("(3,2)", "(5,1)")])):
+        for forward in (True, False):
+            for start in starts:
+                for cap in (0, 1, 3, 9, 20):
+                    warm = build_graph(spec)
+                    warm.successors(start[-1])
+                    warm.predecessors(start[0])
+                    ball(warm, start[0], 2)
+                    graphs._reachable(warm, start, cap // 2, forward)
+                    assert graphs._reachable(warm, start, cap, forward) \
+                        == graphs._reachable(build_graph(spec), start, cap, forward)
+
+
 def _validate_by_ball(g, radius):
     """The region and witness of ``validate_graph`` as its definition reads:
     ``ball(base, radius)``, and the first region state that a breadth-first

@@ -268,6 +268,39 @@ def test_conformality_counts_the_cylinders_a_hole_in_psi_skips():
     assert conformality_check(fam, "b", 8).cylinders_skipped == 0
 
 
+def _fsum_conformality(family, root, depth):
+    """conformality_check's class walk with every class summed by math.fsum,
+    kept as the reference its one-term sums match."""
+    graph, psi, h = family.graph, family.psi, family.h
+    worst, worst_class, checked, skipped = 0.0, None, 0, 0
+    for n, frontier in enumerate(_frontiers(family.successors, {root: 1}, depth)):
+        here, below = math.exp(-n * h), math.exp(-(n + 1) * h)
+        for last, count in frontier.items():
+            succ = graph.successors(last)
+            if not all(s in psi for s in succ):
+                skipped += count
+                continue
+            disc = abs(math.fsum(below * psi[s] for s in succ) - here * psi[last])
+            checked += count
+            if disc > worst:
+                worst, worst_class = disc, (n, last)
+    return ConsistencyReport(worst, worst_class, checked, worst < 1e-12 * psi[root], skipped)
+
+
+def test_one_term_sums_match_fsum():
+    fam = get_fixture("renewal").family()
+    holed = make_family(fam.graph, fam.h, {s: v for s, v in fam.psi.items() if s != "l(5,3)"})
+    for depth in range(1, 11):
+        assert conformality_check(holed, "b", depth) == _fsum_conformality(holed, "b", depth)
+    assert conformality_check(holed, "b", 8).cylinders_skipped == 61
+    # golden-mean's "1" has one successor, and e^{-n h} underflows to 0.0 by n = 1560
+    gm = golden_family()
+    assert math.exp(-1560 * gm.h) == 0.0 and len(gm.graph.successors("1")) == 1
+    for root in ("0", "1"):
+        for depth in (1, 8, 1560):
+            assert conformality_check(gm, root, depth) == _fsum_conformality(gm, root, depth)
+
+
 def test_checks_count_every_future_at_depth_30():
     # classes keep the checks linear in depth: billions of futures, counted exactly
     rep = conformality_check(get_fixture("renewal").family(), "b", 30)

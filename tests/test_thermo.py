@@ -318,12 +318,22 @@ def _table_first_sarig(graph, a0, h, n_max, radius):
                                       "radius": radius, "dropped": dropped}
 
 
-@pytest.mark.parametrize("name", ["renewal", "golden-mean", "full-2"])
-def test_harmonic_sarig_matches_the_table_first_loop_bit_for_bit(name):
+@pytest.mark.parametrize("name", ["renewal", "golden-mean", "full-2", "ladder"])
+def test_harmonic_sarig_matches_the_table_first_loop_bit_for_bit(name, monkeypatch):
+    # the reference reads its regions off ball(a0, radius + 1) and
+    # ball(a0, radius); harmonic_sarig off one walk each way to radius + 1
+    from margulis import thermo
+
+    walks = []
+    reachable = thermo._reachable
+    monkeypatch.setattr(thermo, "_reachable",
+                        lambda *a, **k: walks.append(a[2]) or reachable(*a, **k))
     fx = get_fixture(name)
     for n_max in (12, 40, 80):
-        for radius in (2, 6, 8):
+        for radius in range(9):
+            walks.clear()
             hs = harmonic_sarig(fx.graph(), fx.base, fx.entropy, n_max=n_max, radius=radius)
+            assert walks == [radius + 1, radius + 1]
             values, residual, meta = _table_first_sarig(fx.graph(), fx.base, fx.entropy,
                                                         n_max, radius)
             assert list(hs.values.items()) == list(values.items()), (n_max, radius)
@@ -351,6 +361,16 @@ def test_harmonic_sarig_matches_the_table_first_loop_past_900_bits():
     values, residual, meta = _table_first_sarig(fx.graph(), "0", fx.entropy, 1500, 1)
     assert list(hs.values.items()) == list(values.items())
     assert hs.residual == residual and hs.meta == meta
+
+
+def test_harmonic_sarig_rejects_a_negative_radius_before_walking(monkeypatch):
+    from margulis import thermo
+
+    monkeypatch.setattr(thermo, "_reachable", lambda *a, **k: pytest.fail("walked"))
+    g = get_fixture("renewal").graph()
+    with pytest.raises(ValueError, match=r"^radius must be >= 0$"):
+        harmonic_sarig(g, "b", LOG2, n_max=40, radius=-1)
+    assert not g._succ_memo and not g._pred_memo
 
 
 def test_harmonic_cyr_ladder():
