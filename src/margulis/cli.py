@@ -133,20 +133,29 @@ def _cmd_thermo_classify(args) -> int:
     return 0
 
 
+# the optional flags of `thermo harmonic` that each method reads; --base is read by all
+_HARMONIC_READS = {"eigen": (), "sarig": ("h", "n", "radius"), "cyr": ("h", "ray", "radius")}
+
+
 def _cmd_thermo_harmonic(args) -> int:
+    for flag in ("h", "ray", "n", "radius"):
+        if getattr(args, flag) is not None and flag not in _HARMONIC_READS[args.method]:
+            raise ValueError(f"--{flag} is not read by --method {args.method}")
     graph = _load_graph_arg(args)
     base = args.base if args.base is not None else graph.base
+    radius = 4 if args.radius is None else args.radius
     if args.method == "eigen":
         hf = thermo.harmonic_finite(graph, base)
     elif args.method == "sarig":
         if args.h is None:
             raise ValueError("--h is required for the sarig method")
-        hf = thermo.harmonic_sarig(graph, base, args.h, args.n, radius=args.radius)
+        hf = thermo.harmonic_sarig(graph, base, args.h, 40 if args.n is None else args.n,
+                                   radius=radius)
     else:  # cyr: argparse's choices admit no other method
         if args.h is None or not args.ray:
             raise ValueError("--h and --ray are required for the cyr method")
         ray = split_states(args.ray)
-        hf = thermo.harmonic_cyr(graph, base, ray, args.h, radius=args.radius)
+        hf = thermo.harmonic_cyr(graph, base, ray, args.h, radius=radius)
     _emit_json({
         "method": hf.method,
         "h": hf.h,
@@ -275,10 +284,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_args(ha)
     ha.add_argument("--method", choices=["eigen", "sarig", "cyr"], required=True)
     ha.add_argument("--base")
-    ha.add_argument("--h", type=float)
-    ha.add_argument("--ray", help="comma-separated injective forward path")
-    ha.add_argument("--n", type=int, default=40)
-    ha.add_argument("--radius", type=int, default=4)
+    ha.add_argument("--h", type=float, help="sarig and cyr only")
+    ha.add_argument("--ray", help="comma-separated injective forward path; cyr only")
+    ha.add_argument("--n", type=int, help="sarig only (default 40)")
+    ha.add_argument("--radius", type=int, help="sarig and cyr only (default 4)")
     ha.set_defaults(func=_cmd_thermo_harmonic)
 
     me = sub.add_parser("measure", help="conformal cylinder measures")

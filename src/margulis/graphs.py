@@ -166,11 +166,22 @@ def ball(graph: ShiftGraph, center: StateId, radius: int) -> frozenset[StateId]:
 
     Monotone in ``radius`` and deterministic; exact on generated graphs.
     """
+    return frozenset(_distances(graph, center, radius))
+
+
+def _distances(graph: ShiftGraph, center: StateId, radius: int) -> dict[StateId, int]:
+    """Each state of ``ball(center, radius)`` with its distance: the fewer
+    edges of a path from ``center`` to it or from it to ``center``.  One
+    walk each way, so the states of ``ball(center, r)`` for every r <=
+    ``radius`` are those at distance <= r."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
     graph.check_state(center)
-    return frozenset(_reachable(graph, (center,), radius, forward=True).keys()
-                     | _reachable(graph, (center,), radius, forward=False).keys())
+    dist = _reachable(graph, (center,), radius, forward=True)
+    for s, k in _reachable(graph, (center,), radius, forward=False).items():
+        if k < dist.get(s, k + 1):
+            dist[s] = k
+    return dist
 
 
 @dataclass

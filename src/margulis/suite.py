@@ -97,7 +97,7 @@ def run_suite(fixture: str, config: SuiteConfig | None = None) -> Report:
         report.check_leq(f"{fixture}/cyr_residual", hc.residual, 1e-3)
 
     if fx.psi is not None and fx.entropy is not None and fx.entropy > 0:
-        family = fx.family()
+        family = measures.make_family(graph, fx.entropy, fx.psi)
         con = measures.conformality_check(family, fx.base, min(config.depth, 8))
         report.check_leq(f"{fixture}/conformality", con.max_discrepancy, 1e-12)
         sup = measures.support_check(family, fx.base, min(config.depth, 6))

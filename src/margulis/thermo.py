@@ -31,7 +31,7 @@ from .counting import (
     counts_into,
     weighted_loop_sum,
 )
-from .graphs import ShiftGraph, StateId, _reachable, ball
+from .graphs import ShiftGraph, StateId, _distances
 
 RECURRENT = "Recurrent"
 TRANSIENT_EVIDENCE = "TransientEvidence"
@@ -245,8 +245,8 @@ def check_harmonic(graph: ShiftGraph, values: Mapping[StateId, float], h: float,
     states of ``region`` (default: every state of psi).
 
     A state is checkable when psi is positive there and :func:`ruelle_apply`
-    applies L0 there, i.e. psi covers all of its successors (psi on a
-    radius+1 ball makes every radius-ball state checkable).
+    applies L0 there, i.e. psi covers all of its successors (psi on every
+    state within radius + 1 edges makes each state within radius checkable).
     """
     l0 = ruelle_apply(graph, values)
     worst, worst_state, checked = 0.0, None, 0
@@ -311,9 +311,9 @@ def harmonic_sarig(graph: ShiftGraph, a0: StateId, h: float, n_max: int,
     which converges like 1/n; the windowed ratio converges at the rate of the
     underlying renewal sequence.
 
-    psi is declared on ``ball(a0, radius + 1)`` and its residual is checked
-    on ``ball(a0, radius)``.  Both balls are read off one walk each way from
-    a0 to ``radius + 1`` edges, by the levels of its states.
+    psi is declared on the states within ``radius + 1`` edges of a0, either
+    way, and its residual is checked on those within ``radius``: both
+    regions are read off one distance map from a0.
     """
     _positive_finite("h", h)
     if n_max < 4:
@@ -321,9 +321,9 @@ def harmonic_sarig(graph: ShiftGraph, a0: StateId, h: float, n_max: int,
     graph.check_state(a0)
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    walks = [_reachable(graph, (a0,), radius + 1, forward) for forward in (True, False)]
+    dist = _distances(graph, a0, radius + 1)
     m0 = n_max // 2
-    region = sorted({s for walk in walks for s in walk})
+    region = sorted(dist)
     into = counts_into(graph, a0, n_max, region)
     window = [(i, math.exp(-i * h)) for i in range(m0 + 1, n_max + 1)]
     # a state whose first path into a0 is longer than the window start has a
@@ -351,8 +351,8 @@ def harmonic_sarig(graph: ShiftGraph, a0: StateId, h: float, n_max: int,
         raise ValueError(f"no loops at {a0!r} within n_max={n_max}; denominator is zero")
     den = sums[a0]
     values = {s: v / den for s, v in sums.items()}
-    inner = {s for walk in walks for s, k in walk.items() if k <= radius}
-    rep = check_harmonic(graph, values, h, inner, tol=math.inf)
+    rep = check_harmonic(graph, values, h, [s for s, k in dist.items() if k <= radius],
+                         tol=math.inf)
     return HarmonicFunction(values, h, rep.max_residual, "sarig",
                             meta={"a0": a0, "window": (m0 + 1, n_max), "radius": radius,
                                   "dropped": dropped})
@@ -387,7 +387,7 @@ def _has_cycle(A: np.ndarray) -> bool:
 
 
 def _green_function(graph: ShiftGraph, h: float, w: StateId,
-                    region: Sequence[StateId]) -> tuple[dict[StateId, int], np.ndarray]:
+                    region: Iterable[StateId]) -> tuple[dict[StateId, int], np.ndarray]:
     """G(R, w) = sum_i exp(-i h) Z_i(R, w) restricted to paths inside region.
 
     Computed exactly (all path lengths at once) as one resolvent solve
@@ -411,12 +411,17 @@ def harmonic_cyr(graph: ShiftGraph, a0: StateId, ray: Sequence[StateId], h: floa
     """Harmonic function on a transient shift via Green's-function ratios.
 
     psi(R) = G(R, w) / G(a0, w) at the ray's last state w, from one resolvent
-    solve on the ball of radius ``radius + len(ray) + 10`` around a0.  The
-    ray must be an admissible injective forward path inside that ball.  A
-    column that is not positive means h lies below the critical value of the
-    truncated region, and raises ValueError.
+    solve on the states within ``radius + len(ray) + 10`` edges of a0, either
+    way.  The ray must be an admissible injective forward path inside that
+    region.  A column that is not positive means h lies below the critical
+    value of the truncated region, and raises ValueError.  psi is declared
+    on the states within ``radius + 1`` edges and its residual is checked
+    on those within ``radius``: all three regions are read off one distance
+    map from a0.
     """
     _positive_finite("h", h)
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
     ray = [graph.check_state(s) for s in ray]
     if len(set(ray)) != len(ray):
         raise ValueError("ray must be injective (pairwise distinct states)")
@@ -426,12 +431,12 @@ def harmonic_cyr(graph: ShiftGraph, a0: StateId, ray: Sequence[StateId], h: floa
     graph.check_state(a0)
     if not ray:
         raise ValueError("empty ray")
-    region = ball(graph, a0, radius + len(ray) + 10)
+    dist = _distances(graph, a0, radius + len(ray) + 10)
     for s in ray:
-        if s not in region:
+        if s not in dist:
             raise ValueError(f"ray state {s!r} outside the solve region")
     w = ray[-1]
-    idx, g = _green_function(graph, h, w, region)
+    idx, g = _green_function(graph, h, w, dist)
     den = g[idx[a0]]
     if den < 0.0 or g.min() < -_GREEN_ROUNDOFF * np.abs(g).max():
         raise ValueError(f"truncated resolvent is not positive (G({a0!r}, {w!r}) = {den:.6g}, "
@@ -439,8 +444,9 @@ def harmonic_cyr(graph: ShiftGraph, a0: StateId, ray: Sequence[StateId], h: floa
                          f"of the solve region")
     if den == 0.0:
         raise ValueError(f"ray state {w!r} unreachable from {a0!r}: zero denominator")
-    values = {s: float(g[idx[s]] / den) for s in sorted(ball(graph, a0, radius + 1))
-              if g[idx[s]] > 0.0}
-    rep = check_harmonic(graph, values, h, ball(graph, a0, radius), tol=math.inf)
+    values = {s: float(g[i] / den) for s, i in idx.items()
+              if dist[s] <= radius + 1 and g[i] > 0.0}
+    rep = check_harmonic(graph, values, h, [s for s, k in dist.items() if k <= radius],
+                         tol=math.inf)
     return HarmonicFunction(values, h, rep.max_residual, "cyr",
                             meta={"a0": a0, "ray_index": len(ray) - 1, "radius": radius})

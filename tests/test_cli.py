@@ -521,6 +521,37 @@ def test_harmonic_cyr_rejects_a_nan_h(capsys):
     assert "h must be positive and finite; h = nan" in err
 
 
+_GOLDEN_HARMONIC = ["thermo", "harmonic", "--fixture", "golden-mean"]
+
+
+@pytest.mark.parametrize("method,flags,flag", [
+    ("eigen", ["--h", "9", "--radius", "5", "--n", "3", "--ray", "x"], "--h"),
+    ("eigen", ["--ray", ""], "--ray"),
+    ("eigen", ["--n", "3"], "--n"),
+    ("eigen", ["--radius", "5"], "--radius"),
+    ("sarig", ["--h", "0.5", "--ray", "0,1"], "--ray"),
+    ("cyr", ["--h", "0.5", "--ray", "0,1", "--n", "40"], "--n"),
+])
+def test_harmonic_refuses_a_flag_its_method_never_reads(capsys, method, flags, flag):
+    err = _usage_error(capsys, [*_GOLDEN_HARMONIC, "--method", method, *flags])
+    assert err == f"error: {flag} is not read by --method {method}\n"
+
+
+@pytest.mark.parametrize("command,defaults", [
+    (["--fixture", "renewal", "--method", "sarig", "--h", "0.6931471805599453"],
+     ["--n", "40", "--radius", "4"]),
+    (["--fixture", "ladder", "--method", "cyr", "--h", "1.0397207708399179",
+      "--ray", "(0,1),(1,1),(2,1),(3,1),(4,1)"], ["--radius", "4"]),
+], ids=["sarig", "cyr"])
+def test_harmonic_defaults_live_in_the_method_branch(capsys, command, defaults):
+    # generated graphs, so that every other radius or horizon gives other values
+    outs = []
+    for extra in ([], defaults):
+        assert main(["thermo", "harmonic", *command, *extra]) == 0
+        outs.append(capsys.readouterr())
+    assert outs[0] == outs[1] and outs[0].err == ""
+
+
 def test_harmonic_sarig_rejects_a_nan_h(capsys):
     err = _usage_error(capsys, ["thermo", "harmonic", "--fixture", "renewal", "--method",
                                 "sarig", "--h", "nan", "--n", "20", "--radius", "4"])

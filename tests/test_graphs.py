@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 from unittest import mock
 
@@ -15,6 +16,8 @@ from margulis.graphs import (
     is_admissible,
     validate_graph,
 )
+from margulis.fixtures import PHI, get_fixture
+from margulis.thermo import harmonic_cyr, harmonic_sarig
 
 
 def golden():
@@ -207,15 +210,74 @@ def test_validate_rejects_a_radius_that_is_no_integer(radius):
         validate_graph(ladder, radius)
 
 
-def test_validate_walks_once_each_way(monkeypatch):
+def _renewal12():
+    return build_graph({"kind": "generator", "name": "renewal", "params": {"max_len": 12}})
+
+
+def _ladder():
+    return build_graph({"kind": "generator", "name": "ladder"})
+
+
+_LADDER_H = get_fixture("ladder").entropy
+_LADDER_RAY = [f"({k},1)" for k in range(13)]
+
+# region -> (its graph, the call, the cap of each walk); each call walks once
+# forward and once backward.  validate_graph walks the whole finite graph, or
+# _PATH_CAP edges on a generated one.  harmonic_cyr walks to its solve
+# region's radius + len(ray) + 10 edges, which holds its other two regions.
+WALKS = {
+    "validate-renewal": (_renewal12, lambda g: validate_graph(g, radius=6), graphs._PATH_CAP),
+    "validate-ladder": (_ladder, lambda g: validate_graph(g, radius=6), graphs._PATH_CAP),
+    "validate-golden-mean": (golden, lambda g: validate_graph(g, radius=6), 2),
+    "ball-renewal": (_renewal12, lambda g: ball(g, "b", 5), 5),
+    "ball-ladder": (_ladder, lambda g: ball(g, "(3,2)", 0), 0),
+    "sarig-renewal": (_renewal12, lambda g: harmonic_sarig(g, "b", math.log(2), 40, radius=6), 7),
+    "sarig-golden-mean": (golden, lambda g: harmonic_sarig(g, "0", math.log(PHI), 40, radius=2), 3),
+    "cyr-ladder": (_ladder, lambda g: harmonic_cyr(g, "(0,1)", _LADDER_RAY, _LADDER_H, radius=3),
+                   3 + 13 + 10),
+    "cyr-ladder-radius-0": (_ladder, lambda g: harmonic_cyr(g, "(0,1)", _LADDER_RAY[:5],
+                                                            _LADDER_H, radius=0), 0 + 5 + 10),
+}
+
+
+@pytest.mark.parametrize("region", WALKS)
+def test_each_region_is_one_walk_each_way(monkeypatch, region):
+    make, call, cap = WALKS[region]
     calls = []
     reachable = graphs._reachable
-    monkeypatch.setattr(graphs, "_reachable", lambda *a, **k: calls.append(a) or reachable(*a, **k))
-    for g in (build_graph({"kind": "generator", "name": "renewal", "params": {"max_len": 12}}),
-              build_graph({"kind": "generator", "name": "ladder"}), golden()):
-        calls.clear()
-        validate_graph(g, radius=6)
-        assert len(calls) == 2, g
+
+    def spy(graph, starts, levels, forward):
+        calls.append((forward, levels))
+        return reachable(graph, starts, levels, forward)
+
+    monkeypatch.setattr(graphs, "_reachable", spy)
+    call(make())
+    assert calls == [(True, cap), (False, cap)]
+
+
+@pytest.mark.parametrize("make,centers", [
+    (_renewal12, ["b", "l(7,3)", "l(12,11)"]),
+    (_ladder, ["(0,1)", "(0,2)", "(4,2)"]),
+    (golden, ["0", "1"]),
+    (lambda: build_graph({"kind": "generator", "name": "full", "params": {"symbols": 2}}),
+     ["0", "1"]),
+], ids=["renewal", "ladder", "golden-mean", "full-2"])
+def test_distances_are_the_nearer_of_the_two_levels(make, centers):
+    for center in centers:
+        for radius in range(12):
+            fwd, bwd = (graphs._reachable(make(), (center,), radius, forward)
+                        for forward in (True, False))
+            dist = graphs._distances(make(), center, radius)
+            assert dist == {s: min(fwd.get(s, radius + 1), bwd.get(s, radius + 1))
+                            for s in fwd.keys() | bwd.keys()}, (center, radius)
+            assert dist.keys() == ball(make(), center, radius)
+
+
+def test_distances_reject_a_negative_radius_and_an_unknown_center():
+    with pytest.raises(ValueError, match=r"^radius must be >= 0$"):
+        graphs._distances(golden(), "0", -1)
+    with pytest.raises(KeyError):
+        graphs._distances(golden(), "7", 1)
 
 
 def test_degree_bound_violation():

@@ -7,7 +7,7 @@ import dataclasses
 
 import pytest
 
-from margulis import fixtures, torus
+from margulis import measures, torus
 from margulis.fixtures import FIXTURES
 from margulis.measures import make_family
 from margulis.suite import SuiteConfig, run_suite
@@ -45,11 +45,11 @@ def _renewal_loops_up_to(max_len: int):
 def _renewal_psi_without(state: str):
     """Patch the renewal fixture's family: psi without ``state``.  The graph
     and the psi that ``renewal/sarig_vs_exact`` compares against keep it."""
-    make_family = fixtures.make_family
+    make_family = measures.make_family
 
     def family(graph, h, psi):
         return make_family(graph, h, {s: v for s, v in psi.items() if s != state})
-    return lambda monkeypatch: monkeypatch.setattr(fixtures, "make_family", family)
+    return lambda monkeypatch: monkeypatch.setattr(measures, "make_family", family)
 
 
 def _verdicts(suite: str) -> dict:

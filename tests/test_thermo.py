@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from margulis import graphs, thermo
 from margulis.counting import NeumaierSum, _frontiers, count_words, exp_weighted
 from margulis.fixtures import PHI, get_fixture
 from margulis.graphs import ball, build_finite_graph, build_graph
@@ -322,11 +323,9 @@ def _table_first_sarig(graph, a0, h, n_max, radius):
 def test_harmonic_sarig_matches_the_table_first_loop_bit_for_bit(name, monkeypatch):
     # the reference reads its regions off ball(a0, radius + 1) and
     # ball(a0, radius); harmonic_sarig off one walk each way to radius + 1
-    from margulis import thermo
-
     walks = []
-    reachable = thermo._reachable
-    monkeypatch.setattr(thermo, "_reachable",
+    reachable = graphs._reachable
+    monkeypatch.setattr(graphs, "_reachable",
                         lambda *a, **k: walks.append(a[2]) or reachable(*a, **k))
     fx = get_fixture(name)
     for n_max in (12, 40, 80):
@@ -364,9 +363,7 @@ def test_harmonic_sarig_matches_the_table_first_loop_past_900_bits():
 
 
 def test_harmonic_sarig_rejects_a_negative_radius_before_walking(monkeypatch):
-    from margulis import thermo
-
-    monkeypatch.setattr(thermo, "_reachable", lambda *a, **k: pytest.fail("walked"))
+    monkeypatch.setattr(graphs, "_reachable", lambda *a, **k: pytest.fail("walked"))
     g = get_fixture("renewal").graph()
     with pytest.raises(ValueError, match=r"^radius must be >= 0$"):
         harmonic_sarig(g, "b", LOG2, n_max=40, radius=-1)
@@ -435,6 +432,52 @@ def test_harmonic_cyr_makes_one_solve(monkeypatch):
     fx = get_fixture("ladder")
     harmonic_cyr(fx.graph(), "(0,1)", [f"({k},1)" for k in range(13)], fx.entropy, radius=3)
     assert len(calls) == 1
+
+
+def test_harmonic_cyr_rejects_a_negative_radius_before_walking_or_solving(monkeypatch):
+    monkeypatch.setattr(graphs, "_reachable", lambda *a, **k: pytest.fail("walked"))
+    monkeypatch.setattr(thermo, "_green_function", lambda *a, **k: pytest.fail("solved"))
+    g = get_fixture("ladder").graph()
+    with pytest.raises(ValueError, match=r"^radius must be >= 0$"):
+        harmonic_cyr(g, "(0,1)", [f"({k},1)" for k in range(5)], 1.5 * LOG2, radius=-1)
+    assert not g._succ_memo and not g._pred_memo
+
+
+def _three_ball_cyr(graph, a0, ray, h, radius):
+    """harmonic_cyr's values and residual as its definition reads, each
+    region a ball of its own: the solve on ball(a0, radius + len(ray) + 10),
+    psi on ball(a0, radius + 1) and the residual on ball(a0, radius)."""
+    idx, g = thermo._green_function(graph, h, ray[-1], ball(graph, a0, radius + len(ray) + 10))
+    den = g[idx[a0]]
+    values = {s: float(g[idx[s]] / den) for s in sorted(ball(graph, a0, radius + 1))
+              if g[idx[s]] > 0.0}
+    return values, check_harmonic(graph, values, h, ball(graph, a0, radius),
+                                  tol=math.inf).max_residual
+
+
+@pytest.mark.parametrize("case", ["ladder", "cycle"])
+def test_harmonic_cyr_matches_three_balls_bit_for_bit(case):
+    if case == "ladder":
+        fx = get_fixture("ladder")
+        make, a0 = fx.graph, "(0,1)"
+        rays = [[f"({k},1)" for k in range(n)] for n in (1, 5, 13)]
+        hs = (fx.entropy, fx.entropy + 0.05)
+    else:
+        # a 12-cycle with chords: transient at every h > log 2, and finite,
+        # so the larger regions are the whole graph
+        states = [str(i) for i in range(12)]
+        edges = [(str(i), str((i + 1) % 12)) for i in range(12)] + [("0", "6"), ("9", "3")]
+        make, a0 = (lambda: build_finite_graph(states, edges)), "0"
+        rays = [["0"], ["0", "1", "2"], ["0", "6", "7", "8", "9"]]
+        hs = (0.8, 1.3)
+    for radius in range(9):
+        for ray in rays:
+            for h in hs:
+                hc = harmonic_cyr(make(), a0, ray, h, radius=radius)
+                values, residual = _three_ball_cyr(make(), a0, ray, h, radius)
+                assert list(hc.values.items()) == list(values.items()), (radius, len(ray), h)
+                assert hc.residual == residual
+                assert hc.meta == {"a0": a0, "ray_index": len(ray) - 1, "radius": radius}
 
 
 def test_harmonic_cyr_reads_only_the_rays_end():
