@@ -32,7 +32,6 @@ from .measures import (
     ConformalFamily,
     conformality_check,
     cylinder_measure,
-    global_leaf_measure,
     make_family,
     support_check,
     symbolic_holonomy_check,

@@ -9,6 +9,7 @@ written as CSV with header "n,partial_sum".  Exit codes: 0 all checks passed,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
@@ -218,9 +219,10 @@ def _cmd_torus_validate(args) -> int:
 
 
 def _cmd_suite_run(args) -> int:
-    config = SuiteConfig(n_max=args.n, depth=args.depth, samples=args.samples,
-                         seed=args.seed, threshold=args.threshold)
-    report = run_suite(args.fixture, config)
+    # a setting flag left out is absent from args, so SuiteConfig's default holds
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(SuiteConfig)
+             if hasattr(args, f.name)}
+    report = run_suite(args.fixture, SuiteConfig(**given))
     write_text(report.to_json(), args.out)
     sys.stdout.write("\n".join(report.summary_lines()) + "\n")
     return report.exit_code
@@ -310,11 +312,10 @@ def build_parser() -> argparse.ArgumentParser:
     tos = to.add_subparsers(dest="subcommand", required=True)
     tv = tos.add_parser("verify", parents=[common])
     tv.add_argument("--map", choices=["cat"], default="cat")
-    tv.add_argument("--depth", type=int, default=8)
-    tv.add_argument("--samples", type=int, default=500)
-    tv.add_argument("--seed", type=int, default=0)
-    # the cat suite with its default horizon and threshold
-    tv.set_defaults(func=_cmd_suite_run, fixture="cat", n=40, threshold=15.0)
+    tv.add_argument("--depth", type=int, default=argparse.SUPPRESS)
+    tv.add_argument("--samples", type=int, default=argparse.SUPPRESS)
+    tv.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    tv.set_defaults(func=_cmd_suite_run, fixture="cat")
     te = tos.add_parser("export", parents=[common])
     te.add_argument("--map", dest="map_name", default="cat-adler-weiss")
     te.set_defaults(func=_cmd_torus_export)
@@ -327,11 +328,11 @@ def build_parser() -> argparse.ArgumentParser:
     sus = su.add_subparsers(dest="subcommand", required=True)
     sr = sus.add_parser("run", parents=[common])
     sr.add_argument("--fixture", required=True)
-    sr.add_argument("--n", type=int, default=40)
-    sr.add_argument("--depth", type=int, default=8)
-    sr.add_argument("--samples", type=int, default=500)
-    sr.add_argument("--threshold", type=float, default=15.0)
-    sr.add_argument("--seed", type=int, default=0)
+    sr.add_argument("--n", dest="n_max", metavar="N", type=int, default=argparse.SUPPRESS)
+    sr.add_argument("--depth", type=int, default=argparse.SUPPRESS)
+    sr.add_argument("--samples", type=int, default=argparse.SUPPRESS)
+    sr.add_argument("--threshold", type=float, default=argparse.SUPPRESS)
+    sr.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     sr.set_defaults(func=_cmd_suite_run)
     return ap
 

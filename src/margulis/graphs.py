@@ -52,14 +52,10 @@ class ShiftGraph:
     once per graph (a state that passes joins ``_checked``; two racing
     threads may both check it); a non-state fails every time.  A graph
     admits at most ``_STATE_BUDGET`` states.
-    ``_into_memo`` holds, per target, the backward walk counts of
-    ``counting.counts_into``: a whole row for the anchor of the target and
-    of each state a caller declared, and each other state it meets as an
-    (anchor, offset) alias of the target or of one state of a set of states
-    of out-degree other than one with equal successors.  Each is built once
-    for one horizon and one declared set and never changed; a call it cannot
-    prove exact builds a new one and replaces it.  ``_lock`` guards that
-    replacement and nothing else.
+    ``_into_memo`` holds, per target, the ``counting._IntoMemo`` of
+    ``counting.counts_into`` (its rows and aliases are laid out there); a
+    call it cannot prove exact builds a new one and replaces it.  ``_lock``
+    guards that replacement and nothing else.
     """
 
     def __init__(

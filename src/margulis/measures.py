@@ -4,8 +4,7 @@ Given a graph, an entropy value h, and a positive harmonic function psi (a
 finite table, checked once when the family is built), the measure of the
 cylinder with root R and future word (w_1..w_N) is exp(-N h) * psi(w_N).
 Because psi depends only on the current symbol, the family is indexed by
-(root, future) pairs alone; left-infinite pasts enter only through the
-extension sums of the global leaf trace.
+(root, future) pairs alone: no mass reads the past.
 
 Harmonicity of psi is exactly Kolmogorov consistency here: the children of a
 cylinder sum to their parent, and the verification routines below check that
@@ -51,7 +50,7 @@ class ConformalFamily:
 
     def successors(self, s: StateId) -> list[StateId]:
         """The successors of ``s`` that psi covers: the step of every walk
-        the checks and the leaf traces take."""
+        the checks take."""
         return [t for t in self.graph.successors(s) if t in self.psi]
 
 
@@ -189,40 +188,3 @@ def symbolic_holonomy_check(family: ConformalFamily, root_a: StateId,
             if abs(va - vb) > worst:
                 worst, worst_class = abs(va - vb), (n, last)
     return ConsistencyReport(worst, worst_class, checked, worst == 0.0)
-
-
-# ---------------------------------------------------------------------------
-# global leaves
-# ---------------------------------------------------------------------------
-
-@dataclass
-class LeafTrace:
-    """Extension sums over re-extended pasts, for m = 0..n.
-
-    ``mass_values[m]``: total mass of all m-step extensions (the measure of
-    the expanding union of their local leaves) = e^{m h} psi(past[-1-m]);
-    nondecreasing, and unbounded along recurrent pasts.
-    """
-
-    mass_values: list[float]
-    extension_counts: list[int]
-
-
-def global_leaf_measure(family: ConformalFamily, past: Sequence[StateId], n: int) -> LeafTrace:
-    """Increasing extension sums of the local leaves over a truncated past.
-
-    ``past`` is a truncated left chain ending at the root (past[-1] is the
-    symbol at time 0).  Requires n <= len(past) - 1.
-    """
-    if not is_admissible(family.graph, past):
-        raise ValueError(f"inadmissible past {past!r}")
-    if n > len(past) - 1:
-        raise ValueError("n exceeds the available past length")
-    mass_values, counts = [], []
-    for m in range(n + 1):
-        start = past[-1 - m]
-        # mass of all m-step extensions = (L0^m psi)(start), by harmonicity
-        *_, vec = _frontiers(family.successors, {start: 1}, m)
-        counts.append(sum(vec.values()))
-        mass_values.append(math.fsum(w * family.psi_of(s) for s, w in sorted(vec.items())))
-    return LeafTrace(mass_values, counts)

@@ -94,7 +94,15 @@ def run_suite(fixture: str, config: SuiteConfig | None = None) -> Report:
     if fixture == "ladder":
         ray = [f"({k},1)" for k in range(13)]
         hc = thermo.harmonic_cyr(graph, fx.base, ray, fx.entropy, radius=3)
-        report.check_leq(f"{fixture}/cyr_residual", hc.residual, 1e-3)
+        # a ratio of Green's functions is harmonic away from its pole whatever h
+        # is, so the residual alone cannot see a wrong h; the closed form
+        # psi(n,c) = (n+1) 2^(-n/2), harmonic at the ladder's h only, can
+        worst = 0.0
+        for s, v in hc.values.items():
+            n = int(s[1:-1].split(",")[0])
+            worst = max(worst, abs(v - (n + 1) * 2.0 ** (-n / 2)))
+        report.add(f"{fixture}/cyr_residual", hc.residual, 1e-3,
+                   hc.residual <= 1e-3 and worst <= 1e-9)
 
     if fx.psi is not None and fx.entropy is not None and fx.entropy > 0:
         family = measures.make_family(graph, fx.entropy, fx.psi)
@@ -121,7 +129,7 @@ def _cat_suite(config: SuiteConfig) -> Report:
     report.check_leq("cat/entropy_consistency", abs(est.value - h_exact), 1e-6)
 
     family = torus.partition_family(p)
-    rep_h = thermo.check_harmonic(p.graph, family.psi, family.h, tol=1e-10)
+    rep_h = thermo.check_harmonic(p.graph, family.psi, family.h)
     report.check_leq("cat/u_extent_harmonic_residual", rep_h.max_residual, 1e-10)
 
     # intersection-count identity on a small sample of cylinders
@@ -142,12 +150,14 @@ def _cat_suite(config: SuiteConfig) -> Report:
     report.add("cat/intersection_identity", float(worst), 0.0, worst == 0,
                f"{checked} (cylinder, i) pairs")
 
-    # holonomy invariance, within- and cross-rectangle
+    # holonomy invariance, within- and cross-rectangle, on arcs of length 0.05 to 0.3
     rng = np.random.default_rng(config.seed)
     fails = 0
     pairs = 0
     for _ in range(12):
-        arc = _random_arc(p, rng, min_len=0.05, max_len=0.3)
+        base = rng.random(2)
+        length = 0.05 + 0.25 * rng.random()
+        arc = torus.UnstableArc((float(base[0]), float(base[1])), 0.0, length)
         target = rng.random(2)
         hol = torus.holonomy_invariance_check(family, p, arc, target, depths=(4, config.depth))
         pairs += 1
@@ -182,27 +192,19 @@ def cat_anchor(p: torus.MarkovPartition) -> tuple[tuple[float, float], str]:
     return xy, rid
 
 
-def _random_arc(p: torus.MarkovPartition, rng: np.random.Generator,
-                min_len: float, max_len: float) -> torus.UnstableArc:
-    base = rng.random(2)
-    length = min_len + (max_len - min_len) * rng.random()
-    return torus.UnstableArc((float(base[0]), float(base[1])), 0.0, float(length))
-
-
-def margulis_grid_deviation(family_u, p, family_s, p_inv, grid: int = 20,
-                            span: float = 0.3) -> float:
+def margulis_grid_deviation(family_u, p, family_s, p_inv, grid: int = 20) -> float:
     """Max deviation of the measure-coordinate map from its best-fit linear map.
 
     Fits the affine (unwrapped) representative fp + alpha e_u + gamma e_s of
-    each solved point against the measure coordinates (x, y).
+    each solved point against the measure coordinates (x, y), on the
+    ``grid`` x ``grid`` points of (0, 0.3]^2.
     """
     fp = np.zeros(2)
-    xs = np.linspace(span / grid, span, grid)
-    ys = np.linspace(span / grid, span, grid)
+    axis = np.linspace(0.3 / grid, 0.3, grid)
     pts = []
     coords = []
-    for x in xs:
-        for y in ys:
+    for x in axis:
+        for y in axis:
             mp = torus.margulis_coordinates(family_u, p, family_s, p_inv, fp,
                                             float(x), float(y), tol=1e-9)
             z_affine = fp + mp.alpha * p.auto.e_u + mp.gamma * p.auto.e_s

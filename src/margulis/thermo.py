@@ -235,12 +235,10 @@ class ResidualReport:
     max_residual: float
     worst_state: Optional[StateId]
     states_checked: int
-    passed: bool
 
 
 def check_harmonic(graph: ShiftGraph, values: Mapping[StateId, float], h: float,
-                   region: Optional[Iterable[StateId]] = None,
-                   tol: float = 1e-8) -> ResidualReport:
+                   region: Optional[Iterable[StateId]] = None) -> ResidualReport:
     """Max relative residual |e^-h L0 psi - psi| / psi over the checkable
     states of ``region`` (default: every state of psi).
 
@@ -258,7 +256,7 @@ def check_harmonic(graph: ShiftGraph, values: Mapping[StateId, float], h: float,
         checked += 1
         if res > worst:
             worst, worst_state = res, r
-    return ResidualReport(worst, worst_state, checked, worst < tol)
+    return ResidualReport(worst, worst_state, checked)
 
 
 def harmonic_finite(graph: ShiftGraph, base: Optional[StateId] = None) -> HarmonicFunction:
@@ -296,7 +294,7 @@ def harmonic_finite(graph: ShiftGraph, base: Optional[StateId] = None) -> Harmon
         raise NumericalFailure("eigenvector not positive at base", residual=math.inf)
     v = v / v[idx[base]]
     values = {s: float(v[i]) for s, i in idx.items()}
-    rep = check_harmonic(graph, values, h, tol=math.inf)
+    rep = check_harmonic(graph, values, h)
     return HarmonicFunction(values, h, rep.max_residual, "eigen",
                             meta={"base": base, "iterations": it + 1})
 
@@ -351,8 +349,7 @@ def harmonic_sarig(graph: ShiftGraph, a0: StateId, h: float, n_max: int,
         raise ValueError(f"no loops at {a0!r} within n_max={n_max}; denominator is zero")
     den = sums[a0]
     values = {s: v / den for s, v in sums.items()}
-    rep = check_harmonic(graph, values, h, [s for s, k in dist.items() if k <= radius],
-                         tol=math.inf)
+    rep = check_harmonic(graph, values, h, [s for s, k in dist.items() if k <= radius])
     return HarmonicFunction(values, h, rep.max_residual, "sarig",
                             meta={"a0": a0, "window": (m0 + 1, n_max), "radius": radius,
                                   "dropped": dropped})
@@ -446,7 +443,6 @@ def harmonic_cyr(graph: ShiftGraph, a0: StateId, ray: Sequence[StateId], h: floa
         raise ValueError(f"ray state {w!r} unreachable from {a0!r}: zero denominator")
     values = {s: float(g[i] / den) for s, i in idx.items()
               if dist[s] <= radius + 1 and g[i] > 0.0}
-    rep = check_harmonic(graph, values, h, [s for s, k in dist.items() if k <= radius],
-                         tol=math.inf)
+    rep = check_harmonic(graph, values, h, [s for s, k in dist.items() if k <= radius])
     return HarmonicFunction(values, h, rep.max_residual, "cyr",
                             meta={"a0": a0, "ray_index": len(ray) - 1, "radius": radius})

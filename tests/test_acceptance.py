@@ -183,7 +183,7 @@ def test_criterion_10_coordinate_linearity(cat, cat_family):
     c = Criterion(10, "measure-coordinate map linear on a 20x20 grid to 1e-6", 30.0)
     p_inv = inverse_partition(cat)
     fam_s = partition_family(p_inv)
-    dev = margulis_grid_deviation(cat_family, cat, fam_s, p_inv, grid=20, span=0.3)
+    dev = margulis_grid_deviation(cat_family, cat, fam_s, p_inv, grid=20)
     assert dev < 1e-6
     c.done()
 

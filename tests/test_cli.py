@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import subprocess
 import sys
@@ -9,7 +10,8 @@ import pytest
 from margulis import cli, graphs
 from margulis.cli import build_parser, main
 from margulis.graphs import StructuralViolation
-from margulis.suite import run_suite
+from margulis.report import Report
+from margulis.suite import SuiteConfig, run_suite
 
 
 def run_cli(*args):
@@ -246,6 +248,40 @@ def test_torus_verify_is_the_cat_suite():
     r = run_cli("torus", "verify", "--map", "golden-mean")
     assert r.returncode == 2
     assert "invalid choice: 'golden-mean'" in r.stderr
+
+
+def _suite_config(monkeypatch, argv) -> SuiteConfig:
+    """The SuiteConfig that ``main(argv)`` hands to run_suite."""
+    seen = []
+
+    def capture(fixture, config):
+        seen.append(config)
+        return Report(fixture)
+    monkeypatch.setattr(cli, "run_suite", capture)
+    assert main(argv) == 0
+    [config] = seen
+    return config
+
+
+@pytest.mark.parametrize("argv", [["suite", "run", "--fixture", "cat"], ["torus", "verify"]],
+                         ids=["suite-run", "torus-verify"])
+def test_suite_settings_left_out_are_suite_config_defaults(monkeypatch, argv):
+    assert _suite_config(monkeypatch, argv) == SuiteConfig()
+
+
+# each setting flag, the SuiteConfig field it sets and a value unlike the default
+SETTING_FLAGS = {"--n": ("n_max", 7), "--depth": ("depth", 3), "--samples": ("samples", 9),
+                 "--threshold": ("threshold", 2.5), "--seed": ("seed", 4)}
+
+
+@pytest.mark.parametrize("argv,flag", [
+    *((["suite", "run", "--fixture", "cat"], flag) for flag in SETTING_FLAGS),
+    *((["torus", "verify"], flag) for flag in ("--depth", "--samples", "--seed")),
+], ids=lambda x: x.lstrip("-") if isinstance(x, str) else x[0])
+def test_each_suite_setting_flag_sets_only_its_field(monkeypatch, argv, flag):
+    field, value = SETTING_FLAGS[flag]
+    config = _suite_config(monkeypatch, [*argv, flag, str(value)])
+    assert config == dataclasses.replace(SuiteConfig(), **{field: value})
 
 
 def test_suite_run_golden_mean(tmp_path, capsys):

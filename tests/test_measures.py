@@ -12,7 +12,6 @@ from margulis.measures import (
     ConsistencyReport,
     conformality_check,
     cylinder_measure,
-    global_leaf_measure,
     iter_cylinders,
     make_family,
     support_check,
@@ -494,50 +493,3 @@ def test_kolmogorov_consistency_random_cylinders(index):
     children = sum(cylinder_measure(fam, "0", fut + (s,))
                    for s in fam.graph.successors(last))
     assert children == pytest.approx(parent, abs=1e-12)
-
-
-# -- global leaves --------------------------------------------------------------
-
-def test_global_leaf_full_shift_constant_arc_trace():
-    fam = get_fixture("full-2").family()
-    tr = global_leaf_measure(fam, ["0", "0", "0", "0"], 3)
-    assert tr.extension_counts == [1, 2, 4, 8]
-    # e^{mh} psi plays against 2^m extensions: mass trace grows
-    assert tr.mass_values == pytest.approx([1.0, 2.0, 4.0, 8.0], abs=1e-12)
-
-
-def test_global_leaf_golden_nondecreasing():
-    fam = golden_family()
-    tr = global_leaf_measure(fam, ["0", "0", "0", "0"], 3)
-    for a, b in zip(tr.mass_values, tr.mass_values[1:]):
-        assert b >= a - 1e-12
-    # extensions counted by admissible words into the truncated past
-    assert tr.extension_counts[0] == 1
-    assert tr.extension_counts[1] == 2   # 0->0, 0->1
-
-
-def test_global_leaf_mass_reads_the_past_backwards():
-    # the m-step extensions start at past[-1 - m]; on a non-constant past a
-    # wrong index reads the wrong psi
-    fam = golden_family()
-    past = ["0", "1", "0", "0", "1", "0"]
-    tr = global_leaf_measure(fam, past, len(past) - 1)
-    for m, mass in enumerate(tr.mass_values):
-        assert mass == pytest.approx(PHI ** m * fam.psi_of(past[-1 - m]), rel=1e-12)
-
-
-def test_global_leaf_renewal_mass_grows_unboundedly():
-    fam = get_fixture("renewal").family()
-    k = 6
-    past = ["b"] * (k + 1)
-    tr = global_leaf_measure(fam, past, k)
-    for m in range(k + 1):
-        assert tr.mass_values[m] == pytest.approx(2.0 ** m, rel=1e-9)
-
-
-def test_global_leaf_rejects_inadmissible_past():
-    fam = golden_family()
-    with pytest.raises(ValueError, match="inadmissible past"):
-        global_leaf_measure(fam, ["1", "1", "0"], 1)
-    with pytest.raises(ValueError, match="past length"):
-        global_leaf_measure(fam, ["0", "0"], 5)

@@ -313,7 +313,7 @@ def _table_first_sarig(graph, a0, h, n_max, radius):
     den = sums[a0].value
     values = {s: sums[s].value / den for s in sorted(region)
               if s in sums and sums[s].value > 0.0 and first_hit[s] <= m0}
-    rep = check_harmonic(graph, values, h, ball(graph, a0, radius), tol=math.inf)
+    rep = check_harmonic(graph, values, h, ball(graph, a0, radius))
     dropped = sum(1 for i in first_hit.values() if i > m0)
     return values, rep.max_residual, {"a0": a0, "window": (m0 + 1, n_max),
                                       "radius": radius, "dropped": dropped}
@@ -451,8 +451,7 @@ def _three_ball_cyr(graph, a0, ray, h, radius):
     den = g[idx[a0]]
     values = {s: float(g[idx[s]] / den) for s in sorted(ball(graph, a0, radius + 1))
               if g[idx[s]] > 0.0}
-    return values, check_harmonic(graph, values, h, ball(graph, a0, radius),
-                                  tol=math.inf).max_residual
+    return values, check_harmonic(graph, values, h, ball(graph, a0, radius)).max_residual
 
 
 @pytest.mark.parametrize("case", ["ladder", "cycle"])
@@ -536,19 +535,18 @@ def test_check_harmonic_reports():
     fx = get_fixture("golden-mean")
     g = fx.graph()
     hf = harmonic_finite(g, "1")
-    rep = check_harmonic(g, hf.values, hf.h, tol=1e-10)
-    assert rep.passed and rep.max_residual < 1e-10
+    rep = check_harmonic(g, hf.values, hf.h)
+    assert rep.max_residual < 1e-10
 
     # renewal exact psi has residual ~2^-63 at the truncated base
     fxr = get_fixture("renewal")
     gr = fxr.graph()
     values = {s: fxr.psi[s] for s in ball(gr, "b", 4)}
-    repr_ = check_harmonic(gr, values, LOG2, ball(gr, "b", 3), tol=1e-12)
+    repr_ = check_harmonic(gr, values, LOG2, ball(gr, "b", 3))
     assert repr_.max_residual < 1e-12
 
     # psi = 1 on the golden mean is off by |2/phi - 1| > 0.2 at state 0
-    bad = check_harmonic(g, {"0": 1.0, "1": 1.0}, math.log(PHI), tol=1e-2)
-    assert not bad.passed
+    bad = check_harmonic(g, {"0": 1.0, "1": 1.0}, math.log(PHI))
     assert bad.max_residual > 0.2
 
 
